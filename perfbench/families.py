@@ -175,7 +175,8 @@ def frame_op(name: str, n: int, omega: dict) -> dict:
     """The graph of a 2-form presented through ``frame(...)``: sections
     ``(d_i, i_{d_i} omega)``."""
     names, chart = _chart(name, n)
-    spec = {"kind": "form", "n": n, "omega": omega, "scalars": {}}
+    spec = {"kind": "form", "n": n, "omega": omega, "scalars": {},
+            "frame": True}
     lines = [chart]
     for i in range(n):
         # i_{d_i} omega = sum_j omega_ij dx_j

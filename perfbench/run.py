@@ -43,6 +43,7 @@ CLI_TRIALS = 20             # the CLI's default --trials
 TRIALS = 6                  # run_checks' trials on generated structures
 SETUP_SAMPLES = 10          # minimum set-ups timed per run
 CHILD_TIMEOUT = 170         # seconds; one child never runs longer
+WORKLOAD_TIMEOUT = 900      # seconds; one workload of --workload all
 WORKLOADS = ("corpus-cli", "rational-families", "cech-atlases")
 SUITES = ("dirac", "poisson", "prequant", "polarize", "quantize", "poincare")
 FAULTS = {
@@ -64,17 +65,17 @@ def log(message: str) -> None:
 # children
 
 
-def _child(argv: list[str], stdin: str | None = None) -> tuple:
+def _child(argv: list[str], stdin: str | None = None,
+           timeout: float = CHILD_TIMEOUT) -> tuple:
     """Run one child to completion: (stdout, stderr, returncode, spawn
     time on the monotonic clock, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     spawn = time.monotonic()
     try:
         proc = subprocess.run(argv, input=stdin, capture_output=True,
-                              text=True, cwd=ROOT, env=env,
-                              timeout=CHILD_TIMEOUT)
+                              text=True, cwd=ROOT, env=env, timeout=timeout)
     except subprocess.TimeoutExpired as err:
-        raise BenchError(f"{argv[1:3]} exceeded {CHILD_TIMEOUT} s") from err
+        raise BenchError(f"{argv[1:3]} exceeded {timeout} s") from err
     return (proc.stdout, proc.stderr, proc.returncode, spawn,
             time.monotonic() - spawn)
 
@@ -124,9 +125,11 @@ class Tally:
         self.correct = True
         self.live = False
 
-    def judge(self, name: str, report: str, expected,
-              fault: str | None) -> bool:
-        """Judge one operation; True when its report matches the oracle."""
+    def judge(self, op: dict, report: str) -> bool:
+        """Judge one operation; True when its report matches the oracle.
+        A tagged operation that differs must differ exactly as its fault
+        does, or the run is not correct."""
+        name, fault, expected = op["name"], op.get("fault"), expected_for(op)
         self.attempted += 1
         data = json.loads(report)
         if data["seed"] != PROGRAM_SEED:
@@ -139,6 +142,9 @@ class Tally:
         self.failed += 1
         if fault is None:
             self.problem(f"{name}: unexpected verdict: {reason}")
+        elif oracle.judge(data["checks"], oracle.under_fault(
+                fault, expected, op.get("spec", {}).get("frame", False))):
+            self.problem(f"{name}: differs other than by {fault}: {reason}")
         else:
             log(f"failed {name} ({fault}: {FAULTS[fault]}): {reason}")
         return False
@@ -230,10 +236,8 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
     while True:
         ops = round_ops(workload, seed, index)
         reports, times, setup, wall, _ = run_round(workload, ops)
-        for op, report, seconds in zip(ops, reports, times):
-            ok = tally.judge(op["name"], report, expected_for(op),
-                             op.get("fault"))
-            op_seconds.append((seconds, ok))
+        for op, report, op_s in zip(ops, reports, times):
+            op_seconds.append((op_s, tally.judge(op, report)))
         round_walls.append(sum(times))
         setups += setup
         spent += wall
@@ -332,7 +336,7 @@ def measure_traced(workload: str, seed: int) -> dict:
     for op, a, b in zip(ops, plain, traced):
         if a != b:
             tally.problem(f"{op['name']}: traced report differs")
-        tally.judge(op["name"], a, expected_for(op), op.get("fault"))
+        tally.judge(op, a)
     suites = worker("suites", ops)[0]["suites"]
     total: dict = {}
     for summary in traces:
@@ -364,25 +368,36 @@ def main(argv: list[str] | None = None) -> int:
             raise BenchError(f"no diracq sources under {SRC}")
         if not MODELS.is_dir():
             raise BenchError(f"no model corpus at {MODELS}")
+        if args.workload != "all":
+            print(json.dumps(measure_traced(args.workload, args.seed)
+                             if args.trace else
+                             measure(args.workload, args.seed, args.seconds)))
+            return 0
         results = {}
-        for workload in WORKLOADS if args.workload == "all" \
-                else (args.workload,):
-            if args.trace:
-                results[workload] = measure_traced(workload, args.seed)
-            else:
-                results[workload] = measure(workload, args.seed, args.seconds)
-            if args.workload == "all":
-                r = results[workload]
-                print(f"{workload}: attempted {r['attempted']}, failed "
-                      f"{r['failed']}, correct {r['correct']}")
-                for name, m in r["metrics"].items():
-                    print(f"  {name} = {m['value']:.6g} {m['unit']}")
+        for workload in WORKLOADS:
+            r = results[workload] = workload_process(workload, args)
+            print(f"{workload}: attempted {r['attempted']}, failed "
+                  f"{r['failed']}, correct {r['correct']}")
+            for name, m in r["metrics"].items():
+                print(f"  {name} = {m['value']:.6g} {m['unit']}")
     except BenchError as err:
         log(f"error: {err}")
         return 2
-    print(json.dumps(results if args.workload == "all"
-                     else results[args.workload]))
+    print(json.dumps(results))
     return 0
+
+
+def workload_process(workload: str, args) -> dict:
+    """One workload's result from a run.py process of its own, so that
+    ``peak_rss_mb`` covers only that workload's children."""
+    out, err, code, _spawn, _wall = _child(
+        [sys.executable, str(HERE / "run.py"), "--workload", workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--trace", str(args.trace)], timeout=WORKLOAD_TIMEOUT)
+    sys.stderr.write(err)
+    if code != 0:
+        raise BenchError(f"{workload} exited {code}")
+    return json.loads(out.strip().splitlines()[-1])
 
 
 if __name__ == "__main__":
