@@ -10,6 +10,7 @@ the chart-level Poincare lemma.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,21 +22,18 @@ from .chart import (
     KForm,
     KVector,
     VectorField,
-    exterior_derivative,
-    interior_product,
-    lie_derivative_form,
+    _Alternating,
+    _nonzero_node,
+    scalar_is_zero,
 )
-from .dirac import DiracStructure, Section, courant_bracket, membership
-from .expr import (
-    ComplexExpr,
-    Expr,
-    ExprError,
-    ZERO,
-    as_expr,
-    complex_is_zero,
-    is_zero,
-    symbol,
+from .dirac import (
+    DiracStructure,
+    Section,
+    courant_bracket,
+    courant_form,
+    membership,
 )
+from .expr import ComplexExpr, Expr, ExprError, ZERO, as_expr, is_zero, symbol
 
 __all__ = [
     "AlgebroidPresentation",
@@ -61,18 +59,6 @@ __all__ = [
 
 class AlgebroidError(ExprError):
     pass
-
-
-def scalar_is_zero(value) -> bool:
-    if isinstance(value, ComplexExpr):
-        return complex_is_zero(value)
-    return is_zero(value)
-
-
-def _scalar_nonzero_node(value) -> bool:
-    if isinstance(value, ComplexExpr):
-        return value.re.node != 0 or value.im.node != 0
-    return as_expr(value).node != 0
 
 
 @dataclass(frozen=True)
@@ -134,63 +120,29 @@ class AlgebroidPresentation:
         return f"<algebroid rank {self.rank} on {self.chart.name}>"
 
 
-@dataclass(frozen=True)
-class AForm:
+class AForm(_Alternating):
     """A-differential form: coefficients over increasing frame-index tuples."""
 
-    algebroid: AlgebroidPresentation
-    degree: int
-    coeffs: Mapping[tuple[int, ...], object]
+    error = AlgebroidError
 
-    def __post_init__(self):
-        clean = {}
-        for key, value in self.coeffs.items():
-            key = tuple(key)
-            if len(key) != self.degree or list(key) != sorted(set(key)):
-                raise AlgebroidError(f"bad index tuple {key}")
-            if any(i < 0 or i >= self.algebroid.rank for i in key):
-                raise AlgebroidError(f"index tuple {key} out of range")
-            if not isinstance(value, ComplexExpr):
-                value = as_expr(value)
-            if _scalar_nonzero_node(value):
-                clean[key] = value
-        object.__setattr__(self, "coeffs", clean)
+    @staticmethod
+    def _size(base) -> int:
+        return base.rank
 
-    def coeff(self, key) -> object:
-        return self.coeffs.get(tuple(key), ZERO)
+    @property
+    def algebroid(self) -> AlgebroidPresentation:
+        return self.base
 
-    def coeff_signed(self, seq: Sequence[int]):
-        """Value on a possibly unsorted frame tuple, with alternation."""
-        seq = tuple(seq)
-        if len(set(seq)) != len(seq):
-            return ZERO
-        inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
-        value = self.coeff(tuple(sorted(seq)))
-        return value if inversions % 2 == 0 else -value
+    @property
+    def chart(self) -> Chart:
+        return self.base.chart
 
-    def __add__(self, other: "AForm") -> "AForm":
-        self._check_compatible(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return AForm(self.algebroid, self.degree,
-                     {k: self.coeff(k) + other.coeff(k) for k in keys})
+    def _check_base(self, other) -> None:
+        if other.base is not self.base:
+            raise AlgebroidError("forms live over different presentations")
 
-    def __sub__(self, other: "AForm") -> "AForm":
-        self._check_compatible(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return AForm(self.algebroid, self.degree,
-                     {k: self.coeff(k) - other.coeff(k) for k in keys})
-
-    def __neg__(self) -> "AForm":
-        return AForm(self.algebroid, self.degree,
-                     {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, factor) -> "AForm":
-        return AForm(self.algebroid, self.degree,
-                     {k: factor * v for k, v in self.coeffs.items()})
-
-    def _check_compatible(self, other: "AForm") -> None:
-        if self.algebroid is not other.algebroid or self.degree != other.degree:
-            raise AlgebroidError("forms live over different presentations/degrees")
+    def _basis(self, i: int) -> str:
+        return self.algebroid.labels[i] + "*"
 
     def evaluate_coefficients(self, coeffs: Sequence) -> object:
         """Value on a section given by frame coefficients (degree 1 only)."""
@@ -198,26 +150,11 @@ class AForm:
             raise AlgebroidError("coefficient evaluation needs degree 1")
         out = ZERO
         for i, c in enumerate(coeffs):
-            if _scalar_nonzero_node(c):
+            if _nonzero_node(c):
                 out = out + c * self.coeff((i,))
         return out
 
-    def is_zero_form(self) -> bool:
-        return all(scalar_is_zero(v) for v in self.coeffs.values())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        labels = self.algebroid.labels
-        parts = []
-        for key in sorted(self.coeffs):
-            basis = "/\\".join(labels[i] + "*" for i in key) or "1"
-            parts.append(f"({self.coeffs[key]})*{basis}")
-        return " + ".join(parts)
-
-
-def aform_zero(algebroid: AlgebroidPresentation, degree: int) -> AForm:
-    return AForm(algebroid, degree, {})
+    is_zero_form = _Alternating.is_zero_tensor
 
 
 def aform_from_scalar(algebroid: AlgebroidPresentation, value) -> AForm:
@@ -231,6 +168,25 @@ def aform_equal(a: AForm, b: AForm) -> bool:
     return all(scalar_is_zero(a.coeff(k) - b.coeff(k)) for k in keys)
 
 
+def _koszul(rank: int, degree: int, anchor_term, bracket_term) -> dict:
+    """Coefficients of the Koszul alternating sum on increasing frame tuples
+    ``key`` of length ``degree + 1``: the signed ``anchor_term(i, rest)``
+    over the slots of ``key``, plus the signed ``bracket_term(a, b, rest)``
+    over its pairs ``a < b``, ``rest`` being the remaining indices."""
+    out: dict[tuple[int, ...], object] = {}
+    for key in itertools.combinations(range(rank), degree + 1):
+        total = ZERO
+        for pos, idx in enumerate(key):
+            term = anchor_term(idx, key[:pos] + key[pos + 1:])
+            total = total + term if pos % 2 == 0 else total - term
+        for pa, pb in itertools.combinations(range(len(key)), 2):
+            rest = tuple(key[p] for p in range(len(key)) if p not in (pa, pb))
+            term = bracket_term(key[pa], key[pb], rest)
+            total = total + term if (pa + pb) % 2 == 0 else total - term
+        out[key] = total
+    return out
+
+
 def d_A(theta: AForm | object, algebroid: AlgebroidPresentation | None = None) -> AForm:
     """The A-exterior derivative: the alternating anchor/bracket sum
     evaluated on frame tuples."""
@@ -239,50 +195,21 @@ def d_A(theta: AForm | object, algebroid: AlgebroidPresentation | None = None) -
             raise AlgebroidError("need a presentation for scalar input")
         theta = aform_from_scalar(algebroid, theta)
     A = theta.algebroid
-    r = A.rank
-    ell = theta.degree
-    if ell >= r:
-        return aform_zero(A, ell + 1)
-    out: dict[tuple[int, ...], object] = {}
-    for key in itertools.combinations(range(r), ell + 1):
-        total = ZERO
-        for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            term = A.anchors[idx].apply(theta.coeff(rest))
-            total = total + term if pos % 2 == 0 else total - term
-        for pa in range(len(key)):
-            for pb in range(pa + 1, len(key)):
-                rest = tuple(key[p] for p in range(len(key))
-                             if p not in (pa, pb))
-                coeffs = A.bracket_coefficients(key[pa], key[pb])
-                term = ZERO
-                for m in range(r):
-                    if coeffs[m].node == 0:
-                        continue
-                    term = term + coeffs[m] * theta.coeff_signed((m,) + rest)
-                total = total + term if (pa + pb) % 2 == 0 else total - term
-        if _scalar_nonzero_node(total):
-            out[key] = total
-    return AForm(A, ell + 1, out)
+
+    def bracket_term(a: int, b: int, rest: tuple[int, ...]):
+        term = ZERO
+        for m, c in enumerate(A.bracket_coefficients(a, b)):
+            if c.node != 0:
+                term = term + c * theta.coeff_signed((m,) + rest)
+        return term
+
+    return AForm(A, theta.degree + 1, _koszul(
+        A.rank, theta.degree,
+        lambda i, rest: A.anchors[i].apply(theta.coeff(rest)), bracket_term))
 
 
 def wedge(a: AForm, b: AForm) -> AForm:
-    if a.algebroid is not b.algebroid:
-        raise AlgebroidError("wedge over different presentations")
-    out: dict[tuple[int, ...], object] = {}
-    for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
-            combined = k1 + k2
-            if len(set(combined)) != len(combined):
-                continue
-            inversions = sum(1 for x, y in itertools.combinations(combined, 2)
-                             if x > y)
-            term = c1 * c2
-            if inversions % 2 == 1:
-                term = -term
-            key = tuple(sorted(combined))
-            out[key] = out.get(key, ZERO) + term
-    return AForm(a.algebroid, a.degree + b.degree, out)
+    return a.wedge(b)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +223,28 @@ def tangent_algebroid(chart: Chart) -> AlgebroidPresentation:
                                  labels=tuple("d_" + n for n in chart.coord_names))
 
 
-def cotangent_algebroid(chart: Chart, pi: KVector) -> AlgebroidPresentation:
-    """Frame dx_i, anchor pi#, bracket ``{a,b} = L_{pi#a} b - i_{pi#b} da``."""
+@functools.lru_cache(maxsize=32)
+def _cotangent_presentation(chart: Chart, pi: KVector) -> AlgebroidPresentation:
+    """Frame dx_i, anchor pi#, bracket ``{a,b} = L_{pi#a} b - i_{pi#b} da``
+    (the form part of the Courant bracket on the graph sections of pi);
+    Jacobi is not checked, so pi need not be Poisson.  Cached: a Jacobi
+    probe takes the contravariant derivative of one bivector 2n times."""
     if pi.degree != 2 or pi.chart != chart:
         raise AlgebroidError("expected a bivector on the same chart")
     n = chart.dim
-    anchors = tuple(pi.sharp(chart.basis_covector(i)) for i in range(n))
+    graph = [Section(pi.sharp(chart.basis_covector(i)), chart.basis_covector(i))
+             for i in range(n)]
     structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket_form = lie_derivative_form(anchors[i], chart.basis_covector(j)) \
-                - interior_product(anchors[j],
-                                   exterior_derivative(chart.basis_covector(i)))
-            structure[(i, j)] = tuple(bracket_form.coeff((k,)) for k in range(n))
-    pres = AlgebroidPresentation(chart, anchors, structure,
-                                 labels=tuple("d" + n_ for n_ in chart.coord_names))
+    for i, j in itertools.combinations(range(n), 2):
+        form = courant_form(graph[i], graph[j])
+        structure[(i, j)] = tuple(form.coeff((k,)) for k in range(n))
+    return AlgebroidPresentation(chart, tuple(e.X for e in graph), structure,
+                                 labels=tuple("d" + c for c in chart.coord_names))
+
+
+def cotangent_algebroid(chart: Chart, pi: KVector) -> AlgebroidPresentation:
+    """The validated cotangent presentation of a Poisson bivector."""
+    pres = _cotangent_presentation(chart, pi)
     pres.validate()
     return pres
 
@@ -354,37 +288,22 @@ def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
 def d_D_pair(phi: KForm, q: KVector, dirac: DiracStructure,
              cross_check: bool = False) -> AForm:
     """Evaluate ``d_D`` of the D-form represented by a pair of an ordinary
-    form and a multivector; optionally cross-check against the direct
-    alternating-sum formula on the Dirac presentation."""
+    form and a multivector through the Courant bracket of frame sections;
+    optionally cross-check against ``d_A`` on the Dirac presentation."""
     if phi.degree != q.degree:
         raise AlgebroidError("degree mismatch between the form and multivector")
     pres = dirac_presentation(dirac)
     frame = dirac.frame
-    n = dirac.dim
-    ell = phi.degree
-    out: dict[tuple[int, ...], object] = {}
-    for key in itertools.combinations(range(n), ell + 1):
-        secs = [frame[i] for i in key]
-        total = ZERO
-        for pos in range(len(key)):
-            rest = [secs[p] for p in range(len(key)) if p != pos]
-            inner = phi.evaluate([s.X for s in rest]) + _wedge_eval(
-                [s.xi for s in rest], q)
-            term = secs[pos].X.apply(inner)
-            total = total + term if pos % 2 == 0 else total - term
-        for pa in range(len(key)):
-            for pb in range(pa + 1, len(key)):
-                rest = [secs[p] for p in range(len(key)) if p not in (pa, pb)]
-                bracket_vec = secs[pa].X.lie_bracket(secs[pb].X)
-                term = phi.evaluate([bracket_vec] + [s.X for s in rest])
-                bracket_form = (lie_derivative_form(secs[pa].X, secs[pb].xi)
-                                - interior_product(secs[pb].X,
-                                                   exterior_derivative(secs[pa].xi)))
-                term = term + _wedge_eval([bracket_form] + [s.xi for s in rest], q)
-                total = total + term if (pa + pb) % 2 == 0 else total - term
-        if total.node != 0:
-            out[key] = total
-    result = AForm(pres, ell + 1, out)
+
+    def anchor_term(i: int, rest: tuple[int, ...]):
+        return frame[i].X.apply(_pair_value(phi, q, [frame[k] for k in rest]))
+
+    def bracket_term(a: int, b: int, rest: tuple[int, ...]):
+        bracket = courant_bracket(frame[a], frame[b])
+        return _pair_value(phi, q, [bracket] + [frame[k] for k in rest])
+
+    result = AForm(pres, phi.degree + 1,
+                   _koszul(dirac.dim, phi.degree, anchor_term, bracket_term))
     if cross_check:
         direct = d_A(_pair_as_aform(phi, q, dirac))
         if not aform_equal(result, direct):
@@ -392,36 +311,23 @@ def d_D_pair(phi: KForm, q: KVector, dirac: DiracStructure,
     return result
 
 
-def _wedge_eval(forms: Sequence[KForm], q: KVector):
-    """(xi_1 ^ ... ^ xi_l)(Q), the determinant pairing."""
-    if q.degree == 0:
-        return q.coeff(())
-    return q.evaluate(list(forms))
+def _pair_value(phi: KForm, q: KVector, sections: Sequence[Section]):
+    """The pair on sections: ``phi(X_1..X_l) + (xi_1 ^ ... ^ xi_l)(Q)``."""
+    return (phi.evaluate([s.X for s in sections])
+            + q.evaluate([s.xi for s in sections]))
 
 
 def _pair_as_aform(phi: KForm, q: KVector, dirac: DiracStructure) -> AForm:
-    pres = dirac_presentation(dirac)
     frame = dirac.frame
-    out = {}
-    for key in itertools.combinations(range(dirac.dim), phi.degree):
-        secs = [frame[i] for i in key]
-        value = phi.evaluate([s.X for s in secs]) + _wedge_eval(
-            [s.xi for s in secs], q)
-        if value.node != 0:
-            out[key] = value
-    return AForm(pres, phi.degree, out)
+    return AForm(dirac_presentation(dirac), phi.degree, {
+        key: _pair_value(phi, q, [frame[i] for i in key])
+        for key in itertools.combinations(range(dirac.dim), phi.degree)})
 
 
 def rho_pullback_form(sigma: KForm, dirac: DiracStructure) -> AForm:
     """Pull an ordinary form back through the tangent projection of D:
-    evaluate it on the anchor images of frame tuples."""
-    pres = dirac_presentation(dirac)
-    out = {}
-    for key in itertools.combinations(range(dirac.dim), sigma.degree):
-        value = sigma.evaluate([dirac.frame[i].X for i in key])
-        if value.node != 0:
-            out[key] = value
-    return AForm(pres, sigma.degree, out)
+    evaluate it on the anchor images of frame tuples (the pair (sigma, 0))."""
+    return _pair_as_aform(sigma, KVector(sigma.chart, sigma.degree, {}), dirac)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +392,7 @@ def _covariant(conn: AConnection, index: int, comps: list) -> list:
         value = A.anchors[index].apply(comps[j])
         for k in range(m):
             theta_val = conn.theta[j][k].coeff((index,))
-            if _scalar_nonzero_node(theta_val) and _scalar_nonzero_node(comps[k]):
+            if _nonzero_node(theta_val) and _nonzero_node(comps[k]):
                 value = value + theta_val * comps[k]
         out.append(value)
     return out

@@ -22,6 +22,7 @@ from .expr import (
     UnknownSymbolError,
     ZERO,
     as_expr,
+    complex_is_zero,
     is_zero,
     symbol,
 )
@@ -183,77 +184,142 @@ def _det(rows: list[list[Expr]]) -> Expr:
     return out
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Sorted merge of two increasing disjoint tuples with permutation sign."""
-    combined = left + right
-    if len(set(combined)) != len(combined):
-        return None, 0
-    inversions = sum(1 for a, b in itertools.combinations(combined, 2) if a > b)
-    return tuple(sorted(combined)), (-1) ** inversions
+def sort_sign(indices: Iterable[int]):
+    """The sorted index tuple and the sign (+1 or -1) of the permutation
+    sorting it, or None when an index repeats."""
+    indices = tuple(indices)
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
+
+
+def scalar_is_zero(value) -> bool:
+    if isinstance(value, ComplexExpr):
+        return complex_is_zero(value)
+    return is_zero(value)
+
+
+def _scalar(value):
+    """A real or complex exact scalar."""
+    return value if isinstance(value, ComplexExpr) else as_expr(value)
+
+
+def _nonzero_node(value) -> bool:
+    """Structural, not semantic: the expression tree is not literally 0."""
+    if isinstance(value, ComplexExpr):
+        return value.re.node != 0 or value.im.node != 0
+    return as_expr(value).node != 0
 
 
 class _Alternating:
-    """Shared storage/arithmetic for k-forms and k-vectors."""
+    """Alternating coefficient store shared by k-forms, k-vectors and A-forms.
 
-    def __init__(self, chart: Chart, degree: int, coeffs: Mapping):
-        if degree < 0:
-            raise ExprError("negative degree")
+    One real or complex coefficient per strictly increasing index tuple over
+    ``base`` (a chart, or an algebroid presentation in subclasses); literal
+    zeros are dropped.  Subclasses name the basis elements in ``_basis``.
+    """
+
+    error = ExprError
+
+    def __init__(self, base, degree: int, coeffs: Mapping):
+        size = self._size(base)
         clean = {}
         for key, value in coeffs.items():
             key = tuple(key)
             if len(key) != degree or list(key) != sorted(set(key)):
-                raise ExprError(f"index tuple {key} is not strictly increasing")
-            if any(i < 0 or i >= chart.dim for i in key):
-                raise ExprError(f"index tuple {key} out of range")
-            value = as_expr(value)
-            if value.node != 0:
+                raise self.error(f"index tuple {key} is not strictly increasing")
+            if any(i < 0 or i >= size for i in key):
+                raise self.error(f"index tuple {key} out of range")
+            value = _scalar(value)
+            if _nonzero_node(value):
                 clean[key] = value
-        if degree > chart.dim and clean:
-            raise ExprError("degree exceeds the chart dimension")
-        self.chart = chart
+        self.base = base
         self.degree = degree
         self.coeffs = clean
 
-    def coeff(self, key: Iterable[int]) -> Expr:
+    @staticmethod
+    def _size(base) -> int:
+        return base.dim
+
+    @property
+    def chart(self) -> Chart:
+        return self.base
+
+    def _check_base(self, other) -> None:
+        _require_same_chart(self, other)
+
+    def _basis(self, i: int) -> str:
+        raise NotImplementedError
+
+    def coeff(self, key: Iterable[int]):
         return self.coeffs.get(tuple(key), ZERO)
 
+    def coeff_signed(self, indices: Iterable[int]):
+        """Value on a possibly unsorted index tuple, with alternation."""
+        found = sort_sign(indices)
+        if found is None:
+            return ZERO
+        key, sign = found
+        value = self.coeff(key)
+        return value if sign > 0 else -value
+
     def __eq__(self, other) -> bool:
-        return (type(self) is type(other) and self.chart == other.chart
+        return (type(self) is type(other) and self.base == other.base
                 and self.degree == other.degree and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.chart, self.degree,
+        return hash((type(self).__name__, self.base, self.degree,
                      tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
 
     def _combine(self, other, sign: int):
-        _require_same_chart(self, other)
+        self._check_base(other)
         if self.degree != other.degree:
-            raise ExprError("degree mismatch")
+            raise self.error("degree mismatch")
         keys = set(self.coeffs) | set(other.coeffs)
         if sign > 0:
-            return {k: self.coeff(k) + other.coeff(k) for k in keys}
-        return {k: self.coeff(k) - other.coeff(k) for k in keys}
+            coeffs = {k: self.coeff(k) + other.coeff(k) for k in keys}
+        else:
+            coeffs = {k: self.coeff(k) - other.coeff(k) for k in keys}
+        return type(self)(self.base, self.degree, coeffs)
 
-    def is_zero_tensor(self) -> bool:
-        return all(is_zero(c) for c in self.coeffs.values())
+    def __add__(self, other):
+        return self._combine(other, +1)
 
-    def _wedge_coeffs(self, other) -> dict:
-        out: dict[tuple[int, ...], Expr] = {}
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return type(self)(self.base, self.degree,
+                          {k: -v for k, v in self.coeffs.items()})
+
+    def scale(self, factor):
+        factor = _scalar(factor)
+        return type(self)(self.base, self.degree,
+                          {k: factor * v for k, v in self.coeffs.items()})
+
+    def wedge(self, other):
+        self._check_base(other)
+        out: dict[tuple[int, ...], object] = {}
         for key1, c1 in self.coeffs.items():
             for key2, c2 in other.coeffs.items():
-                merged, sign = _merge_sign(key1, key2)
-                if merged is None:
+                found = sort_sign(key1 + key2)
+                if found is None:
                     continue
+                key, sign = found
                 term = c1 * c2 if sign > 0 else -(c1 * c2)
-                out[merged] = out.get(merged, ZERO) + term
-        return out
+                out[key] = out.get(key, ZERO) + term
+        return type(self)(self.base, self.degree + other.degree, out)
 
-    def _str(self, prefix: str, names) -> str:
+    def is_zero_tensor(self) -> bool:
+        return all(scalar_is_zero(c) for c in self.coeffs.values())
+
+    def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
         for key in sorted(self.coeffs):
-            basis = "/\\".join(f"{prefix}{names[i]}" for i in key) or "1"
+            basis = "/\\".join(self._basis(i) for i in key) or "1"
             parts.append(f"({self.coeffs[key]})*{basis}")
         return " + ".join(parts)
 
@@ -261,25 +327,8 @@ class _Alternating:
 class KForm(_Alternating):
     """Differential k-form with exact coefficients."""
 
-    def __add__(self, other: "KForm") -> "KForm":
-        return KForm(self.chart, self.degree, self._combine(other, +1))
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return KForm(self.chart, self.degree, self._combine(other, -1))
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.chart, self.degree,
-                     {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, factor) -> "KForm":
-        factor = as_expr(factor)
-        return KForm(self.chart, self.degree,
-                     {k: factor * v for k, v in self.coeffs.items()})
-
-    def wedge(self, other: "KForm") -> "KForm":
-        _require_same_chart(self, other)
-        return KForm(self.chart, self.degree + other.degree,
-                     self._wedge_coeffs(other))
+    def _basis(self, i: int) -> str:
+        return "d" + self.chart.coord_names[i]
 
     def evaluate(self, vectors: Sequence[VectorField]) -> Expr:
         if len(vectors) != self.degree:
@@ -295,32 +344,12 @@ class KForm(_Alternating):
     def __call__(self, *vectors: VectorField) -> Expr:
         return self.evaluate(vectors)
 
-    def __str__(self) -> str:
-        return self._str("d", self.chart.coord_names)
-
 
 class KVector(_Alternating):
     """Antisymmetric k-vector (wedge of coordinate vector fields)."""
 
-    def __add__(self, other: "KVector") -> "KVector":
-        return KVector(self.chart, self.degree, self._combine(other, +1))
-
-    def __sub__(self, other: "KVector") -> "KVector":
-        return KVector(self.chart, self.degree, self._combine(other, -1))
-
-    def __neg__(self) -> "KVector":
-        return KVector(self.chart, self.degree,
-                       {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, factor) -> "KVector":
-        factor = as_expr(factor)
-        return KVector(self.chart, self.degree,
-                       {k: factor * v for k, v in self.coeffs.items()})
-
-    def wedge(self, other: "KVector") -> "KVector":
-        _require_same_chart(self, other)
-        return KVector(self.chart, self.degree + other.degree,
-                       self._wedge_coeffs(other))
+    def _basis(self, i: int) -> str:
+        return "d_" + self.chart.coord_names[i]
 
     def evaluate(self, covectors: Sequence[KForm]) -> Expr:
         if len(covectors) != self.degree:
@@ -349,13 +378,6 @@ class KVector(_Alternating):
             for i in range(self.chart.dim))
         return VectorField(self.chart, comps)
 
-    def __str__(self) -> str:
-        return self._str("d_", self.chart.coord_names)
-
-
-def vector_from_components(chart: Chart, comps) -> VectorField:
-    return VectorField(chart, tuple(as_expr(c) for c in comps))
-
 
 # ---------------------------------------------------------------------------
 # differential operators
@@ -368,14 +390,12 @@ def exterior_derivative(phi: KForm) -> KForm:
     out: dict[tuple[int, ...], Expr] = {}
     for key, c in phi.coeffs.items():
         for i in range(chart.dim):
-            if i in key:
+            found = sort_sign((i,) + key)
+            if found is None:
                 continue
-            below = sum(1 for j in key if j < i)
-            merged = tuple(sorted(key + (i,)))
+            merged, sign = found
             term = c.diff(chart.coordinate(i))
-            if below % 2 == 1:
-                term = -term
-            out[merged] = out.get(merged, ZERO) + term
+            out[merged] = out.get(merged, ZERO) + (term if sign > 0 else -term)
     return KForm(chart, phi.degree + 1, out)
 
 
@@ -405,41 +425,16 @@ def lie_derivative_form(x: VectorField, phi: KForm) -> KForm:
 
 
 def contravariant_derivative(pi: KVector, q: KVector) -> KVector:
-    """Contravariant exterior derivative associated with a bivector.
-
-    Coefficients are obtained by evaluating the defining alternating sum on
-    coordinate covectors, with the covector bracket
-    ``{a, b} = L_{pi#a} b - i_{pi#b} da``.
-    """
+    """Contravariant exterior derivative associated with a bivector: ``d_A``
+    of the cotangent presentation of ``pi`` (frame dx_i, anchor pi#, bracket
+    ``{a, b} = L_{pi#a} b - i_{pi#b} da``) on the coefficients of ``q``.
+    The bivector need not be Poisson."""
     if pi.degree != 2:
         raise ExprError("the bivector must have degree 2")
     chart = _require_same_chart(pi, q)
-    n = chart.dim
-    ell = q.degree
-    basis = [chart.basis_covector(i) for i in range(n)]
-    sharps = [pi.sharp(basis[i]) for i in range(n)]
-
-    def bracket(a: int, b: int) -> KForm:
-        # d(dx_a) = 0, so only the Lie-derivative term survives.
-        return lie_derivative_form(sharps[a], basis[b])
-
-    out: dict[tuple[int, ...], Expr] = {}
-    for key in itertools.combinations(range(n), ell + 1):
-        total = ZERO
-        for pos, idx in enumerate(key):
-            rest = [basis[i] for p, i in enumerate(key) if p != pos]
-            term = sharps[idx].apply(q.evaluate(rest))
-            total = total + term if pos % 2 == 0 else total - term
-        for pa in range(len(key)):
-            for pb in range(pa + 1, len(key)):
-                rest = [basis[i] for p, i in enumerate(key)
-                        if p not in (pa, pb)]
-                args = [bracket(key[pa], key[pb])] + rest
-                term = q.evaluate(args)
-                total = total + term if (pa + pb) % 2 == 0 else total - term
-        if total.node != 0:
-            out[key] = total
-    return KVector(chart, ell + 1, out)
+    from .algebroid import AForm, _cotangent_presentation, d_A
+    out = d_A(AForm(_cotangent_presentation(chart, pi), q.degree, q.coeffs))
+    return KVector(chart, out.degree, out.coeffs)
 
 
 # ---------------------------------------------------------------------------

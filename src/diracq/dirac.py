@@ -39,6 +39,7 @@ __all__ = [
     "pairing_plus",
     "pairing_minus",
     "courant_bracket",
+    "courant_form",
     "graph_presymplectic",
     "graph_poisson",
     "regular_distribution",
@@ -114,12 +115,17 @@ def pairing_minus(a: Section, b: Section) -> Expr:
     return half * (a.xi.evaluate([b.X]) - b.xi.evaluate([a.X]))
 
 
+def courant_form(a: Section, b: Section) -> KForm:
+    """Form part ``L_X eta - i_Y d xi`` of the Courant bracket of
+    ``(X, xi)`` and ``(Y, eta)``."""
+    return lie_derivative_form(a.X, b.xi) - interior_product(
+        b.X, exterior_derivative(a.xi))
+
+
 def courant_bracket(a: Section, b: Section) -> Section:
     """``[[ (X,xi), (Y,eta) ]] = ([X,Y], L_X eta - i_Y d xi)``."""
     _require_same_chart(a, b)
-    form = lie_derivative_form(a.X, b.xi) - interior_product(
-        b.X, exterior_derivative(a.xi))
-    return Section(a.X.lie_bracket(b.X), form)
+    return Section(a.X.lie_bracket(b.X), courant_form(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +485,7 @@ class PiSharp:
     def covector_bracket(self, i: int, j: int) -> KForm:
         """``{xi_i, xi_j} = L_{X_i} xi_j - i_{X_j} d xi_i`` on frame forms."""
         frame = self.dirac.frame
-        return (lie_derivative_form(frame[i].X, frame[j].xi)
-                - interior_product(frame[j].X,
-                                   exterior_derivative(frame[i].xi)))
+        return courant_form(frame[i], frame[j])
 
     def morphism_residual(self, i: int, j: int) -> VectorField:
         """``Pi#({xi_i, xi_j}) - [X_i, X_j]``; lands in the tangent kernel

@@ -3,7 +3,7 @@
 One statement per line; ``#`` starts a comment.  Scalars use ``+ - * / ^``
 with integer exponents and the atoms ``exp sin cos``, plus the constants
 ``pi`` and the imaginary unit ``i``.  For a coordinate ``q``, the 1-form is
-spelled ``dq`` and the coordinate vector field ``d_q``; the wedge is ``/\``
+spelled ``dq`` and the coordinate vector field ``d_q``; the wedge is ``/\\``
 and binds looser than ``*``.
 
     chart M dim 2 coords q p [params k ...]

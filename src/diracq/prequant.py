@@ -130,7 +130,9 @@ class BundleAtlas:
         for (j, k), g in self.transitions.items():
             if complex_is_zero(g):
                 raise AtlasError(f"transition g[{j},{k}] is the zero expression")
-        for a, b, c in itertools.permutations(self.patches, 3):
+        # transition(k, j) is 1/g_jk, so each ordering of a triple states the
+        # same identity: one ordering per triple decides it.
+        for a, b, c in itertools.combinations(self.patches, 3):
             declared = all(key in self.transitions or key[::-1] in self.transitions
                            for key in ((a, b), (b, c), (a, c)))
             if not declared:

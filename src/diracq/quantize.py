@@ -374,11 +374,6 @@ def _from_combined(atlas: BundleAtlas, coeffs: Mapping[str, ComplexExpr]) -> Hal
     return HalfDensitySection(line, kappa)
 
 
-def hsection_sub(a: HalfDensitySection, b: HalfDensitySection) -> HalfDensitySection:
-    return _from_combined(a.atlas, {p: a.combined(p) - b.combined(p)
-                                    for p in a.atlas.patches})
-
-
 def delta_connection(psi: ComplexSection, v: HalfDensitySection,
                      atlas: BundleAtlas) -> HalfDensitySection:
     """``delta_psi (s (x) kappa) = (nabla_psi s) (x) kappa

@@ -87,6 +87,8 @@ from diracq.randgen import (
 from helpers import fd_matches
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+# byte-exact `check --suite all --seed 7 --json` reports of the corpus
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _structures():
@@ -420,6 +422,9 @@ def test_criterion_9_cli_determinism():
             outputs[path.name] = proc.stdout
         elapsed = time.monotonic() - start
         runs.append(outputs)
+    for path in model_files:
+        golden = (GOLDEN / f"{path.stem}.json").read_bytes()
+        assert runs[0][path.name] == golden, f"{path.name} differs from golden"
     assert runs[0] == runs[1], "CLI reports differ between runs"
     assert elapsed < 60.0, f"corpus run took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 9 (CLI determinism, corpus in {elapsed:.1f}s): PASS")

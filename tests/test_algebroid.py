@@ -43,6 +43,18 @@ class TestDA:
         theta = AForm(pres, 1, {(1,): q})  # the frame picture of q dp
         out = d_A(theta)
         assert equal(out.coeff((0, 1)), 1)
+        chart = Chart("R3", ("x1", "x2", "x3"))
+        pres = tangent_algebroid(chart)
+        rng = rng_for(21, "de-rham")
+        for degree, other in ((0, 1), (1, 1), (1, 2), (2, 1)):
+            phi = random_kform(rng, chart, degree)
+            psi = random_kform(rng, chart, other)
+            a = AForm(pres, degree, phi.coeffs)
+            b = AForm(pres, other, psi.coeffs)
+            assert aform_equal(d_A(a), AForm(pres, degree + 1,
+                                             exterior_derivative(phi).coeffs))
+            assert aform_equal(wedge(a, b), AForm(pres, degree + other,
+                                                  phi.wedge(psi).coeffs))
 
     def test_cotangent_zero_form(self, r2):
         pi = KVector(r2, 2, {(0, 1): 1})

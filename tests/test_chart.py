@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from diracq.chart import (
     interior_product,
     lie_derivative_density,
     lie_derivative_form,
+    sort_sign,
 )
 from diracq.expr import ComplexExpr, Expr, ExprError, ZERO, as_expr, equal, is_zero
 from diracq.randgen import random_kform, random_kvector, random_polynomial, random_vector_field, rng_for
@@ -108,6 +110,24 @@ class TestLieDerivative:
             rhs = exterior_derivative(phi).wedge(psi) \
                 - phi.wedge(exterior_derivative(psi))
             assert form_equal(lhs, rhs)
+
+
+class TestSortSign:
+    def test_matches_inversion_parity(self):
+        for n in range(6):
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                                 if perm[i] > perm[j])
+                assert sort_sign(perm) == (tuple(range(n)),
+                                           (-1) ** inversions)
+
+    def test_sparse_indices(self):
+        assert sort_sign((4, 0, 7)) == ((0, 4, 7), -1)
+        assert sort_sign((7, 0, 4)) == ((0, 4, 7), 1)
+
+    def test_repeated_index(self):
+        for seq in ((0, 0), (1, 0, 1), (2, 3, 4, 2), (5, 1, 3, 3, 0)):
+            assert sort_sign(seq) is None
 
 
 class TestContravariantDerivative:

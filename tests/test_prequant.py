@@ -251,6 +251,19 @@ class TestCechConstruction:
         with pytest.raises(AtlasError):
             build_prequantization(standard_dirac, ["U1", "U2"], sigma, w)
 
+    def test_cocycle_failure_names_its_triple(self, standard_dirac):
+        # (U1,U2) is not an overlap, so only {U1,U3,U4} and {U2,U3,U4} are
+        # declared triples; g13 * g34 = 1 != g14 breaks the first one only.
+        pres = dirac_presentation(standard_dirac)
+        patches = ("U1", "U2", "U3", "U4")
+        one = ComplexExpr.of(1)
+        transitions = {("U1", "U3"): one, ("U1", "U4"): ComplexExpr.of(2),
+                       ("U2", "U3"): one, ("U2", "U4"): one, ("U3", "U4"): one}
+        atlas = BundleAtlas(standard_dirac, patches, transitions,
+                            {name: AForm(pres, 1, {}) for name in patches})
+        with pytest.raises(AtlasError, match=r"cocycle fails on triple \(U1,U3,U4\)"):
+            atlas.validate()
+
     def test_gluing_of_line_sections(self, standard_dirac, r2):
         pres, base, q = self._sigmas(standard_dirac, r2)
         sigma = {"U1": base, "U2": base - d_A(q, pres)}
