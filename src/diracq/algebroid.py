@@ -10,7 +10,6 @@ the chart-level Poincare lemma.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -223,12 +222,10 @@ def tangent_algebroid(chart: Chart) -> AlgebroidPresentation:
                                  labels=tuple("d_" + n for n in chart.coord_names))
 
 
-@functools.lru_cache(maxsize=32)
 def _cotangent_presentation(chart: Chart, pi: KVector) -> AlgebroidPresentation:
     """Frame dx_i, anchor pi#, bracket ``{a,b} = L_{pi#a} b - i_{pi#b} da``
     (the form part of the Courant bracket on the graph sections of pi);
-    Jacobi is not checked, so pi need not be Poisson.  Cached: a Jacobi
-    probe takes the contravariant derivative of one bivector 2n times."""
+    Jacobi is not checked, so pi need not be Poisson."""
     if pi.degree != 2 or pi.chart != chart:
         raise AlgebroidError("expected a bivector on the same chart")
     n = chart.dim

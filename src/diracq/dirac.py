@@ -383,15 +383,15 @@ def graph_presymplectic(omega: KForm) -> DiracStructure:
 
 def graph_poisson(pi: KVector) -> DiracStructure:
     """The graph of ``alpha -> pi#(alpha)`` for a Poisson bivector; the
-    Jacobi condition is probed through the contravariant derivative squaring
-    to zero on coordinate functions."""
+    Jacobi condition is probed through the contravariant derivative (``d_A``
+    of the cotangent presentation) squaring to zero on coordinate functions."""
     if pi.degree != 2:
         raise DiracConstructionError("a Poisson bivector must have degree 2")
-    from .chart import contravariant_derivative
+    from .algebroid import _cotangent_presentation, d_A
     chart = pi.chart
+    cotangent = _cotangent_presentation(chart, pi)
     for i in range(chart.dim):
-        f = KVector(chart, 0, {(): Expr(chart.coordinate(i))})
-        probe = contravariant_derivative(pi, contravariant_derivative(pi, f))
+        probe = d_A(d_A(Expr(chart.coordinate(i)), cotangent))
         if not probe.is_zero_tensor():
             raise DiracConstructionError(
                 f"not Poisson: Jacobi probe fails on {chart.coord_names[i]}")

@@ -130,8 +130,14 @@ class BundleAtlas:
         for (j, k), g in self.transitions.items():
             if complex_is_zero(g):
                 raise AtlasError(f"transition g[{j},{k}] is the zero expression")
-        # transition(k, j) is 1/g_jk, so each ordering of a triple states the
-        # same identity: one ordering per triple decides it.
+        for (j, k) in self.overlaps():
+            if (k, j) in self.transitions and not complex_equal(
+                    self.transitions[(j, k)] * self.transitions[(k, j)],
+                    ComplexExpr.of(1)):
+                raise AtlasError(
+                    f"transitions ({j},{k}) and ({k},{j}) are not inverse")
+        # Now transition(k, j) is 1/g_jk, so each ordering of a triple states
+        # the same identity: one ordering per triple decides it.
         for a, b, c in itertools.combinations(self.patches, 3):
             declared = all(key in self.transitions or key[::-1] in self.transitions
                            for key in ((a, b), (b, c), (a, c)))

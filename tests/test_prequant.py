@@ -264,6 +264,19 @@ class TestCechConstruction:
         with pytest.raises(AtlasError, match=r"cocycle fails on triple \(U1,U3,U4\)"):
             atlas.validate()
 
+    def test_reverse_transition_must_be_the_inverse(self, standard_dirac):
+        pres = dirac_presentation(standard_dirac)
+        patches = ("U1", "U2", "U3")
+        sigma = {name: AForm(pres, 1, {}) for name in patches}
+        one = ComplexExpr.of(1)
+        transitions = {("U1", "U2"): one, ("U2", "U3"): one, ("U1", "U3"): one}
+        BundleAtlas(standard_dirac, patches,
+                    {**transitions, ("U2", "U1"): one}, sigma).validate()
+        atlas = BundleAtlas(standard_dirac, patches,
+                            {**transitions, ("U2", "U1"): ComplexExpr.of(2)}, sigma)
+        with pytest.raises(AtlasError):
+            atlas.validate()
+
     def test_gluing_of_line_sections(self, standard_dirac, r2):
         pres, base, q = self._sigmas(standard_dirac, r2)
         sigma = {"U1": base, "U2": base - d_A(q, pres)}
