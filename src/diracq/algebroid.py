@@ -30,7 +30,6 @@ from .dirac import (
     Section,
     courant_bracket,
     courant_form,
-    membership,
 )
 from .expr import ComplexExpr, Expr, ExprError, ZERO, as_expr, is_zero, symbol
 
@@ -247,30 +246,19 @@ def cotangent_algebroid(chart: Chart, pi: KVector) -> AlgebroidPresentation:
 
 
 def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
-    """The Lie algebroid of a verified Dirac structure, with structure
-    functions precomputed by solving the frame brackets back into the frame.
-    Cached on the structure; construction aborts with the witness if a
-    bracket leaves the span."""
+    """The Lie algebroid of a verified Dirac structure, with the structure
+    functions that (D3) solved for when it expressed the frame brackets back
+    in the frame.  Cached on the structure."""
     cached = getattr(dirac, "_presentation", None)
     if cached is not None:
         return cached
     dirac.require_verified()
-    n = dirac.dim
     frame = dirac.frame
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cert = membership(dirac, courant_bracket(frame[i], frame[j]))
-            if not cert.ok:
-                raise AlgebroidError(
-                    f"bracket of frame sections ({i+1},{j+1}) leaves the span: "
-                    f"residual {cert.witness}")
-            structure[(i, j)] = cert.coefficients
     pres = AlgebroidPresentation(
         dirac.chart,
         tuple(e.X for e in frame),
-        structure,
-        labels=tuple(f"e{i+1}" for i in range(n)),
+        dirac.verify().structure,
+        labels=tuple(f"e{i+1}" for i in range(dirac.dim)),
         sections=frame,
     )
     pres.validate()

@@ -50,6 +50,7 @@ from .hamiltonian import (
     hamiltonian_H,
 )
 from .prequant import (
+    AtlasError,
     BundleAtlas,
     IntegralityError,
     build_prequantization,
@@ -136,7 +137,7 @@ class Resolver:
         self.model = model
         self._dirac: DiracStructure | None = None
         self._complement: ComplementH | None = None
-        self._atlas: BundleAtlas | None = None
+        self._atlas: BundleAtlas | AtlasError | None = None
         self._polarization: Polarization | None = None
 
     # -- coercions ----------------------------------------------------------
@@ -246,21 +247,30 @@ class Resolver:
         return out
 
     def atlas(self) -> BundleAtlas:
+        """The declared atlas; an ``AtlasError`` met while building it is
+        kept and raised again on every later call."""
+        if isinstance(self._atlas, AtlasError):
+            raise self._atlas
         if self._atlas is not None:
             return self._atlas
         model = self.model
         if not model.patches or not model.sigmas:
             raise SkipSuite("no atlas declared (patches + sigma required)")
         sigma = self.sigma_forms()
-        if model.cochain:
-            self._atlas = build_prequantization(self.dirac(), model.patches,
-                                                sigma, model.cochain)
-        else:
-            self._atlas = BundleAtlas(self.dirac(), tuple(model.patches),
-                                      dict(model.transitions), sigma,
-                                      hermitian=model.hermitian)
-            self._atlas.validate()
-        return self._atlas
+        try:
+            if model.cochain:
+                atlas = build_prequantization(self.dirac(), model.patches,
+                                              sigma, model.cochain)
+            else:
+                atlas = BundleAtlas(self.dirac(), tuple(model.patches),
+                                    dict(model.transitions), sigma,
+                                    hermitian=model.hermitian)
+                atlas.validate()
+        except AtlasError as err:
+            self._atlas = err
+            raise
+        self._atlas = atlas
+        return atlas
 
     def polarization(self) -> Polarization:
         if self._polarization is not None:
@@ -278,6 +288,13 @@ class Resolver:
         atlas = self.atlas()
         return {name: half_density_section(atlas, coeff)
                 for name, coeff in self.model.halfdensities.items()}
+
+
+def _atlas_failure(err: AtlasError) -> str:
+    """The witness of an atlas that could not be built."""
+    if isinstance(err, IntegralityError):
+        return f"integrality obstruction: {err.witness}"
+    return str(err)
 
 
 def _unit(records: list[CheckRecord], name: str, fn) -> None:
@@ -320,10 +337,16 @@ def _suite_dirac(resolver: Resolver, ctx) -> list[CheckRecord]:
         f"dim D^TM={report.dim_tangent_kernel}"))
     _unit(records, "dirac/annihilator-duality",
           lambda: report.annihilator_ok)
-    _unit(records, "dirac/omega-cocycle",
-          lambda: omega_on_frame(dirac) is not None)
-    _unit(records, "dirac/pi-sharp-morphism",
-          lambda: pi_sharp_on_frame(dirac).verify_morphism())
+    # the cocycle and the morphism law are only defined on a Dirac structure
+    for name, check in (
+            ("dirac/omega-cocycle", lambda: omega_on_frame(dirac) is not None),
+            ("dirac/pi-sharp-morphism",
+             lambda: pi_sharp_on_frame(dirac).verify_morphism())):
+        if report.passed:
+            _unit(records, name, check)
+        else:
+            records.append(CheckRecord(name, "skipped",
+                                       "not a Dirac structure"))
     return records
 
 
@@ -424,9 +447,9 @@ def _suite_prequant(resolver: Resolver, ctx) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     try:
         atlas = resolver.atlas()
-    except IntegralityError as err:
+    except AtlasError as err:
         records.append(CheckRecord("prequant/atlas", "fail",
-                                   f"integrality obstruction: {err.witness}"))
+                                   _atlas_failure(err)))
         return records
     _unit(records, "prequant/atlas", lambda: True)
     _unit(records, "prequant/curvature-patch-independent",
@@ -526,7 +549,10 @@ def _suite_polarize(resolver: Resolver, ctx) -> list[CheckRecord]:
 
 def _suite_quantize(resolver: Resolver, ctx) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    atlas = resolver.atlas()
+    try:
+        atlas = resolver.atlas()
+    except AtlasError as err:
+        raise SkipSuite(_atlas_failure(err)) from err
     pol = resolver.polarization()
     densities = resolver.halfdensity_sections()
     complement = resolver.complement()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -93,8 +94,18 @@ class Section:
     def is_zero_section(self) -> bool:
         return self.X.is_zero_field() and self.xi.is_zero_tensor()
 
+    @property
+    def components(self) -> list[Expr]:
+        """Coefficients on the coordinate vectors, then the covectors."""
+        return list(self.X.components) + covector_components(self.xi)
+
     def __str__(self) -> str:
         return f"({self.X}, {self.xi})"
+
+
+def covector_components(xi: KForm) -> list[Expr]:
+    """Coefficients of a 1-form on the coordinate covectors."""
+    return [xi.coeff((i,)) for i in range(xi.chart.dim)]
 
 
 def zero_section(chart: Chart) -> Section:
@@ -164,6 +175,8 @@ class DiracReport:
     dim_admissible_covectors: int
     dim_tangent_kernel: int
     degeneracy_locus: tuple[str, ...]
+    # frame coefficients of [[e_i, e_j]] (i < j), solved for by D3
+    structure: dict[tuple[int, int], tuple[Expr, ...]]
 
     @property
     def passed(self) -> bool:
@@ -185,8 +198,6 @@ class DiracStructure:
         self.chart = chart
         self.frame = tuple(frame)
         self._report: DiracReport | None = None
-        self._tangent_kernel: tuple[tuple[Expr, ...], ...] | None = None
-        self._cotangent_kernel: tuple[tuple[Expr, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -194,19 +205,21 @@ class DiracStructure:
 
     # -- linear data --------------------------------------------------------
 
-    def vector_matrix(self) -> list[list[Expr]]:
-        """n x n matrix, rows = coordinates, columns = frame X-parts."""
-        n = self.dim
-        return [[self.frame[j].X.components[row] for j in range(n)]
-                for row in range(n)]
+    @cached_property
+    def vectors(self) -> linalg.Echelon:
+        """The factored span of the frame vector parts."""
+        return linalg.echelon([e.X.components for e in self.frame], self.dim)
 
-    def form_matrix(self) -> list[list[Expr]]:
-        n = self.dim
-        return [[self.frame[j].xi.coeff((row,)) for j in range(n)]
-                for row in range(n)]
+    @cached_property
+    def forms(self) -> linalg.Echelon:
+        """The factored span of the frame form parts."""
+        return linalg.echelon([covector_components(e.xi) for e in self.frame],
+                              self.dim)
 
-    def stacked_matrix(self) -> list[list[Expr]]:
-        return self.vector_matrix() + self.form_matrix()
+    @cached_property
+    def stacked(self) -> linalg.Echelon:
+        """The factored span of the frame in TM + T*M."""
+        return linalg.echelon([e.components for e in self.frame], 2 * self.dim)
 
     def section_from_coefficients(self, coeffs: Sequence) -> Section:
         out = zero_section(self.chart)
@@ -217,17 +230,11 @@ class DiracStructure:
     def tangent_kernel(self) -> tuple[tuple[Expr, ...], ...]:
         """Frame coefficient combinations spanning D with zero form part,
         i.e. the kernel V = D n TM."""
-        if self._tangent_kernel is None:
-            basis = linalg.nullspace(self.form_matrix())
-            self._tangent_kernel = tuple(tuple(v) for v in basis)
-        return self._tangent_kernel
+        return self.forms.kernel
 
     def cotangent_kernel(self) -> tuple[tuple[Expr, ...], ...]:
         """Combinations with zero vector part, spanning D n T*M."""
-        if self._cotangent_kernel is None:
-            basis = linalg.nullspace(self.vector_matrix())
-            self._cotangent_kernel = tuple(tuple(v) for v in basis)
-        return self._cotangent_kernel
+        return self.vectors.kernel
 
     def tangent_kernel_fields(self) -> list[VectorField]:
         return [self.section_from_coefficients(z).X for z in self.tangent_kernel()]
@@ -268,17 +275,14 @@ def _nonvanishing_point(dirac: DiracStructure, value: Expr):
 
 
 def membership(dirac: DiracStructure, section: Section) -> MembershipCertificate:
-    """Solve the 2n x n linear system over the expression field expressing
-    ``section`` in the frame span."""
+    """Express ``section`` in the frame span, reading the 2n x n system from
+    the structure's factored frame."""
     _require_same_chart(dirac.frame[0], section)
-    matrix = dirac.stacked_matrix()
-    n = dirac.dim
-    rhs = [section.X.components[i] for i in range(n)] + \
-          [section.xi.coeff((i,)) for i in range(n)]
-    result = linalg.solve(matrix, rhs)
-    if result.rank < n:
-        raise VerificationError(
-            f"frame is generically rank-deficient (rank {result.rank} < {n})")
+    span = dirac.stacked
+    if span.rank < dirac.dim:
+        raise VerificationError(f"frame is generically rank-deficient "
+                                f"(rank {span.rank} < {dirac.dim})")
+    result = linalg.solve(span, section.components)
     if not result.ok:
         witness = as_expr(result.witness)
         return MembershipCertificate(False, witness=witness,
@@ -304,13 +308,13 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
         if not d1_ok:
             break
 
-    ech = linalg.echelon(dirac.stacked_matrix())
-    d2_rank = ech.rank
+    d2_rank = dirac.stacked.rank
     d2_ok = d2_rank == n
-    degeneracy = tuple(sorted({str(p) for p in ech.degeneracy
+    degeneracy = tuple(sorted({str(p) for p in dirac.stacked.degeneracy
                                if as_expr(p).free_symbols}))
 
     d3_ok, d3_witness = True, None
+    structure = {}
     if d2_ok:
         for i in range(n):
             for j in range(i + 1, n):
@@ -320,6 +324,7 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
                     d3_ok = False
                     d3_witness = f"[[e{i+1},e{j+1}]] not in span: residual {cert.witness}"
                     break
+                structure[(i, j)] = cert.coefficients
             if not d3_ok:
                 break
     else:
@@ -335,8 +340,8 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
             lemma_witness = f"triple (e{i+1},e{j+1},e{k+1}) residual {total}"
             break
 
-    rho_tm_rank = linalg.rank(dirac.vector_matrix())
-    rho_cotm_rank = linalg.rank(dirac.form_matrix())
+    rho_tm_rank = dirac.vectors.rank
+    rho_cotm_rank = dirac.forms.rank
     dim_cot_kernel = len(dirac.cotangent_kernel())
     dim_tan_kernel = len(dirac.tangent_kernel())
     kernel_ok = (rho_tm_rank + dim_cot_kernel == n
@@ -361,6 +366,7 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
         dim_admissible_covectors=rho_cotm_rank,
         dim_tangent_kernel=dim_tan_kernel,
         degeneracy_locus=degeneracy,
+        structure=structure,
     )
 
 
@@ -408,24 +414,19 @@ def regular_distribution(fields: Sequence[VectorField]) -> DiracStructure:
     for f in fields:
         _require_same_chart(fields[0], f)
     n = chart.dim
-    matrix = [[f.components[row] for f in fields] for row in range(n)]
-    if linalg.rank(matrix) != len(fields):
+    span = linalg.echelon([f.components for f in fields], n)
+    if span.rank != len(fields):
         raise DiracConstructionError("the fields are generically dependent")
-    span_rows = [[f.components[c] for c in range(n)] for f in fields]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             bracket = fields[i].lie_bracket(fields[j])
-            result = linalg.solve(matrix, list(bracket.components))
-            if not result.ok:
+            if not linalg.solve(span, bracket.components).ok:
                 raise DiracConstructionError(
                     f"F not involutive: [F{i+1},F{j+1}] leaves the span")
-    annihilator = linalg.nullspace(span_rows)
-    if len(annihilator) != n - len(fields):
-        raise DiracConstructionError("annihilator has unexpected generic rank")
     frame = [Section(f, KForm(chart, 1, {})) for f in fields]
     frame += [Section(VectorField(chart, (ZERO,) * n),
                       KForm(chart, 1, {(i,): c for i, c in enumerate(eta)}))
-              for eta in annihilator]
+              for eta in span.cokernel]
     return DiracStructure(chart, frame)
 
 
@@ -472,8 +473,7 @@ class PiSharp:
     def coefficients(self, eta: KForm) -> tuple[Expr, ...]:
         if eta.degree != 1:
             raise ExprError("expected a 1-form")
-        result = linalg.solve(self.dirac.form_matrix(),
-                              [eta.coeff((i,)) for i in range(self.dirac.dim)])
+        result = linalg.solve(self.dirac.forms, covector_components(eta))
         if not result.ok:
             raise AdmissibleRangeError("not in admissible covector range")
         return tuple(result.solution)
@@ -496,20 +496,12 @@ class PiSharp:
 
     def verify_morphism(self) -> bool:
         """Bracket morphism law on all frame covectors, modulo D n TM."""
-        kernel = [self.dirac.section_from_coefficients(z).X
-                  for z in self.dirac.tangent_kernel()]
         n = self.dirac.dim
-        for i in range(n):
-            for j in range(n):
-                residual = self.morphism_residual(i, j)
-                if not kernel:
-                    if not residual.is_zero_field():
-                        return False
-                    continue
-                matrix = [[v.components[row] for v in kernel] for row in range(n)]
-                if not linalg.solve(matrix, list(residual.components)).ok:
-                    return False
-        return True
+        kernel = linalg.echelon(
+            [v.components for v in self.dirac.tangent_kernel_fields()], n)
+        return all(
+            linalg.solve(kernel, self.morphism_residual(i, j).components).ok
+            for i in range(n) for j in range(n))
 
 
 def pi_sharp_on_frame(dirac: DiracStructure) -> PiSharp:

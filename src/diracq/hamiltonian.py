@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import linalg
 from .chart import KForm, VectorField, exterior_derivative
-from .dirac import DiracStructure, Section, membership
+from .dirac import DiracStructure, Section, covector_components, membership
 from .expr import Expr, ExprError, ZERO, as_expr, is_zero
 
 __all__ = [
@@ -59,9 +59,8 @@ def admissible_vector_field(dirac: DiracStructure, f) -> AdmissibleResult:
     the negative outcome is data, not an error."""
     dirac.require_verified()
     f = as_expr(f)
-    df = differential(dirac, f)
-    result = linalg.solve(dirac.form_matrix(),
-                          [df.coeff((i,)) for i in range(dirac.dim)])
+    result = linalg.solve(dirac.forms,
+                          covector_components(differential(dirac, f)))
     if not result.ok:
         return AdmissibleResult(False, witness=result.witness)
     coeffs = tuple(result.solution)
@@ -78,32 +77,32 @@ class ComplementH:
         dirac.require_verified()
         self.dirac = dirac
         self.sections = tuple(sections)
-        self._frame_coefficients = []
+        chi_coefficients = []
         for h in self.sections:
             cert = membership(dirac, h)
             if not cert.ok:
                 raise ComplementError(
                     f"complement section {h} does not lie in D: {cert.witness}")
-            self._frame_coefficients.append(cert.coefficients)
+            chi_coefficients.append(cert.coefficients)
         n = dirac.dim
         kernel_fields = dirac.tangent_kernel_fields()
-        columns = [list(v.components) for v in kernel_fields] + \
-                  [list(h.X.components) for h in self.sections]
-        if columns:
-            matrix = [[col[row] for col in columns] for row in range(n)]
-            got = linalg.rank(matrix)
-        else:
-            got = 0
         want = len(kernel_fields) + len(self.sections)
-        if got != want:
+        if linalg.echelon([v.components for v in kernel_fields]
+                          + [h.X.components for h in self.sections],
+                          n).rank != want:
             raise ComplementError(
                 "complement overlaps the tangent kernel generically")
         if want != dirac.verify().dim_characteristic:
             raise ComplementError(
                 "complement does not span the characteristic distribution")
-
-    def frame_coefficients(self, index: int) -> tuple[Expr, ...]:
-        return self._frame_coefficients[index]
+        # the columns [chi | tau]: the complement form parts, then a basis of
+        # D n T*M; each column's section of D by its frame coefficients
+        tau = dirac.cotangent_kernel()
+        self.column_coefficients = tuple(chi_coefficients) + tau
+        self.span = linalg.echelon(
+            [covector_components(h.xi) for h in self.sections]
+            + [covector_components(dirac.section_from_coefficients(z).xi)
+               for z in tau], n)
 
     def __len__(self) -> int:
         return len(self.sections)
@@ -113,19 +112,13 @@ def default_complement(dirac: DiracStructure) -> ComplementH:
     """Greedy complement: frame sections whose vector parts extend the
     tangent kernel span, in frame order."""
     dirac.require_verified()
-    n = dirac.dim
-    picked: list[Section] = []
-    span = [list(v.components) for v in dirac.tangent_kernel_fields()]
-    rank = linalg.rank([[col[row] for col in span] for row in range(n)]) if span else 0
-    for section in dirac.frame:
-        candidate = span + [list(section.X.components)]
-        matrix = [[col[row] for col in candidate] for row in range(n)]
-        new_rank = linalg.rank(matrix)
-        if new_rank > rank:
-            picked.append(section)
-            span = candidate
-            rank = new_rank
-    return ComplementH(dirac, picked)
+    kernel = dirac.tangent_kernel_fields()
+    span = linalg.echelon([v.components for v in kernel]
+                          + [e.X.components for e in dirac.frame], dirac.dim)
+    # left-to-right pivoting keeps exactly the sections that raise the rank
+    return ComplementH(dirac, [dirac.frame[col - len(kernel)]
+                               for _, col in span.pivots
+                               if col >= len(kernel)])
 
 
 def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
@@ -136,34 +129,16 @@ def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
         raise ComplementError("the complement belongs to a different structure")
     f = as_expr(f)
     n = dirac.dim
-    df = differential(dirac, f)
-    chi = [h.xi for h in complement.sections]
-    kernel_combos = dirac.cotangent_kernel()
-    tau = [dirac.section_from_coefficients(z).xi for z in kernel_combos]
-    columns = [[form.coeff((row,)) for row in range(n)] for form in chi + tau]
-    matrix = [[col[row] for col in columns] for row in range(n)] if columns \
-        else [[] for _ in range(n)]
-    rhs = [df.coeff((i,)) for i in range(n)]
-    if columns:
-        result = linalg.solve(matrix, rhs)
-        if not result.ok:
-            raise NotAdmissibleError(f"{f} is not admissible: {result.witness}")
-        solution = result.solution
-    else:
-        if any(not is_zero(v) for v in rhs):
-            raise NotAdmissibleError(f"{f} is not admissible: df != 0")
-        solution = []
-    h_count = len(complement.sections)
-    u = solution[:h_count]
-    w = solution[h_count:]
+    result = linalg.solve(complement.span,
+                          covector_components(differential(dirac, f)))
+    if not result.ok:
+        raise NotAdmissibleError(f"{f} is not admissible: {result.witness}")
     field = VectorField(dirac.chart, (ZERO,) * n)
+    for h, coeff in zip(complement.sections, result.solution):
+        field = field + h.X.scale(coeff)
     frame_coeffs = [ZERO] * n
-    for a, coeff in enumerate(u):
-        field = field + complement.sections[a].X.scale(coeff)
-        for i, c in enumerate(complement.frame_coefficients(a)):
-            frame_coeffs[i] = frame_coeffs[i] + coeff * c
-    for b, coeff in enumerate(w):
-        for i, c in enumerate(kernel_combos[b]):
+    for combo, coeff in zip(complement.column_coefficients, result.solution):
+        for i, c in enumerate(combo):
             frame_coeffs[i] = frame_coeffs[i] + coeff * c
     return field, tuple(frame_coeffs)
 

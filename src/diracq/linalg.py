@@ -1,15 +1,18 @@
 """Linear algebra over the exact expression field.
 
-Systems are solved by fraction-free (Bareiss) forward elimination after
-clearing row denominators, followed by back substitution over the field.
-Rank and membership statements are generic-point: the recorded pivot entries
-(leading minors) vanish exactly on the degeneracy locus where the generic
-answer can fail.
+A generating set (the columns of ``A``) is factored once: fraction-free
+(Bareiss) forward elimination of ``[A | I]`` after clearing row denominators
+yields ``[U | T]`` with ``T A = U`` in echelon form.  Every solve, rank and
+kernel of that span is read from the factorization: a right-hand side ``b``
+costs ``T b`` plus back substitution over the field.  Rank and membership
+statements are generic-point: the recorded pivot entries (leading minors)
+vanish exactly on the degeneracy locus where the generic answer can fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import sympy as sp
@@ -25,7 +28,7 @@ from .expr import (
 )
 
 __all__ = ["FieldOps", "EXPR_FIELD", "COMPLEX_FIELD", "Echelon", "echelon",
-           "SolveResult", "solve", "nullspace", "rank"]
+           "SolveResult", "solve"]
 
 
 @dataclass(frozen=True)
@@ -63,36 +66,77 @@ def _clear_row(row: list) -> list:
 
 @dataclass
 class Echelon:
+    """The factored span of ``ncols`` generators of length ``height``:
+    ``rows`` holds the ``height`` rows of ``[U | T]``."""
+
     rows: list
     pivots: list[tuple[int, int]]
-    ncols: int                      # width of the coefficient block
-    degeneracy: list = field(default_factory=list)  # pivot entries
+    ncols: int
+    degeneracy: list                # pivot entries
+    field_ops: FieldOps
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def free_columns(self) -> list[int]:
+        pivot_cols = {c for _, c in self.pivots}
+        return [c for c in range(self.ncols) if c not in pivot_cols]
 
-def echelon(matrix: Sequence[Sequence], rhs: Sequence[Sequence] | None = None,
+    def _back_substitute(self, x: list, targets: Sequence) -> list:
+        """Complete ``x``, whose free columns are already set, to a solution
+        of ``U x = targets`` (one target per pivot row)."""
+        ops = self.field_ops
+        for (row, col), acc in zip(reversed(self.pivots), reversed(targets)):
+            for j in range(col + 1, self.ncols):
+                if not ops.is_zero(x[j]):
+                    acc = acc - self.rows[row][j] * x[j]
+            x[col] = ops.normalize(acc / self.rows[row][col])
+        return x
+
+    @cached_property
+    def kernel(self) -> tuple[tuple, ...]:
+        """Basis of the generic kernel, one vector per free column."""
+        ops = self.field_ops
+        basis = []
+        for free in self.free_columns:
+            x = [ops.zero] * self.ncols
+            x[free] = ops.one
+            self._back_substitute(x, [ops.zero] * self.rank)
+            basis.append(tuple(x))
+        return tuple(basis)
+
+    @property
+    def cokernel(self) -> list[list]:
+        """Rows of ``T`` annihilating every generator, spanning the
+        covectors that vanish on the span."""
+        return [row[self.ncols:] for row in self.rows[self.rank:]]
+
+
+def echelon(columns: Sequence[Sequence], height: int,
             field_ops: FieldOps = EXPR_FIELD) -> Echelon:
-    """Fraction-free forward elimination of ``[matrix | rhs]``.
+    """Factor the span of ``columns`` (each of length ``height``) by
+    fraction-free forward elimination of ``[A | I]``.
 
-    Pivots are chosen left-to-right by column, topmost eligible row first.
+    Pivots are chosen left-to-right by column, topmost eligible row first, so
+    the pivot columns are the greedy independent subset of the generators.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    rows = [list(matrix[i]) + (list(rhs[i]) if rhs is not None else [])
-            for i in range(nrows)]
-    if rows and all(isinstance(e, Expr) for row in rows for e in row):
+    ncols = len(columns)
+    rows = [[col[i] for col in columns]
+            + [field_ops.one if j == i else field_ops.zero
+               for j in range(height)]
+            for i in range(height)]
+    if all(isinstance(e, Expr) for row in rows for e in row):
         rows = [_clear_row(row) for row in rows]
-    width = len(rows[0]) if rows else 0
+    width = ncols + height
     pivots: list[tuple[int, int]] = []
     degeneracy = []
     prev = field_ops.one
     r = 0
     for col in range(ncols):
         pivot_row = None
-        for i in range(r, nrows):
+        for i in range(r, height):
             if not field_ops.is_zero(rows[i][col]):
                 pivot_row = i
                 break
@@ -102,7 +146,7 @@ def echelon(matrix: Sequence[Sequence], rhs: Sequence[Sequence] | None = None,
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][col]
         degeneracy.append(piv)
-        for i in range(r + 1, nrows):
+        for i in range(r + 1, height):
             head = rows[i][col]
             for j in range(col, width):
                 rows[i][j] = field_ops.normalize(
@@ -111,66 +155,35 @@ def echelon(matrix: Sequence[Sequence], rhs: Sequence[Sequence] | None = None,
         pivots.append((r, col))
         prev = piv
         r += 1
-    return Echelon(rows=rows, pivots=pivots, ncols=ncols, degeneracy=degeneracy)
+    return Echelon(rows, pivots, ncols, degeneracy, field_ops)
 
 
 @dataclass
 class SolveResult:
     solution: list | None
     witness: object | None          # nonzero residual on an inconsistent row
-    rank: int
-    free_columns: list[int]
-    degeneracy: list
 
     @property
     def ok(self) -> bool:
         return self.solution is not None
 
 
-def solve(matrix: Sequence[Sequence], rhs_col: Sequence,
-          field_ops: FieldOps = EXPR_FIELD) -> SolveResult:
-    """Particular solution of ``matrix @ x = rhs_col`` with free variables
-    set to zero; an inconsistency witness otherwise."""
-    ech = echelon(matrix, rhs=[[v] for v in rhs_col], field_ops=field_ops)
-    nrows = len(ech.rows)
-    ncols = ech.ncols
-    pivot_cols = [c for _, c in ech.pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    for i in range(ech.rank, nrows):
-        residual = ech.rows[i][ncols]
-        if not field_ops.is_zero(residual):
-            return SolveResult(None, residual, ech.rank, free_cols,
-                               ech.degeneracy)
-    x = [field_ops.zero] * ncols
-    for row, col in reversed(ech.pivots):
-        acc = ech.rows[row][ncols]
-        for j in range(col + 1, ncols):
-            if not field_ops.is_zero(x[j]):
-                acc = acc - ech.rows[row][j] * x[j]
-        x[col] = field_ops.normalize(acc / ech.rows[row][col])
-    return SolveResult(x, None, ech.rank, free_cols, ech.degeneracy)
+def solve(ech: Echelon, rhs: Sequence) -> SolveResult:
+    """Particular solution of ``A x = rhs`` for the factored ``A``, with free
+    variables set to zero; an inconsistency witness (a nonzero entry of
+    ``T rhs`` below the pivot rows) otherwise."""
+    ops = ech.field_ops
 
+    def transformed(row: int):
+        acc = ops.zero
+        for t, b in zip(ech.rows[row][ech.ncols:], rhs):
+            acc = acc + t * b
+        return ops.normalize(acc)
 
-def nullspace(matrix: Sequence[Sequence],
-              field_ops: FieldOps = EXPR_FIELD) -> list[list]:
-    """Basis of the generic kernel, one vector per free column."""
-    ech = echelon(matrix, field_ops=field_ops)
-    ncols = ech.ncols
-    pivot_cols = [c for _, c in ech.pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        x = [field_ops.zero] * ncols
-        x[free] = field_ops.one
-        for row, col in reversed(ech.pivots):
-            acc = field_ops.zero
-            for j in range(col + 1, ncols):
-                if not field_ops.is_zero(x[j]):
-                    acc = acc + ech.rows[row][j] * x[j]
-            x[col] = field_ops.normalize((-acc) / ech.rows[row][col])
-        basis.append(x)
-    return basis
-
-
-def rank(matrix: Sequence[Sequence], field_ops: FieldOps = EXPR_FIELD) -> int:
-    return echelon(matrix, field_ops=field_ops).rank
+    for i in range(ech.rank, len(ech.rows)):
+        residual = transformed(i)
+        if not ops.is_zero(residual):
+            return SolveResult(None, residual)
+    targets = [transformed(row) for row, _ in ech.pivots]
+    return SolveResult(ech._back_substitute([ops.zero] * ech.ncols, targets),
+                       None)

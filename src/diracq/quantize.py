@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -108,12 +109,11 @@ class ComplexSection:
         return ComplexSection(self.re.scale(z.re) - self.im.scale(z.im),
                               self.re.scale(z.im) + self.im.scale(z.re))
 
-    def component(self, slot: int, index: int) -> ComplexExpr:
-        """Complex coefficient: slot 0 the vector part, slot 1 the form part."""
-        if slot == 0:
-            return ComplexExpr(self.re.X.components[index],
-                               self.im.X.components[index])
-        return ComplexExpr(self.re.xi.coeff((index,)), self.im.xi.coeff((index,)))
+    @property
+    def components(self) -> list[ComplexExpr]:
+        """Complex coefficients on the coordinate vectors, then covectors."""
+        return [ComplexExpr(a, b)
+                for a, b in zip(self.re.components, self.im.components)]
 
     def apply_vector(self, f) -> ComplexExpr:
         """The complex vector part applied to a scalar."""
@@ -123,9 +123,6 @@ class ComplexSection:
 
     def vector_divergence(self) -> ComplexExpr:
         return ComplexExpr(self.re.X.divergence(), self.im.X.divergence())
-
-    def is_zero_csection(self) -> bool:
-        return self.re.is_zero_section() and self.im.is_zero_section()
 
     def __str__(self) -> str:
         return f"({self.re}) + i*({self.im})"
@@ -148,19 +145,17 @@ def complex_lambda(a: ComplexSection, b: ComplexSection) -> ComplexExpr:
     return ComplexExpr(re, im)
 
 
-def complex_membership(frame: Sequence[ComplexSection],
-                       target: ComplexSection):
-    """Solve for complex coefficients expressing ``target`` in the span of a
-    complex frame; returns (coefficients | None, witness)."""
-    if not frame:
-        return (None, ComplexExpr.of(1)) if not target.is_zero_csection() \
-            else ([], None)
-    chart = frame[0].chart
-    n = chart.dim
-    matrix = [[f.component(slot, idx) for f in frame]
-              for slot in (0, 1) for idx in range(n)]
-    rhs = [target.component(slot, idx) for slot in (0, 1) for idx in range(n)]
-    result = linalg.solve(matrix, rhs, field_ops=linalg.COMPLEX_FIELD)
+def complex_span(frame: Sequence[ComplexSection], dim: int) -> linalg.Echelon:
+    """The factored span of complex sections on a chart of dimension
+    ``dim``."""
+    return linalg.echelon([psi.components for psi in frame], 2 * dim,
+                          linalg.COMPLEX_FIELD)
+
+
+def complex_membership(span: linalg.Echelon, target: ComplexSection):
+    """Solve for complex coefficients expressing ``target`` in a factored
+    complex span; returns (coefficients | None, witness)."""
+    result = linalg.solve(span, target.components)
     if not result.ok:
         return None, result.witness
     return list(result.solution), None
@@ -209,6 +204,11 @@ class Polarization:
     frame: tuple[ComplexSection, ...]
     _report: PolarizationReport | None = None
 
+    @cached_property
+    def span(self) -> linalg.Echelon:
+        """The factored span of the complex frame."""
+        return complex_span(self.frame, self.dirac.dim)
+
     def check(self) -> PolarizationReport:
         if self._report is None:
             self._report = polarization_check(self)
@@ -232,7 +232,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
     for i in range(len(frame)):
         for j in range(i, len(frame)):
             bracket = complex_courant(frame[i], frame[j])
-            coeffs, witness = complex_membership(frame, bracket)
+            coeffs, witness = complex_membership(pol.span, bracket)
             if coeffs is None:
                 inv_ok = False
                 inv_witness = f"[[psi{i+1},psi{j+1}]] leaves the span: {witness}"
@@ -240,9 +240,10 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
         if not inv_ok:
             break
     cont_ok, cont_witness = True, None
-    h_frame = [ComplexSection.from_real(h) for h in pol.complement.sections]
+    h_span = complex_span([ComplexSection.from_real(h)
+                           for h in pol.complement.sections], pol.dirac.dim)
     for i, psi in enumerate(frame):
-        coeffs, witness = complex_membership(h_frame, psi)
+        coeffs, witness = complex_membership(h_span, psi)
         if coeffs is None:
             cont_ok = False
             cont_witness = f"psi{i+1} leaves the complexified complement"
@@ -261,7 +262,7 @@ def sp_membership(f, pol: Polarization) -> tuple[bool, str | None]:
     section = ComplexSection.from_real(Section(h_f, differential(dirac, f)))
     for i, psi in enumerate(pol.frame):
         bracket = complex_courant(section, psi)
-        coeffs, witness = complex_membership(pol.frame, bracket)
+        coeffs, witness = complex_membership(pol.span, bracket)
         if coeffs is None:
             return False, f"[[(H_f,df), psi{i+1}]] leaves the span: {witness}"
     return True, None
@@ -272,33 +273,21 @@ def q_bundle(pol: Polarization, probe: bool = True,
     """Real frame of the subbundle whose complexification is the
     intersection of the polarization with its conjugate."""
     frame = pol.frame
-    if not frame:
-        return []
-    chart = frame[0].chart
-    n = chart.dim
-    k = len(frame)
-    conj_frame = [psi.conj() for psi in frame]
-    matrix = [[frame[a].component(slot, idx) for a in range(k)]
-              + [-conj_frame[b].component(slot, idx) for b in range(k)]
-              for slot in (0, 1) for idx in range(n)]
-    kernel = linalg.nullspace(matrix, field_ops=linalg.COMPLEX_FIELD)
+    n = pol.dirac.dim
+    kernel = complex_span(list(frame) + [-psi.conj() for psi in frame],
+                          n).kernel
     candidates: list[Section] = []
     for vec in kernel:
-        combo = None
-        for a in range(k):
-            term = frame[a].scale(vec[a])
-            combo = term if combo is None else combo + term
-        if combo is None:
-            continue
+        combo = frame[0].scale(vec[0])
+        for psi, c in zip(frame[1:], vec[1:]):
+            combo = combo + psi.scale(c)
         for part in (combo.re, combo.im):
             if not part.is_zero_section():
                 candidates.append(part)
     if not candidates:
         return []
-    cand_matrix = [[c.X.components[i] for c in candidates] for i in range(n)] + \
-                  [[c.xi.coeff((i,)) for c in candidates] for i in range(n)]
-    ech = linalg.echelon(cand_matrix)
-    picked = [candidates[col] for _, col in ech.pivots]
+    span = linalg.echelon([c.components for c in candidates], 2 * n)
+    picked = [candidates[col] for _, col in span.pivots]
     if probe and probe_functions:
         ok, witness = projectability_probe(pol, picked, probe_functions)
         if not ok:
@@ -313,19 +302,14 @@ def projectability_probe(pol: Polarization, q_sections: Sequence[Section],
     dirac = pol.dirac
     if not q_sections:
         return True, None
-    n = dirac.chart.dim
-    matrix = [[s.X.components[i] for s in q_sections] for i in range(n)] + \
-             [[s.xi.coeff((i,)) for s in q_sections] for i in range(n)]
+    span = linalg.echelon([s.components for s in q_sections], 2 * dirac.dim)
     for f in functions:
         f = as_expr(f)
         h_f, _ = hamiltonian_H(dirac, pol.complement, f)
         section = Section(h_f, differential(dirac, f))
         for idx, q_sec in enumerate(q_sections):
             bracket = courant_bracket(section, q_sec)
-            rhs = [bracket.X.components[i] for i in range(n)] + \
-                  [bracket.xi.coeff((i,)) for i in range(n)]
-            result = linalg.solve(matrix, rhs)
-            if not result.ok:
+            if not linalg.solve(span, bracket.components).ok:
                 return False, f"bracket with Q-section {idx+1} leaves Q"
     return True, None
 

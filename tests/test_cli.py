@@ -45,6 +45,52 @@ def test_obstruction_model_fails(capsys):
     record = statuses["prequant/atlas"]
     assert record["status"] == "fail"
     assert "1/3" in record["witness"]
+    # quantize needs the obstructed atlas: a skip that cites the witness
+    code, out = run_cli(capsys, "check", str(MODELS / "cech_obstruction.dq"),
+                        "--json", "--seed", "7", "--suite", "quantize")
+    record = {c["name"]: c for c in json.loads(out)["checks"]}["quantize"]
+    assert record["status"] != "error"
+    assert "1/3" in record["witness"]
+
+
+def test_incompatible_transition_atlas_fails(tmp_path, capsys):
+    # with the constant transition 1, compatibility needs sigma_1 = sigma_2
+    model = tmp_path / "transbad.dq"
+    model.write_text("chart M dim 2 coords q p\n"
+                     "form omega = dq /\\ dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "complement H = auto\n"
+                     "patch U1\npatch U2\n"
+                     "sigma U1 = pull(-p*dq)\n"
+                     "sigma U2 = pull(-p*dq + dq)\n"
+                     "transition U1 U2 = 1\n")
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "prequant")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    prequant = [c for c in checks if c["name"].startswith("prequant")]
+    assert [(c["name"], c["status"]) for c in prequant] == \
+        [("prequant/atlas", "fail")]
+    assert prequant[0]["witness"]
+
+
+def test_non_closed_frame_skips_the_dirac_only_checks(tmp_path, capsys):
+    # the graph of x1 dx2^dx3, which is not closed, presented by a frame
+    model = tmp_path / "negframe.dq"
+    model.write_text("chart M dim 3 coords x1 x2 x3\n"
+                     "section s1 = (d_x1, 0*dx1)\n"
+                     "section s2 = (d_x2, (x1)*dx3)\n"
+                     "section s3 = (d_x3, (-x1)*dx2)\n"
+                     "dirac D = frame(s1, s2, s3)\n")
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "dirac")
+    assert code == 1
+    statuses = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert statuses["dirac/D3-closure"]["status"] == "fail"
+    for name in ("dirac/omega-cocycle", "dirac/pi-sharp-morphism"):
+        assert statuses[name]["status"] == "skipped"
+        assert statuses[name]["witness"] == "not a Dirac structure"
+    assert not any(c["status"] == "error" for c in statuses.values())
 
 
 def test_perturbed_sigma_fails_only_prequant(capsys):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from diracq import linalg
 from diracq.chart import Chart, KForm
+from diracq.checks import Resolver
 from diracq.dirac import Section, membership, regular_distribution
+from diracq.dsl import parse_model
 from diracq.expr import Expr, as_expr, equal, is_zero, symbol
 from diracq.hamiltonian import (
     ComplementError,
@@ -13,6 +18,7 @@ from diracq.hamiltonian import (
     bracket_omega,
     bracket_prime,
     default_complement,
+    differential,
     hamiltonian_H,
     jacobi_suite,
 )
@@ -194,3 +200,24 @@ class TestWellDefinedness:
             g = random_polynomial(rng, g_chart, 3, 2)
             assert equal(bracket_prime(g_poisson, f, g),
                          bracket_omega(g_poisson, complement, f, g))
+
+
+def test_solves_reuse_the_factored_spans(monkeypatch):
+    """Once the structure is verified and its complement fixed, solving for
+    H_f, X_f and frame coefficients runs no further elimination."""
+    text = (Path(__file__).resolve().parent.parent / "models"
+            / "standard_r2.dq").read_text()
+    dirac = Resolver(parse_model(text, "standard_r2")).dirac()
+    dirac.verify()
+    complement = default_complement(dirac)
+    eliminations = []
+    factor = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda *args, **kwargs: (
+        eliminations.append(args) or factor(*args, **kwargs)))
+    rng = rng_for(5, "factor-once")
+    for _ in range(20):
+        f = random_polynomial(rng, dirac.chart, 3, 2)
+        h_f, _ = hamiltonian_H(dirac, complement, f)
+        assert admissible_vector_field(dirac, f).ok
+        assert membership(dirac, Section(h_f, differential(dirac, f))).ok
+    assert eliminations == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from diracq import linalg
 from diracq.expr import ComplexExpr, Expr, as_expr, equal, is_zero, symbol
@@ -13,73 +14,144 @@ def E(value) -> Expr:
     return as_expr(value) if not isinstance(value, sp.Expr) else Expr(value)
 
 
+def apply(columns, vector):
+    """``A @ vector`` for the matrix whose columns are given."""
+    out = [as_expr(0)] * len(columns[0])
+    for col, value in zip(columns, vector):
+        out = [acc + entry * value for acc, entry in zip(out, col)]
+    return out
+
+
 def test_solve_with_free_variables_zeroed():
     # the degenerate 4d presymplectic system: solution family has two free slots
-    matrix = [[E(0), E(-1), E(0), E(-1)],
-              [E(1), E(0), E(0), E(0)],
-              [E(0), E(0), E(0), E(0)],
-              [E(1), E(0), E(0), E(0)]]
+    columns = [[E(0), E(1), E(0), E(1)],
+               [E(-1), E(0), E(0), E(0)],
+               [E(0), E(0), E(0), E(0)],
+               [E(-1), E(0), E(0), E(0)]]
     rhs = [Expr(2 * x), Expr(k), E(0), Expr(k)]
-    result = linalg.solve(matrix, rhs)
+    span = linalg.echelon(columns, 4)
+    result = linalg.solve(span, rhs)
     assert result.ok
     assert [str(v) for v in result.solution] == ["k", "-2*x", "0", "0"]
-    assert result.free_columns == [2, 3]
+    assert span.free_columns == [2, 3]
 
 
 def test_solve_reports_witness():
-    matrix = [[E(1)], [E(1)]]
-    rhs = [E(1), E(2)]
-    result = linalg.solve(matrix, rhs)
+    span = linalg.echelon([[E(1), E(1)]], 2)
+    result = linalg.solve(span, [E(1), E(2)])
     assert not result.ok
     assert not is_zero(result.witness)
 
 
 def test_solution_reproduces_rhs_over_function_field():
-    matrix = [[Expr(x), E(1)], [E(1), Expr(x)]]
+    columns = [[Expr(x), E(1)], [E(1), Expr(x)]]
     rhs = [Expr(x ** 2 + 1), Expr(2 * x)]
-    result = linalg.solve(matrix, rhs)
+    result = linalg.solve(linalg.echelon(columns, 2), rhs)
     assert result.ok
-    for row, b in zip(matrix, rhs):
-        acc = as_expr(0)
-        for entry, value in zip(row, result.solution):
-            acc = acc + entry * value
-        assert equal(acc, b)
+    for got, b in zip(apply(columns, result.solution), rhs):
+        assert equal(got, b)
 
 
 def test_degeneracy_locus_records_pivots():
-    matrix = [[Expr(x), E(0)], [E(0), Expr(x - 1)]]
-    ech = linalg.echelon(matrix)
+    ech = linalg.echelon([[Expr(x), E(0)], [E(0), Expr(x - 1)]], 2)
     locus = {str(p) for p in ech.degeneracy}
     assert "x" in locus
     assert any("x" in entry for entry in locus)
 
 
 def test_nullspace_basis():
-    matrix = [[E(1), Expr(x), E(0)]]
-    basis = linalg.nullspace(matrix)
+    columns = [[E(1)], [Expr(x)], [E(0)]]
+    basis = linalg.echelon(columns, 1).kernel
     assert len(basis) == 2
     for vec in basis:
-        acc = as_expr(0)
-        for entry, value in zip(matrix[0], vec):
-            acc = acc + entry * value
-        assert is_zero(acc)
+        assert is_zero(apply(columns, vec)[0])
 
 
 def test_rank_generic():
-    matrix = [[Expr(x), Expr(x ** 2)], [E(1), Expr(x)]]
-    assert linalg.rank(matrix) == 1
+    assert linalg.echelon([[Expr(x), E(1)], [Expr(x ** 2), Expr(x)]], 2).rank == 1
 
 
 def test_complex_solve():
     i = ComplexExpr(as_expr(0), as_expr(1))
     one = ComplexExpr.of(1)
-    matrix = [[one, i], [i, one]]
+    columns = [[one, i], [i, one]]
     rhs = [ComplexExpr.of(2), i * 2]
-    result = linalg.solve(matrix, rhs, field_ops=linalg.COMPLEX_FIELD)
+    span = linalg.echelon(columns, 2, linalg.COMPLEX_FIELD)
+    result = linalg.solve(span, rhs)
     assert result.ok
-    for row, b in zip(matrix, rhs):
+    for b_index, b in enumerate(rhs):
         acc = ComplexExpr.of(0)
-        for entry, value in zip(row, result.solution):
-            acc = acc + entry * value
+        for col, value in zip(columns, result.solution):
+            acc = acc + col[b_index] * value
         diff = acc - b
         assert is_zero(diff.re) and is_zero(diff.im)
+
+
+def test_cokernel_annihilates_the_span():
+    columns = [[Expr(x), E(1), E(0)], [E(0), Expr(x), E(1)]]
+    span = linalg.echelon(columns, 3)
+    assert len(span.cokernel) == 1
+    for col in columns:
+        pairing = sum((t * c for t, c in zip(span.cokernel[0], col)), E(0))
+        assert is_zero(pairing)
+
+
+def test_empty_span_witnesses_a_nonzero_rhs():
+    span = linalg.echelon([], 2)
+    assert span.rank == 0 and span.kernel == ()
+    assert linalg.solve(span, [E(0), E(0)]).solution == []
+    assert str(linalg.solve(span, [E(0), Expr(x)]).witness) == "x"
+
+
+# ---------------------------------------------------------------------------
+# one factorization against sympy
+
+
+_entries = st.one_of(
+    st.integers(-3, 3).map(sp.Integer),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 1))
+    .map(lambda c: c[0] + c[1] * x + c[2] * x ** 2))
+
+
+@st.composite
+def _systems(draw):
+    height = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    columns = [[draw(_entries) for _ in range(height)] for _ in range(ncols)]
+    if ncols >= 2 and draw(st.booleans()):
+        # a rank-deficient set: the last column combines the others
+        weights = [draw(st.integers(-2, 2)) for _ in range(ncols - 1)]
+        columns[-1] = [sp.expand(sum(w * col[r]
+                                     for w, col in zip(weights, columns)))
+                       for r in range(height)]
+    ys = [[draw(_entries) for _ in range(ncols)] for _ in range(2)]
+    free_rhs = [[draw(_entries) for _ in range(height)] for _ in range(2)]
+    return columns, ys, free_rhs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_systems())
+def test_one_factorization_solves_many(system):
+    columns, ys, free_rhs = system
+    height = len(columns[0])
+    matrix = sp.Matrix(height, len(columns),
+                       lambda r, c: columns[c][r])
+    rank = matrix.rank(simplify=True)
+    span = linalg.echelon([[Expr(e) for e in col] for col in columns], height)
+    assert span.rank == rank
+    assert len(span.kernel) == len(matrix.nullspace(simplify=True))
+    for vec in span.kernel:
+        product = matrix * sp.Matrix([v.node for v in vec])
+        assert all(sp.cancel(e) == 0 for e in product)
+
+    consistent = [list(matrix * sp.Matrix(y)) for y in ys]
+    for b in consistent + free_rhs:
+        result = linalg.solve(span, [Expr(sp.expand(e)) for e in b])
+        if matrix.row_join(sp.Matrix(b)).rank(simplify=True) > rank:
+            assert not result.ok
+            assert not is_zero(result.witness)
+            continue
+        assert result.ok
+        solution = sp.Matrix([v.node for v in result.solution])
+        assert all(sp.cancel(e) == 0 for e in matrix * solution - sp.Matrix(b))
+        assert all(result.solution[c].node == 0 for c in span.free_columns)

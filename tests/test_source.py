@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import warnings
 from pathlib import Path
 
@@ -15,3 +17,26 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def _tracer_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark tracer wraps still resolves, so a rename
+    fails here rather than in a traced benchmark run."""
+    tracer = _tracer_module()
+    for metric, (module_name, path) in {**tracer.TARGETS,
+                                        **tracer.COUNTED}.items():
+        target = importlib.import_module(module_name)
+        for attr in path.split("."):
+            assert hasattr(target, attr), f"{metric}: {module_name}.{path}"
+            target = getattr(target, attr)
+        assert callable(target), metric
+    for module_name in tracer.CANCEL_MODULES:
+        assert hasattr(importlib.import_module(module_name), "sp")
