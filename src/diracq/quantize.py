@@ -284,8 +284,6 @@ def q_bundle(pol: Polarization, probe: bool = True,
         for part in (combo.re, combo.im):
             if not part.is_zero_section():
                 candidates.append(part)
-    if not candidates:
-        return []
     span = linalg.echelon([c.components for c in candidates], 2 * n)
     picked = [candidates[col] for _, col in span.pivots]
     if probe and probe_functions:
