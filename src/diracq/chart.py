@@ -389,6 +389,8 @@ def exterior_derivative(phi: KForm) -> KForm:
     chart = phi.chart
     out: dict[tuple[int, ...], Expr] = {}
     for key, c in phi.coeffs.items():
+        if isinstance(c, Expr) and c.node.is_Number:
+            continue
         for i in range(chart.dim):
             found = sort_sign((i,) + key)
             if found is None:

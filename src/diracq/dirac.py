@@ -342,14 +342,20 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
 
     rho_tm_rank = dirac.vectors.rank
     rho_cotm_rank = dirac.forms.rank
-    dim_cot_kernel = len(dirac.cotangent_kernel())
-    dim_tan_kernel = len(dirac.tangent_kernel())
+    # D n T*M and D n TM are the spans of the form parts and the vector parts
+    # of the kernel combinations; on a rank-deficient frame they are smaller
+    # than the number of combinations.
+    cot_forms = [dirac.section_from_coefficients(z).xi
+                 for z in dirac.cotangent_kernel()]
+    dim_cot_kernel = linalg.echelon(
+        [covector_components(eta) for eta in cot_forms], n).rank
+    dim_tan_kernel = linalg.echelon(
+        [v.components for v in dirac.tangent_kernel_fields()], n).rank
     kernel_ok = (rho_tm_rank + dim_cot_kernel == n
                  and rho_cotm_rank + dim_tan_kernel == n)
 
     annihilator_ok = True
-    for combo in dirac.cotangent_kernel():
-        eta = dirac.section_from_coefficients(combo).xi
+    for eta in cot_forms:
         for e in frame:
             if not is_zero(eta.evaluate([e.X])):
                 annihilator_ok = False

@@ -5,9 +5,15 @@ parameter symbols, extended by the opaque transcendental atoms ``exp``, ``sin``
 and ``cos`` (and the constant ``pi``).  The rational fragment has a canonical
 reduced numerator/denominator form; transcendental atoms are treated as extra
 generators that are closed under differentiation but never rewritten (in
-particular ``sin(x)**2 + cos(x)**2`` is *not* folded to ``1``).  Equality on
-the transcendental fragment is decided probabilistically by exact-rational
-seeding of high-precision evaluation.
+particular ``sin(x)**2 + cos(x)**2`` is *not* folded to ``1``).
+
+Equality is a zero test of the numerator of the difference in sympy's sparse
+polynomial ring over the atoms as generators, after the atom arguments are
+cancelled; no canonical tree is built.  A nonzero numerator decides
+inequality on the rational fragment.  Only when an atom remains is the
+canonical form (``sympy.cancel``, also used by :func:`normalize`) computed,
+and equality decided probabilistically by exact-rational seeding of
+high-precision evaluation.
 
 Semantics are generic-point: two rational functions are equal when they agree
 off their pole sets, so ``x/x`` normalizes to ``1``.  Values are immutable and
@@ -23,6 +29,7 @@ from typing import Mapping, Union
 
 import mpmath
 import sympy as sp
+from sympy.polys.rings import sring
 
 __all__ = [
     "Expr",
@@ -198,18 +205,20 @@ def as_expr(value) -> Expr:
 # normalize / differentiate / evaluate / equal
 
 
-def _canonical(node: sp.Expr) -> sp.Expr:
-    """Bottom-up canonical form: atom arguments normalized, then one
-    rational cancellation over the atoms-as-generators field."""
-    def walk(m: sp.Expr) -> sp.Expr:
-        if not m.args:
-            return m
-        rebuilt = m.func(*[walk(a) for a in m.args])
-        if isinstance(rebuilt, _ATOM_HEADS):
-            rebuilt = rebuilt.func(sp.cancel(rebuilt.args[0]))
-        return rebuilt
+def _cancel_atoms(node: sp.Expr) -> sp.Expr:
+    """``node`` with the argument of every ``exp``/``sin``/``cos`` atom
+    cancelled, inner atoms first.  A tree without atoms comes back as is."""
+    atoms = node.atoms(*_ATOM_HEADS)
+    if not atoms:
+        return node
+    return node.xreplace({a: a.func(sp.cancel(_cancel_atoms(a.args[0])))
+                          for a in atoms})
 
-    out = sp.cancel(walk(node))
+
+def _canonical(node: sp.Expr) -> sp.Expr:
+    """Canonical form: atom arguments cancelled, then one rational
+    cancellation over the atoms-as-generators field."""
+    out = sp.cancel(_cancel_atoms(node))
     _check_tree(out)
     return out
 
@@ -376,16 +385,26 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
 
 
 def equal(e1, e2, *, trials: int | None = None, seed: int | None = None) -> bool:
-    """Semantic equality: canonical on the rational fragment, probabilistic
-    (exact rational sampling / high-precision evaluation) otherwise."""
+    """Semantic equality: a zero test of the numerator of ``e1 - e2`` over
+    the atoms-as-generators ring, then, when an atom remains, the canonical
+    form and the probabilistic fallback (exact rational sampling /
+    high-precision evaluation)."""
     lhs, rhs = as_expr(e1).node, as_expr(e2).node
-    diff = _canonical(lhs - rhs)
-    if diff == 0:
+    diff = _cancel_atoms(lhs - rhs)
+    _, (num, den) = sring(list(diff.as_numer_denom()))
+    if not den:
+        raise ExprError("division by the zero expression")
+    if not num:
         return True
     # pi is transcendental over Q, so polynomial identities in pi are decided
-    # canonically along with the plain rational fragment.
+    # exactly along with the plain rational fragment.  The atom test reads the
+    # tree, not the ring: sring turns exp(2) into the generator E.
     if not diff.has(*_ATOM_HEADS):
         return False
+    # cancellation can clear an atom, as in (x*exp(y) + x)/(exp(y) + 1) - x
+    canonical = _canonical(diff)
+    if not canonical.has(*_ATOM_HEADS):
+        return canonical == 0
     return _probabilistic_equal(
         lhs, rhs,
         trials=trials if trials is not None else _CONFIG.trials,

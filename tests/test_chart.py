@@ -46,6 +46,20 @@ class TestExteriorDerivative:
         expected = r2.basis_covector(1).wedge(r2.basis_covector(0))
         assert form_equal(exterior_derivative(phi), expected)
 
+    def test_constant_coefficients_are_not_differentiated(self, r2,
+                                                          monkeypatch):
+        calls = []
+        diff = Expr.diff
+
+        def counting(self, sym):
+            calls.append(sym)
+            return diff(self, sym)
+
+        monkeypatch.setattr(Expr, "diff", counting)
+        phi = KForm(r2, 1, {(0,): 1, (1,): Fraction(-3, 2)})
+        assert exterior_derivative(phi).is_zero_tensor()
+        assert calls == []
+
     def test_top_degree_gives_empty(self, r2):
         omega = r2.basis_covector(0).wedge(r2.basis_covector(1))
         assert exterior_derivative(omega).coeffs == {}

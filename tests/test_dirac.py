@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from diracq.chart import Chart, KForm, KVector, VectorField
+from diracq.checks import run_checks
 from diracq.dirac import (
     AdmissibleRangeError,
     DiracConstructionError,
@@ -18,6 +19,7 @@ from diracq.dirac import (
     pi_sharp_on_frame,
     regular_distribution,
 )
+from diracq.dsl import parse_model
 from diracq.expr import Expr, ZERO, as_expr, equal, is_zero
 from diracq.randgen import random_polynomial, rng_for
 
@@ -208,6 +210,20 @@ class TestVerify:
         assert report.dim_tangent_kernel == 2
         assert report.dim_admissible_covectors == 2
         assert report.dim_cotangent_kernel == 0
+
+    def test_kernel_equations_fail_on_rank_deficient_frame(self):
+        # the isotropic frame (d_x1, 0), (2 d_x1, 0) spans one line: both
+        # kernel combinations exist, but D n T*M = 0 and D n TM has dim 1
+        model = parse_model("chart R2 dim 2 coords x1 x2\n"
+                            "section s1 = (d_x1, 0*dx1)\n"
+                            "section s2 = (2*d_x1, 0*dx1)\n"
+                            "dirac D = frame(s1, s2)\n")
+        records = {c.name: c for c in run_checks(model, ["dirac"], seed=7).checks}
+        kernel = records["dirac/kernel-equations"]
+        assert records["dirac/D1-isotropy"].status == "pass"
+        assert kernel.status == "fail"
+        assert "dim D^T*M=0" in kernel.witness
+        assert "dim D^TM=1" in kernel.witness
 
 
 class TestMembership:

@@ -20,12 +20,14 @@ from diracq.expr import (
     differentiate,
     equal,
     evaluate,
+    is_zero,
     normalize,
     random_rational,
     symbol,
 )
-from diracq.expr import _probabilistic_equal
-from diracq.randgen import random_rational_expr
+import diracq.expr as expr_module
+from diracq.expr import _ATOM_HEADS, _canonical, _probabilistic_equal
+from diracq.randgen import random_mixed_expr, random_rational_expr
 
 from helpers import fd_matches
 
@@ -90,6 +92,91 @@ class TestEqual:
         two_pi = 2 * Expr(sp.pi)
         assert equal(two_pi * ex("x") - ex("x") * 2 * Expr(sp.pi), 0)
         assert not equal(Expr(sp.pi), as_expr(Fraction(355, 113)))
+
+
+SAMPLED = "sampled"
+
+
+def _outcome(decide, e1, e2):
+    try:
+        return decide(e1, e2)
+    except ExprError:
+        return ExprError
+
+
+def _reference_equal(e1, e2):
+    """The rule equal must follow: a zero canonical difference is equal, a
+    nonzero one without an atom is not, anything else is sampled."""
+    diff = _canonical(as_expr(e1).node - as_expr(e2).node)
+    if diff == 0:
+        return True
+    return SAMPLED if diff.has(*_ATOM_HEADS) else False
+
+
+class TestZeroTest:
+    """equal decides zero on the numerator in the atoms-as-generators ring
+    and samples only where the canonical form keeps an atom."""
+
+    @pytest.fixture(autouse=True)
+    def stub_sampling(self, monkeypatch):
+        monkeypatch.setattr(expr_module, "_probabilistic_equal",
+                            lambda *args, **kwargs: SAMPLED)
+
+    def test_agrees_with_canonical_rule_on_generated_pairs(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for i in range(600):
+            make = random_rational_expr if i % 3 else random_mixed_expr
+            e1 = make(rng, ["x", "y"], depth=3)
+            if i % 2 == 0:
+                disguise = random_rational_expr(rng, ["x", "y"], depth=2)
+                if normalize(disguise + 1).node == 0:
+                    continue
+                e2 = (e1 * disguise + e1) / (disguise + 1)
+            else:
+                e2 = make(rng, ["x", "y"], depth=3)
+            expected = _outcome(_reference_equal, e1, e2)
+            assert _outcome(equal, e1, e2) == expected, (e1, e2)
+            outcomes.add(expected)
+        assert {True, False, SAMPLED} <= outcomes
+
+    @pytest.mark.parametrize("lhs, rhs, expected", [
+        # sring maps exp(2) to the generator E: the atom test reads the tree
+        (sp.exp(2) - x ** 3, 0, SAMPLED),
+        (sp.exp(x * y / y), sp.exp(x), True),
+        (sp.exp((x * y + x) / (y + 1)), sp.exp(x), True),
+        (sp.exp(2 * x), sp.exp(x) ** 2, True),
+        ((x * sp.exp(y) + x) / (sp.exp(y) + 1), x, True),
+        ((x * sp.exp(y) + x) / (sp.exp(y) + 1), y, False),
+        (sp.pi * x, x, False),
+    ])
+    def test_fixed_cases(self, lhs, rhs, expected):
+        e1, e2 = Expr(sp.sympify(lhs)), Expr(sp.sympify(rhs))
+        assert _reference_equal(e1, e2) == expected
+        assert equal(e1, e2) == expected
+
+    def test_zero_denominator_raises(self):
+        e = Expr(1 / ((x + 1) ** 2 - x ** 2 - 2 * x - 1))
+        with pytest.raises(ExprError, match="division by the zero expression"):
+            equal(e, 0)
+
+
+def test_rational_equality_makes_no_cancel_call(monkeypatch):
+    calls = []
+    cancel = sp.cancel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cancel(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "cancel", counting)
+    e1, e2 = ex("(x**2 - y**2)/(x - y)"), ex("x + y")
+    assert equal(e1, e2)
+    assert not equal(e1, ex("x - y"))
+    assert is_zero(e1 - e2)
+    assert not is_zero(e1)
+    assert equal(2 * Expr(sp.pi) * ex("x"), ex("x") * 2 * Expr(sp.pi))
+    assert calls == []
 
 
 class TestEvaluate:
