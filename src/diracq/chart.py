@@ -1,9 +1,11 @@
 """Tensor calculus on a single coordinate chart.
 
-Vector fields, k-forms and k-vectors carry exact :class:`~diracq.expr.Expr`
-coefficients over the coordinate frame.  Antisymmetric objects store one
-coefficient per strictly increasing index tuple, with the determinant pairing
-convention ``(dx1 ^ dx2)(X, Y) = X1*Y2 - X2*Y1``.
+Vector fields, k-forms and k-vectors carry exact real
+(:class:`~diracq.expr.Expr`) or complex (:class:`~diracq.expr.ComplexExpr`)
+coefficients over the coordinate frame; a complex tensor is one with complex
+coefficients.  Antisymmetric objects store one coefficient per strictly
+increasing index tuple, with the determinant pairing convention
+``(dx1 ^ dx2)(X, Y) = X1*Y2 - X2*Y1``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
     "lie_derivative_form",
     "contravariant_derivative",
     "lie_derivative_density",
+    "real_part",
+    "imag_part",
+    "conjugate",
 ]
 
 
@@ -110,12 +115,19 @@ class Chart:
         return KForm(self, 0, {(): as_expr(e)})
 
 
-def _apply_scalar(components: Sequence[Expr], chart: Chart, f):
+def _is_number(value) -> bool:
+    """A literal number, real or complex: every derivative of it is 0, so
+    the differential operators skip it instead of differentiating."""
+    if isinstance(value, ComplexExpr):
+        return value.re.node.is_Number and value.im.node.is_Number
+    return value.node.is_Number
+
+
+def _apply_scalar(components: Sequence, chart: Chart, f):
     """Directional derivative sum(X_i * d f / dx_i); f real or complex."""
-    if isinstance(f, ComplexExpr):
-        return ComplexExpr(_apply_scalar(components, chart, f.re),
-                           _apply_scalar(components, chart, f.im))
-    f = as_expr(f)
+    f = _scalar(f)
+    if _is_number(f):
+        return ZERO
     out = ZERO
     for comp, sym in zip(components, chart.coords):
         out = out + comp * f.diff(sym)
@@ -124,12 +136,16 @@ def _apply_scalar(components: Sequence[Expr], chart: Chart, f):
 
 @dataclass(frozen=True)
 class VectorField:
+    """Real or complex components over the coordinate vector fields."""
+
     chart: Chart
-    components: tuple[Expr, ...]
+    components: tuple
 
     def __post_init__(self):
         if len(self.components) != self.chart.dim:
             raise ExprError("component count must match the chart dimension")
+        object.__setattr__(self, "components",
+                           tuple(_scalar(c) for c in self.components))
 
     def apply(self, f):
         return _apply_scalar(self.components, self.chart, f)
@@ -140,10 +156,11 @@ class VectorField:
                       for d, c in zip(self.components, other.components))
         return VectorField(self.chart, comps)
 
-    def divergence(self) -> Expr:
+    def divergence(self):
         out = ZERO
         for comp, sym in zip(self.components, self.chart.coords):
-            out = out + comp.diff(sym)
+            if not _is_number(comp):
+                out = out + comp.diff(sym)
         return out
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -155,18 +172,22 @@ class VectorField:
         return self + (-other)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return self.map_coeffs(lambda c: -c)
+
+    def map_coeffs(self, fn) -> "VectorField":
+        """The field with ``fn`` applied to every component."""
+        return VectorField(self.chart, tuple(fn(c) for c in self.components))
 
     def scale(self, factor) -> "VectorField":
-        factor = as_expr(factor)
-        return VectorField(self.chart, tuple(factor * c for c in self.components))
+        factor = _scalar(factor)
+        return self.map_coeffs(lambda c: factor * c)
 
     def is_zero_field(self) -> bool:
-        return all(is_zero(c) for c in self.components)
+        return all(scalar_is_zero(c) for c in self.components)
 
     def __str__(self) -> str:
         terms = [f"({c})*d_{n}" for c, n in zip(self.components, self.chart.coord_names)
-                 if c.node != 0]
+                 if _nonzero_node(c)]
         return " + ".join(terms) if terms else "0"
 
 
@@ -201,8 +222,25 @@ def scalar_is_zero(value) -> bool:
 
 
 def _scalar(value):
-    """A real or complex exact scalar."""
-    return value if isinstance(value, ComplexExpr) else as_expr(value)
+    """A real or complex exact scalar; a complex one whose imaginary part is
+    literally 0 is stored as its real part, so real tensors stay real."""
+    if isinstance(value, ComplexExpr):
+        return value.re if value.im.node == 0 else value
+    return as_expr(value)
+
+
+def real_part(value):
+    """The real part of a real or complex scalar; with ``map_coeffs``, of a
+    tensor or section."""
+    return ComplexExpr.of(value).re
+
+
+def imag_part(value):
+    return ComplexExpr.of(value).im
+
+
+def conjugate(value):
+    return ComplexExpr.of(value).conj()
 
 
 def _nonzero_node(value) -> bool:
@@ -290,13 +328,16 @@ class _Alternating:
         return self._combine(other, -1)
 
     def __neg__(self):
+        return self.map_coeffs(lambda v: -v)
+
+    def map_coeffs(self, fn):
+        """The tensor with ``fn`` applied to every stored coefficient."""
         return type(self)(self.base, self.degree,
-                          {k: -v for k, v in self.coeffs.items()})
+                          {k: fn(v) for k, v in self.coeffs.items()})
 
     def scale(self, factor):
         factor = _scalar(factor)
-        return type(self)(self.base, self.degree,
-                          {k: factor * v for k, v in self.coeffs.items()})
+        return self.map_coeffs(lambda v: factor * v)
 
     def wedge(self, other):
         self._check_base(other)
@@ -389,7 +430,7 @@ def exterior_derivative(phi: KForm) -> KForm:
     chart = phi.chart
     out: dict[tuple[int, ...], Expr] = {}
     for key, c in phi.coeffs.items():
-        if isinstance(c, Expr) and c.node.is_Number:
+        if _is_number(c):
             continue
         for i in range(chart.dim):
             found = sort_sign((i,) + key)

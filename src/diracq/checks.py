@@ -22,25 +22,17 @@ from .algebroid import (
     pullback_over_line,
     rho_pullback_form,
 )
-from .chart import AlphaDensity, KForm, KVector, VectorField, exterior_derivative
+from .chart import AlphaDensity, exterior_derivative, real_part
 from .dirac import (
     DiracStructure,
-    Section,
     graph_poisson,
     graph_presymplectic,
     omega_on_frame,
     pi_sharp_on_frame,
     regular_distribution,
 )
-from .dsl import SUITES, CForm, CMulti, CVector, Model, Pair
-from .expr import (
-    ComplexExpr,
-    Expr,
-    as_expr,
-    complex_is_zero,
-    equality_config,
-    is_zero,
-)
+from .dsl import SUITES, Model
+from .expr import ComplexExpr, Expr, complex_is_zero, equality_config, is_zero
 from .hamiltonian import (
     ComplementH,
     admissible_vector_field,
@@ -62,7 +54,6 @@ from .prequant import (
     prequant_operator,
 )
 from .quantize import (
-    ComplexSection,
     HalfDensitySection,
     Polarization,
     half_density_section,
@@ -143,30 +134,12 @@ class Resolver:
     # -- coercions ----------------------------------------------------------
 
     @staticmethod
-    def real_form(value: CForm, what: str) -> KForm:
-        if value.im.coeffs:
+    def real(value, what: str):
+        """``value`` (a tensor or section) when all its coefficients are
+        real; otherwise the suite is skipped."""
+        if value.map_coeffs(real_part) != value:
             raise SkipSuite(f"{what} must be real")
-        return value.re
-
-    @staticmethod
-    def real_vector(value: CVector, what: str) -> VectorField:
-        if any(c.node != 0 for c in value.im.components):
-            raise SkipSuite(f"{what} must be real")
-        return value.re
-
-    @staticmethod
-    def real_multi(value: CMulti, what: str) -> KVector:
-        if value.im.coeffs:
-            raise SkipSuite(f"{what} must be real")
-        return value.re
-
-    def real_section(self, pair: Pair, what: str) -> Section:
-        return Section(self.real_vector(pair.vector, what),
-                       self.real_form(pair.form, what))
-
-    def complex_section(self, pair: Pair) -> ComplexSection:
-        return ComplexSection(Section(pair.vector.re, pair.form.re),
-                              Section(pair.vector.im, pair.form.im))
+        return value
 
     def real_scalars(self) -> dict[str, Expr]:
         out = {}
@@ -186,17 +159,17 @@ class Resolver:
         _, kind, args = decl
         model = self.model
         if kind == "graph_presymplectic":
-            form = self.real_form(model.forms[args[0]], "presymplectic form")
+            form = self.real(model.forms[args[0]], "presymplectic form")
             self._dirac = graph_presymplectic(form)
         elif kind == "graph_poisson":
-            bivector = self.real_multi(model.bivectors[args[0]], "bivector")
+            bivector = self.real(model.bivectors[args[0]], "bivector")
             self._dirac = graph_poisson(bivector)
         elif kind == "regular_distribution":
-            fields = [self.real_vector(model.vectors[a], "distribution field")
+            fields = [self.real(model.vectors[a], "distribution field")
                       for a in args]
             self._dirac = regular_distribution(fields)
         else:
-            sections = [self.real_section(model.sections[a], "frame section")
+            sections = [self.real(model.sections[a], "frame section")
                         for a in args]
             self._dirac = DiracStructure(model.chart, sections)
         return self._dirac
@@ -209,8 +182,7 @@ class Resolver:
         if decl is None or decl[1] == "auto":
             self._complement = default_complement(dirac)
         else:
-            sections = [self.real_section(self.model.sections[a],
-                                          "complement section")
+            sections = [self.real(self.model.sections[a], "complement section")
                         for a in decl[2]]
             self._complement = ComplementH(dirac, sections)
         return self._complement
@@ -221,29 +193,13 @@ class Resolver:
         out = {}
         for patch, (kind, payload) in self.model.sigmas.items():
             if kind == "pull":
-                cform: CForm = payload[0]
-                re_part = rho_pullback_form(cform.re, dirac)
-                if cform.im.coeffs:
-                    im_part = rho_pullback_form(cform.im, dirac)
-                    keys = set(re_part.coeffs) | set(im_part.coeffs)
-                    out[patch] = AForm(pres, 1, {
-                        k: ComplexExpr(as_expr(re_part.coeff(k)),
-                                       as_expr(im_part.coeff(k)))
-                        for k in keys})
-                else:
-                    out[patch] = re_part
+                out[patch] = rho_pullback_form(payload[0], dirac)
             else:
-                values = payload
-                if len(values) != dirac.dim:
+                if len(payload) != dirac.dim:
                     raise SkipSuite(
                         f"sigma on {patch} needs {dirac.dim} coefficients")
-                coeffs = {}
-                for i, z in enumerate(values):
-                    if z.im.node == 0:
-                        coeffs[(i,)] = z.re
-                    else:
-                        coeffs[(i,)] = z
-                out[patch] = AForm(pres, 1, coeffs)
+                out[patch] = AForm(pres, 1, {(i,): z
+                                             for i, z in enumerate(payload)})
         return out
 
     def atlas(self) -> BundleAtlas:
@@ -278,8 +234,8 @@ class Resolver:
         decl = self.model.polarization_decl
         if decl is None:
             raise SkipSuite("no polarization declared")
-        frame = tuple(self.complex_section(p) for p in decl[1])
-        self._polarization = Polarization(self.dirac(), self.complement(), frame)
+        self._polarization = Polarization(self.dirac(), self.complement(),
+                                          decl[1])
         return self._polarization
 
     def halfdensity_sections(self) -> dict[str, HalfDensitySection]:

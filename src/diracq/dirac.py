@@ -65,7 +65,8 @@ class VerificationError(ExprError):
 
 @dataclass(frozen=True)
 class Section:
-    """A pair (vector field, 1-form) on one chart."""
+    """A pair (vector field, 1-form) on one chart; with complex coefficients,
+    a section of the complexified bundle."""
 
     X: VectorField
     xi: KForm
@@ -90,6 +91,10 @@ class Section:
 
     def scale(self, factor) -> "Section":
         return Section(self.X.scale(factor), self.xi.scale(factor))
+
+    def map_coeffs(self, fn) -> "Section":
+        """The section with ``fn`` applied to every coefficient."""
+        return Section(self.X.map_coeffs(fn), self.xi.map_coeffs(fn))
 
     def is_zero_section(self) -> bool:
         return self.X.is_zero_field() and self.xi.is_zero_tensor()
@@ -146,13 +151,12 @@ def courant_bracket(a: Section, b: Section) -> Section:
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Coefficients expressing a section in the frame span, or an
-    inconsistency witness (residual expression plus a rational point where
-    it is nonzero) when the linear system has no generic solution."""
+    inconsistency witness (a generically nonzero residual expression) when
+    the linear system has no generic solution."""
 
     ok: bool
     coefficients: tuple[Expr, ...] | None = None
     witness: Expr | None = None
-    witness_point: "Point | None" = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -255,25 +259,6 @@ class DiracStructure:
         return "{" + ", ".join(str(e) for e in self.frame) + "}"
 
 
-def _nonvanishing_point(dirac: DiracStructure, value: Expr):
-    """A rational point where an expression is nonzero, searched
-    deterministically from the equality seed; None when not found."""
-    from .expr import Point, evaluate, get_equality_config, random_rational
-    import random
-
-    chart = dirac.chart
-    rng = random.Random(get_equality_config().seed ^ 0x11)
-    names = chart.coord_names + chart.param_names
-    for _ in range(24):
-        point = Point(chart.name, {n: random_rational(rng, 50) for n in names})
-        try:
-            if evaluate(value, point) != 0:
-                return point
-        except ExprError:
-            continue
-    return None
-
-
 def membership(dirac: DiracStructure, section: Section) -> MembershipCertificate:
     """Express ``section`` in the frame span, reading the 2n x n system from
     the structure's factored frame."""
@@ -284,10 +269,7 @@ def membership(dirac: DiracStructure, section: Section) -> MembershipCertificate
                                 f"(rank {span.rank} < {dirac.dim})")
     result = linalg.solve(span, section.components)
     if not result.ok:
-        witness = as_expr(result.witness)
-        return MembershipCertificate(False, witness=witness,
-                                     witness_point=_nonvanishing_point(dirac,
-                                                                       witness))
+        return MembershipCertificate(False, witness=as_expr(result.witness))
     return MembershipCertificate(True, coefficients=tuple(result.solution))
 
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .chart import Chart, KForm, KVector, VectorField
-from .expr import ComplexExpr, Expr, ZERO, as_expr, symbol
+from .dirac import Section
+from .expr import I, ComplexExpr, Expr, symbol
 
 __all__ = ["DslError", "Model", "parse_model", "format_model", "SUITES"]
 
@@ -49,47 +50,19 @@ class DslError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# values
-
-
-@dataclass(frozen=True)
-class CForm:
-    re: KForm
-    im: KForm
-
-
-@dataclass(frozen=True)
-class CVector:
-    re: VectorField
-    im: VectorField
-
-
-@dataclass(frozen=True)
-class CMulti:
-    re: KVector
-    im: KVector
-
-
-@dataclass(frozen=True)
-class Pair:
-    vector: CVector
-    form: CForm
-
-
-def _zero_vector(chart: Chart) -> VectorField:
-    return VectorField(chart, (ZERO,) * chart.dim)
+# values: ComplexExpr scalars, and forms, vector fields, multivectors and
+# sections whose coefficients are real or complex
 
 
 def _scalar(value) -> ComplexExpr:
     return ComplexExpr.of(value)
 
 
-def _vector_to_multi(v: CVector) -> CMulti:
-    chart = v.re.chart
-    return CMulti(
-        KVector(chart, 1, {(i,): c for i, c in enumerate(v.re.components)}),
-        KVector(chart, 1, {(i,): c for i, c in enumerate(v.im.components)}),
-    )
+def _vector_to_multi(v: VectorField) -> KVector:
+    return KVector(v.chart, 1, {(i,): c for i, c in enumerate(v.components)})
+
+
+_TENSORS = (KForm, VectorField, KVector)
 
 
 class _Ops:
@@ -97,26 +70,14 @@ class _Ops:
 
     @staticmethod
     def add(a, b, err):
-        if isinstance(a, ComplexExpr) and isinstance(b, ComplexExpr):
+        if type(a) is type(b) and isinstance(a, (ComplexExpr,) + _TENSORS):
             return a + b
-        if isinstance(a, CForm) and isinstance(b, CForm):
-            return CForm(a.re + b.re, a.im + b.im)
-        if isinstance(a, CVector) and isinstance(b, CVector):
-            return CVector(a.re + b.re, a.im + b.im)
-        if isinstance(a, CMulti) and isinstance(b, CMulti):
-            return CMulti(a.re + b.re, a.im + b.im)
         raise err(f"cannot add {_kind(a)} and {_kind(b)}")
 
     @staticmethod
     def neg(a, err):
-        if isinstance(a, ComplexExpr):
+        if isinstance(a, (ComplexExpr,) + _TENSORS):
             return -a
-        if isinstance(a, CForm):
-            return CForm(-a.re, -a.im)
-        if isinstance(a, CVector):
-            return CVector(-a.re, -a.im)
-        if isinstance(a, CMulti):
-            return CMulti(-a.re, -a.im)
         raise err(f"cannot negate {_kind(a)}")
 
     @staticmethod
@@ -125,16 +86,8 @@ class _Ops:
             return a * b
         if isinstance(b, ComplexExpr) and not isinstance(a, ComplexExpr):
             return _Ops.mul(b, a, err)
-        if isinstance(a, ComplexExpr):
-            if isinstance(b, CForm):
-                return CForm(b.re.scale(a.re) - b.im.scale(a.im),
-                             b.re.scale(a.im) + b.im.scale(a.re))
-            if isinstance(b, CVector):
-                return CVector(b.re.scale(a.re) - b.im.scale(a.im),
-                               b.re.scale(a.im) + b.im.scale(a.re))
-            if isinstance(b, CMulti):
-                return CMulti(b.re.scale(a.re) - b.im.scale(a.im),
-                              b.re.scale(a.im) + b.im.scale(a.re))
+        if isinstance(a, ComplexExpr) and isinstance(b, _TENSORS):
+            return b.scale(a)
         raise err(f"cannot multiply {_kind(a)} and {_kind(b)}")
 
     @staticmethod
@@ -146,16 +99,12 @@ class _Ops:
 
     @staticmethod
     def wedge(a, b, err):
-        if isinstance(a, CVector):
+        if isinstance(a, VectorField):
             a = _vector_to_multi(a)
-        if isinstance(b, CVector):
+        if isinstance(b, VectorField):
             b = _vector_to_multi(b)
-        if isinstance(a, CForm) and isinstance(b, CForm):
-            return CForm(a.re.wedge(b.re) - a.im.wedge(b.im),
-                         a.re.wedge(b.im) + a.im.wedge(b.re))
-        if isinstance(a, CMulti) and isinstance(b, CMulti):
-            return CMulti(a.re.wedge(b.re) - a.im.wedge(b.im),
-                          a.re.wedge(b.im) + a.im.wedge(b.re))
+        if type(a) is type(b) and isinstance(a, (KForm, KVector)):
+            return a.wedge(b)
         raise err(f"cannot wedge {_kind(a)} and {_kind(b)}")
 
     @staticmethod
@@ -171,9 +120,9 @@ class _Ops:
 
 
 def _kind(value) -> str:
-    return {ComplexExpr: "scalar", CForm: "form", CVector: "vector",
-            CMulti: "multivector", Pair: "section"}.get(type(value),
-                                                        type(value).__name__)
+    return {ComplexExpr: "scalar", KForm: "form", VectorField: "vector",
+            KVector: "multivector", Section: "section"}.get(type(value),
+                                                            type(value).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +212,10 @@ class Model:
     name: str
     chart: Chart
     scalars: dict[str, ComplexExpr] = field(default_factory=dict)
-    forms: dict[str, CForm] = field(default_factory=dict)
-    vectors: dict[str, CVector] = field(default_factory=dict)
-    bivectors: dict[str, CMulti] = field(default_factory=dict)
-    sections: dict[str, Pair] = field(default_factory=dict)
+    forms: dict[str, KForm] = field(default_factory=dict)
+    vectors: dict[str, VectorField] = field(default_factory=dict)
+    bivectors: dict[str, KVector] = field(default_factory=dict)
+    sections: dict[str, Section] = field(default_factory=dict)
     dirac_decl: tuple[str, str, tuple[str, ...]] | None = None  # (name, kind, args)
     complement_decl: tuple[str, str, tuple[str, ...]] | None = None
     patches: list[str] = field(default_factory=list)
@@ -274,7 +223,7 @@ class Model:
     sigmas: dict[str, tuple[str, tuple]] = field(default_factory=dict)
     cochain: dict[tuple[str, str], Expr] = field(default_factory=dict)
     hermitian: bool = False
-    polarization_decl: tuple[str, tuple[Pair, ...]] | None = None
+    polarization_decl: tuple[str, tuple[Section, ...]] | None = None
     halfdensities: dict[str, ComplexExpr] = field(default_factory=dict)
     checks: list[str] = field(default_factory=list)
 
@@ -376,28 +325,26 @@ class _ExpressionParser:
         if name in chart.coord_names or name in chart.param_names:
             return _scalar(Expr(symbol(name)))
         if name == "i":
-            return ComplexExpr(ZERO, as_expr(1))
+            return I
         if name == "pi":
             return _scalar(Expr(sp.pi))
         if name.startswith("d_") and name[2:] in chart.coord_names:
-            index = chart.coord_names.index(name[2:])
-            return CVector(chart.basis_vector(index), _zero_vector(chart))
+            return chart.basis_vector(chart.coord_names.index(name[2:]))
         if name.startswith("d") and name[1:] in chart.coord_names:
-            index = chart.coord_names.index(name[1:])
-            return CForm(chart.basis_covector(index), KForm(chart, 1, {}))
+            return chart.basis_covector(chart.coord_names.index(name[1:]))
         raise DslError(f"unknown symbol {name!r}", self.stream.line, token.column)
 
-    def pair(self) -> Pair:
+    def pair(self) -> Section:
         self.stream.expect("(")
         vector = self.expression()
         self.stream.expect(",")
         form = self.expression()
         self.stream.expect(")")
-        if not isinstance(vector, CVector):
+        if not isinstance(vector, VectorField):
             raise self.err("the first slot of a section must be a vector field")
-        if not isinstance(form, CForm) or form.re.degree != 1:
+        if not isinstance(form, KForm) or form.degree != 1:
             raise self.err("the second slot of a section must be a 1-form")
-        return Pair(vector, form)
+        return Section(vector, form)
 
 
 def _require_scalar(value, stream) -> ComplexExpr:
@@ -470,23 +417,23 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         name = stream.expect_ident()
         stream.expect("=")
         value = parser.expression()
-        if not isinstance(value, CForm):
+        if not isinstance(value, KForm):
             raise stream.error(f"expected a form, got {_kind(value)}")
         model.forms[name] = value
     elif keyword == "vector":
         name = stream.expect_ident()
         stream.expect("=")
         value = parser.expression()
-        if not isinstance(value, CVector):
+        if not isinstance(value, VectorField):
             raise stream.error(f"expected a vector field, got {_kind(value)}")
         model.vectors[name] = value
     elif keyword == "bivector":
         name = stream.expect_ident()
         stream.expect("=")
         value = parser.expression()
-        if isinstance(value, CVector):
+        if isinstance(value, VectorField):
             value = _vector_to_multi(value)
-        if not isinstance(value, CMulti) or value.re.degree != 2:
+        if not isinstance(value, KVector) or value.degree != 2:
             raise stream.error(f"expected a bivector, got {_kind(value)}")
         model.bivectors[name] = value
     elif keyword == "section":
@@ -538,7 +485,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         if kind == "pull":
             value = parser.expression()
             stream.expect(")")
-            if not isinstance(value, CForm) or value.re.degree != 1:
+            if not isinstance(value, KForm) or value.degree != 1:
                 raise stream.error("pull(...) expects a 1-form")
             model.sigmas[patch] = ("pull", (value,))
         elif kind == "dcoeffs":
@@ -601,53 +548,25 @@ def _scalar_text(z: ComplexExpr) -> str:
     return f"({_expr_text(z.re)}) + i*({_expr_text(z.im)})"
 
 
-def _form_part_text(form: KForm, chart: Chart) -> str:
-    if not form.coeffs:
-        return f"0*d{chart.coord_names[0]}"
+def _tensor_text(t, prefix: str) -> str:
+    """A form (``prefix`` "d") or multivector ("d_"), one term per stored
+    coefficient."""
+    names = t.chart.coord_names
+    if not t.coeffs:
+        return "0*" + "/\\".join(prefix + n for n in names[:max(t.degree, 1)])
     parts = []
-    for key in sorted(form.coeffs):
-        basis = "/\\".join(f"d{chart.coord_names[i]}" for i in key)
-        parts.append(f"({_expr_text(form.coeffs[key])})*{basis}")
+    for key in sorted(t.coeffs):
+        basis = "/\\".join(prefix + names[i] for i in key)
+        parts.append(f"({_scalar_text(ComplexExpr.of(t.coeffs[key]))})*{basis}")
     return " + ".join(parts)
 
 
-def _form_text(value: CForm, chart: Chart) -> str:
-    if value.im.is_zero_tensor() and not value.im.coeffs:
-        return _form_part_text(value.re, chart)
-    return (f"{_form_part_text(value.re, chart)}"
-            f" + (i)*({_form_part_text(value.im, chart)})")
+def _vector_text(v: VectorField) -> str:
+    return _tensor_text(_vector_to_multi(v), "d_")
 
 
-def _vector_part_text(v: VectorField, chart: Chart) -> str:
-    parts = [f"({_expr_text(c)})*d_{n}"
-             for c, n in zip(v.components, chart.coord_names) if c.node != 0]
-    return " + ".join(parts) if parts else f"0*d_{chart.coord_names[0]}"
-
-
-def _vector_text(value: CVector, chart: Chart) -> str:
-    if all(c.node == 0 for c in value.im.components):
-        return _vector_part_text(value.re, chart)
-    return (f"{_vector_part_text(value.re, chart)}"
-            f" + (i)*({_vector_part_text(value.im, chart)})")
-
-
-def _multi_text(value: CMulti, chart: Chart) -> str:
-    def part(kv: KVector) -> str:
-        if not kv.coeffs:
-            return f"0*d_{chart.coord_names[0]}/\\d_{chart.coord_names[1]}"
-        parts = []
-        for key in sorted(kv.coeffs):
-            basis = "/\\".join(f"d_{chart.coord_names[i]}" for i in key)
-            parts.append(f"({_expr_text(kv.coeffs[key])})*{basis}")
-        return " + ".join(parts)
-
-    if not value.im.coeffs:
-        return part(value.re)
-    return f"{part(value.re)} + (i)*({part(value.im)})"
-
-
-def _pair_text(pair: Pair, chart: Chart) -> str:
-    return f"({_vector_text(pair.vector, chart)}, {_form_text(pair.form, chart)})"
+def _pair_text(pair: Section) -> str:
+    return f"({_vector_text(pair.X)}, {_tensor_text(pair.xi, 'd')})"
 
 
 def format_model(model: Model) -> str:
@@ -660,13 +579,13 @@ def format_model(model: Model) -> str:
     for name, value in model.scalars.items():
         lines.append(f"scalar {name} = {_scalar_text(value)}")
     for name, value in model.forms.items():
-        lines.append(f"form {name} = {_form_text(value, chart)}")
+        lines.append(f"form {name} = {_tensor_text(value, 'd')}")
     for name, value in model.vectors.items():
-        lines.append(f"vector {name} = {_vector_text(value, chart)}")
+        lines.append(f"vector {name} = {_vector_text(value)}")
     for name, value in model.bivectors.items():
-        lines.append(f"bivector {name} = {_multi_text(value, chart)}")
+        lines.append(f"bivector {name} = {_tensor_text(value, 'd_')}")
     for name, value in model.sections.items():
-        lines.append(f"section {name} = {_pair_text(value, chart)}")
+        lines.append(f"section {name} = {_pair_text(value)}")
     if model.dirac_decl:
         name, kind, args = model.dirac_decl
         lines.append(f"dirac {name} = {kind}({', '.join(args)})")
@@ -682,7 +601,7 @@ def format_model(model: Model) -> str:
         lines.append(f"transition {j} {k} = {_scalar_text(value)}")
     for patch, (kind, payload) in model.sigmas.items():
         if kind == "pull":
-            lines.append(f"sigma {patch} = pull({_form_text(payload[0], chart)})")
+            lines.append(f"sigma {patch} = pull({_tensor_text(payload[0], 'd')})")
         else:
             inner = ", ".join(_scalar_text(z) for z in payload)
             lines.append(f"sigma {patch} = dcoeffs({inner})")
@@ -692,7 +611,7 @@ def format_model(model: Model) -> str:
         lines.append("hermitian")
     if model.polarization_decl:
         name, pairs = model.polarization_decl
-        inner = ", ".join(_pair_text(p, chart) for p in pairs)
+        inner = ", ".join(_pair_text(p) for p in pairs)
         lines.append(f"polarization {name} = span({inner})")
     for name, value in model.halfdensities.items():
         lines.append(f"halfdensity {name} = {_scalar_text(value)}")

@@ -23,6 +23,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -55,8 +56,7 @@ __all__ = [
     "evaluate",
     "random_rational",
     "equality_config",
-    "set_equality_config",
-    "get_equality_config",
+    "equality_seed",
 ]
 
 Scalar = Union["Expr", "ComplexExpr", int, Fraction]
@@ -284,54 +284,36 @@ def evaluate(e: Expr, point: Point):
 
 # -- probabilistic equality --------------------------------------------------
 
+# sample points per sampled test, relative tolerance of a transcendental
+# comparison, bound on sampled numerators and denominators, and resamples
+# allowed at a pole
+_TRIALS = 20
+_TOLERANCE = 1e-9
+_BOUND = 10**4
+_RETRIES = 8
 
-@dataclass
-class EqualityConfig:
-    trials: int = 20
-    seed: int = 0
-    tolerance: float = 1e-9
-    bound: int = 10**4
-    retries: int = 8
-
-
-_CONFIG = EqualityConfig()
+_seed = 0
 
 
-def get_equality_config() -> EqualityConfig:
-    return _CONFIG
+@contextmanager
+def equality_config(*, seed: int):
+    """Scope the seed of the sampled equality test (the CLI's ``--seed``)."""
+    global _seed
+    old, _seed = _seed, seed
+    try:
+        yield
+    finally:
+        _seed = old
 
 
-def set_equality_config(*, trials: int | None = None, seed: int | None = None,
-                        tolerance: float | None = None) -> None:
-    if trials is not None:
-        _CONFIG.trials = trials
-    if seed is not None:
-        _CONFIG.seed = seed
-    if tolerance is not None:
-        _CONFIG.tolerance = tolerance
-
-
-class equality_config:
-    """Context manager scoping the equality seed/trials (used by the CLI)."""
-
-    def __init__(self, *, trials: int | None = None, seed: int | None = None):
-        self._new = (trials, seed)
-        self._old: tuple[int, int] | None = None
-
-    def __enter__(self):
-        self._old = (_CONFIG.trials, _CONFIG.seed)
-        trials, seed = self._new
-        set_equality_config(trials=trials, seed=seed)
-        return self
-
-    def __exit__(self, *exc):
-        set_equality_config(trials=self._old[0], seed=self._old[1])
-        return False
+def equality_seed() -> int:
+    """The seed of the sampled equality test in the current scope."""
+    return _seed
 
 
 def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
     """A random rational with numerator/denominator bounded by ``bound``."""
-    bound = bound or _CONFIG.bound
+    bound = bound or _BOUND
     num = rng.randint(-bound, bound)
     den = rng.randint(1, bound)
     return Fraction(num, den)
@@ -354,7 +336,7 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
     rng = random.Random(seed)
     rational_only = not diff.has(*_ATOM_HEADS) and not diff.has(sp.pi)
     for _ in range(trials):
-        for _attempt in range(_CONFIG.retries + 1):
+        for _attempt in range(_RETRIES + 1):
             subs = _sample_point(rng, symbols)
             try:
                 value = diff.subs(subs, simultaneous=True)
@@ -384,7 +366,7 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
     return True
 
 
-def equal(e1, e2, *, trials: int | None = None, seed: int | None = None) -> bool:
+def equal(e1, e2) -> bool:
     """Semantic equality: a zero test of the numerator of ``e1 - e2`` over
     the atoms-as-generators ring, then, when an atom remains, the canonical
     form and the probabilistic fallback (exact rational sampling /
@@ -405,12 +387,8 @@ def equal(e1, e2, *, trials: int | None = None, seed: int | None = None) -> bool
     canonical = _canonical(diff)
     if not canonical.has(*_ATOM_HEADS):
         return canonical == 0
-    return _probabilistic_equal(
-        lhs, rhs,
-        trials=trials if trials is not None else _CONFIG.trials,
-        seed=seed if seed is not None else _CONFIG.seed,
-        tolerance=_CONFIG.tolerance,
-    )
+    return _probabilistic_equal(lhs, rhs, trials=_TRIALS, seed=_seed,
+                                tolerance=_TOLERANCE)
 
 
 def is_zero(e) -> bool:
@@ -451,7 +429,9 @@ class ComplexExpr:
         return ComplexExpr.of(other) - self
 
     def __mul__(self, other) -> "ComplexExpr":
-        other = ComplexExpr.of(other)
+        if not isinstance(other, ComplexExpr):
+            other = as_expr(other)
+            return ComplexExpr(self.re * other, self.im * other)
         return ComplexExpr(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -481,9 +461,9 @@ class ComplexExpr:
 I = ComplexExpr(ZERO, ONE)
 
 
-def complex_equal(z1, z2, **kw) -> bool:
+def complex_equal(z1, z2) -> bool:
     z1, z2 = ComplexExpr.of(z1), ComplexExpr.of(z2)
-    return equal(z1.re, z2.re, **kw) and equal(z1.im, z2.im, **kw)
+    return equal(z1.re, z2.re) and equal(z1.im, z2.im)
 
 
 def complex_is_zero(z) -> bool:

@@ -28,7 +28,7 @@ from .expr import (
     complex_equal,
     complex_is_zero,
     evaluate,
-    get_equality_config,
+    equality_seed,
     is_zero,
     random_rational,
 )
@@ -68,10 +68,6 @@ def transition_exp(w: Expr) -> ComplexExpr:
     """``exp(-2 pi i w)`` as an exact (cos, -sin) pair."""
     angle = (2 * PI * as_expr(w)).node
     return ComplexExpr(Expr(sp.cos(angle)), Expr(-sp.sin(angle)))
-
-
-def _as_complex_coeff(value) -> ComplexExpr:
-    return value if isinstance(value, ComplexExpr) else ComplexExpr.of(value)
 
 
 @dataclass
@@ -159,7 +155,7 @@ class BundleAtlas:
     def hermitian_product(self, z1: ComplexExpr, z2: ComplexExpr) -> ComplexExpr:
         if not self.hermitian:
             raise AtlasError("no Hermitian metric attached")
-        return _as_complex_coeff(z1).conj() * _as_complex_coeff(z2)
+        return ComplexExpr.of(z1).conj() * ComplexExpr.of(z2)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class LineSection:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs",
-                           {p: _as_complex_coeff(z) for p, z in self.coeffs.items()})
+                           {p: ComplexExpr.of(z) for p, z in self.coeffs.items()})
         if set(self.coeffs) != set(self.atlas.patches):
             raise AtlasError("a line section needs one coefficient per patch")
 
@@ -201,7 +197,7 @@ class LineSection:
 
 def line_section_from_patch(atlas: BundleAtlas, patch: str, z) -> LineSection:
     """Propagate one patch coefficient through the declared transitions."""
-    z = _as_complex_coeff(z)
+    z = ComplexExpr.of(z)
     coeffs = {patch: z}
     frontier = [patch]
     while frontier:
@@ -310,9 +306,9 @@ def covariant_scalar(atlas: BundleAtlas, patch: str, rho, frame_coeffs,
                      z: ComplexExpr) -> ComplexExpr:
     """``nabla_psi`` on a patch coefficient, for a section psi of D given by
     its anchor image and frame coefficients."""
-    z = _as_complex_coeff(z)
+    z = ComplexExpr.of(z)
     sigma_val = atlas.sigma[patch].evaluate_coefficients(frame_coeffs)
-    return _as_complex_coeff(rho.apply(z)) + TWO_PI_I * (sigma_val * z)
+    return ComplexExpr.of(rho.apply(z)) + TWO_PI_I * (sigma_val * z)
 
 
 def prequant_operator(f, atlas: BundleAtlas, complement: ComplementH,
@@ -344,7 +340,7 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
         lhs = h_f.apply(atlas.hermitian_product(z1, z2))
         rhs = atlas.hermitian_product(covariant_scalar(atlas, patch, h_f, coeffs, z1), z2) \
             + atlas.hermitian_product(z1, covariant_scalar(atlas, patch, h_f, coeffs, z2))
-        out[patch] = _as_complex_coeff(lhs) - rhs
+        out[patch] = ComplexExpr.of(lhs) - rhs
     return out
 
 
@@ -353,8 +349,7 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
 
 
 def _sample_point(dirac: DiracStructure) -> Point:
-    cfg = get_equality_config()
-    rng = random.Random(cfg.seed ^ 0x5EED)
+    rng = random.Random(equality_seed() ^ 0x5EED)
     chart = dirac.chart
     values = {name: random_rational(rng, 100)
               for name in chart.coord_names + chart.param_names}

@@ -1,6 +1,9 @@
-"""Complexified sections, polarizations, the half-density connection, the
-extended operator of an admissible function, and the self-adjointness
-integrand, all at chart level.
+"""Polarizations, the half-density connection, the extended operator of an
+admissible function, and the self-adjointness integrand, all at chart level.
+
+A section of the complexified bundle is a :class:`~diracq.dirac.Section`
+with complex coefficients; the Courant bracket and the pairings extend to it
+complex-bilinearly through the coefficient arithmetic.
 
 The model Hilbert space is never constructed; its defining invariances are
 probed on explicit candidate sections.
@@ -18,14 +21,19 @@ import mpmath
 import sympy as sp
 
 from . import linalg
-from .chart import AlphaDensity, lie_derivative_density
+from .chart import (
+    AlphaDensity,
+    conjugate,
+    imag_part,
+    lie_derivative_density,
+    real_part,
+)
 from .dirac import (
     DiracStructure,
     Section,
     courant_bracket,
     membership,
     pairing_minus,
-    zero_section,
 )
 from .expr import (
     ComplexExpr,
@@ -48,13 +56,10 @@ from .prequant import (
 )
 
 __all__ = [
-    "ComplexSection",
     "Polarization",
     "PolarizationReport",
     "HalfDensitySection",
     "QuantizeError",
-    "complex_courant",
-    "complex_lambda",
     "complex_membership",
     "polarization_check",
     "sp_membership",
@@ -73,86 +78,14 @@ class QuantizeError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexSection:
-    """Section of the complexified bundle, stored as (re, im) sections."""
-
-    re: Section
-    im: Section
-
-    def __post_init__(self):
-        if self.re.chart != self.im.chart:
-            raise QuantizeError("chart mismatch in complex section")
-
-    @staticmethod
-    def from_real(section: Section) -> "ComplexSection":
-        return ComplexSection(section, zero_section(section.chart))
-
-    @property
-    def chart(self):
-        return self.re.chart
-
-    def conj(self) -> "ComplexSection":
-        return ComplexSection(self.re, -self.im)
-
-    def __add__(self, other: "ComplexSection") -> "ComplexSection":
-        return ComplexSection(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexSection") -> "ComplexSection":
-        return ComplexSection(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexSection":
-        return ComplexSection(-self.re, -self.im)
-
-    def scale(self, factor) -> "ComplexSection":
-        z = ComplexExpr.of(factor)
-        return ComplexSection(self.re.scale(z.re) - self.im.scale(z.im),
-                              self.re.scale(z.im) + self.im.scale(z.re))
-
-    @property
-    def components(self) -> list[ComplexExpr]:
-        """Complex coefficients on the coordinate vectors, then covectors."""
-        return [ComplexExpr(a, b)
-                for a, b in zip(self.re.components, self.im.components)]
-
-    def apply_vector(self, f) -> ComplexExpr:
-        """The complex vector part applied to a scalar."""
-        out = ComplexExpr.of(self.re.X.apply(f))
-        im_part = ComplexExpr.of(self.im.X.apply(f))
-        return out + ComplexExpr(-im_part.im, im_part.re)
-
-    def vector_divergence(self) -> ComplexExpr:
-        return ComplexExpr(self.re.X.divergence(), self.im.X.divergence())
-
-    def __str__(self) -> str:
-        return f"({self.re}) + i*({self.im})"
+def complex_span(frame: Sequence[Section], dim: int) -> linalg.Echelon:
+    """The factored span of real or complex sections over the complex
+    numbers, on a chart of dimension ``dim``."""
+    return linalg.echelon([[ComplexExpr.of(c) for c in psi.components]
+                           for psi in frame], 2 * dim, linalg.COMPLEX_FIELD)
 
 
-def _bilinear(op, a: ComplexSection, b: ComplexSection):
-    """Complex-bilinear extension of a real bilinear operation."""
-    real = op(a.re, b.re) - op(a.im, b.im)
-    imag = op(a.im, b.re) + op(a.re, b.im)
-    return real, imag
-
-
-def complex_courant(a: ComplexSection, b: ComplexSection) -> ComplexSection:
-    re, im = _bilinear(courant_bracket, a, b)
-    return ComplexSection(re, im)
-
-
-def complex_lambda(a: ComplexSection, b: ComplexSection) -> ComplexExpr:
-    re, im = _bilinear(pairing_minus, a, b)
-    return ComplexExpr(re, im)
-
-
-def complex_span(frame: Sequence[ComplexSection], dim: int) -> linalg.Echelon:
-    """The factored span of complex sections on a chart of dimension
-    ``dim``."""
-    return linalg.echelon([psi.components for psi in frame], 2 * dim,
-                          linalg.COMPLEX_FIELD)
-
-
-def complex_membership(span: linalg.Echelon, target: ComplexSection):
+def complex_membership(span: linalg.Echelon, target: Section):
     """Solve for complex coefficients expressing ``target`` in a factored
     complex span; returns (coefficients | None, witness)."""
     result = linalg.solve(span, target.components)
@@ -162,11 +95,11 @@ def complex_membership(span: linalg.Echelon, target: ComplexSection):
 
 
 def dirac_complex_coefficients(dirac: DiracStructure,
-                               psi: ComplexSection) -> tuple[ComplexExpr, ...]:
+                               psi: Section) -> tuple[ComplexExpr, ...]:
     """Frame coefficients of a section of the complexified structure; the
     real frame splits the solve into the two real membership problems."""
-    cert_re = membership(dirac, psi.re)
-    cert_im = membership(dirac, psi.im)
+    cert_re = membership(dirac, psi.map_coeffs(real_part))
+    cert_im = membership(dirac, psi.map_coeffs(imag_part))
     if not cert_re.ok or not cert_im.ok:
         bad = cert_re.witness if not cert_re.ok else cert_im.witness
         raise QuantizeError(f"section does not lie in the complexified "
@@ -201,7 +134,7 @@ class Polarization:
 
     dirac: DiracStructure
     complement: ComplementH
-    frame: tuple[ComplexSection, ...]
+    frame: tuple[Section, ...]
     _report: PolarizationReport | None = None
 
     @cached_property
@@ -222,7 +155,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
     iso_ok, iso_witness = True, None
     for i in range(len(frame)):
         for j in range(i, len(frame)):
-            value = complex_lambda(frame[i], frame[j])
+            value = ComplexExpr.of(pairing_minus(frame[i], frame[j]))
             if not complex_is_zero(value):
                 iso_ok, iso_witness = False, f"Lambda(psi{i+1},psi{j+1}) = {value}"
                 break
@@ -231,7 +164,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
     inv_ok, inv_witness = True, None
     for i in range(len(frame)):
         for j in range(i, len(frame)):
-            bracket = complex_courant(frame[i], frame[j])
+            bracket = courant_bracket(frame[i], frame[j])
             coeffs, witness = complex_membership(pol.span, bracket)
             if coeffs is None:
                 inv_ok = False
@@ -240,8 +173,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
         if not inv_ok:
             break
     cont_ok, cont_witness = True, None
-    h_span = complex_span([ComplexSection.from_real(h)
-                           for h in pol.complement.sections], pol.dirac.dim)
+    h_span = complex_span(pol.complement.sections, pol.dirac.dim)
     for i, psi in enumerate(frame):
         coeffs, witness = complex_membership(h_span, psi)
         if coeffs is None:
@@ -259,9 +191,9 @@ def sp_membership(f, pol: Polarization) -> tuple[bool, str | None]:
     dirac = pol.dirac
     f = as_expr(f)
     h_f, _ = hamiltonian_H(dirac, pol.complement, f)
-    section = ComplexSection.from_real(Section(h_f, differential(dirac, f)))
+    section = Section(h_f, differential(dirac, f))
     for i, psi in enumerate(pol.frame):
-        bracket = complex_courant(section, psi)
+        bracket = courant_bracket(section, psi)
         coeffs, witness = complex_membership(pol.span, bracket)
         if coeffs is None:
             return False, f"[[(H_f,df), psi{i+1}]] leaves the span: {witness}"
@@ -274,14 +206,14 @@ def q_bundle(pol: Polarization, probe: bool = True,
     intersection of the polarization with its conjugate."""
     frame = pol.frame
     n = pol.dirac.dim
-    kernel = complex_span(list(frame) + [-psi.conj() for psi in frame],
-                          n).kernel
+    kernel = complex_span(
+        list(frame) + [-psi.map_coeffs(conjugate) for psi in frame], n).kernel
     candidates: list[Section] = []
     for vec in kernel:
         combo = frame[0].scale(vec[0])
         for psi, c in zip(frame[1:], vec[1:]):
             combo = combo + psi.scale(c)
-        for part in (combo.re, combo.im):
+        for part in (combo.map_coeffs(real_part), combo.map_coeffs(imag_part)):
             if not part.is_zero_section():
                 candidates.append(part)
     span = linalg.echelon([c.components for c in candidates], 2 * n)
@@ -356,7 +288,7 @@ def _from_combined(atlas: BundleAtlas, coeffs: Mapping[str, ComplexExpr]) -> Hal
     return HalfDensitySection(line, kappa)
 
 
-def delta_connection(psi: ComplexSection, v: HalfDensitySection,
+def delta_connection(psi: Section, v: HalfDensitySection,
                      atlas: BundleAtlas) -> HalfDensitySection:
     """``delta_psi (s (x) kappa) = (nabla_psi s) (x) kappa
     + s (x) L_{rho(psi)} kappa`` on each patch."""
@@ -366,8 +298,8 @@ def delta_connection(psi: ComplexSection, v: HalfDensitySection,
     for patch in atlas.patches:
         w = v.combined(patch)
         sigma_val = atlas.sigma[patch].evaluate_coefficients(coeffs)
-        value = psi.apply_vector(w) + TWO_PI_I * (ComplexExpr.of(sigma_val) * w) \
-            + ComplexExpr.of(half) * (psi.vector_divergence() * w)
+        value = psi.X.apply(w) + TWO_PI_I * (ComplexExpr.of(sigma_val) * w) \
+            + ComplexExpr.of(half) * (psi.X.divergence() * w)
         out[patch] = value
     return _from_combined(atlas, out)
 
@@ -383,7 +315,7 @@ def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
     l_kappa = lie_derivative_density(h_f, v.kappa)
     route_a = {p: fhat_line[p] * v.kappa.coeff - v.line[p] * l_kappa.coeff
                for p in atlas.patches}
-    psi = ComplexSection.from_real(Section(h_f, differential(dirac, f)))
+    psi = Section(h_f, differential(dirac, f))
     delta = delta_connection(psi, v, atlas)
     for p in atlas.patches:
         route_b = -delta.combined(p) - TWO_PI_I * (ComplexExpr.of(f) * v.combined(p))
@@ -393,7 +325,7 @@ def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
     return _from_combined(atlas, route_a)
 
 
-def lemma51_residual(psi: ComplexSection, f, v: HalfDensitySection,
+def lemma51_residual(psi: Section, f, v: HalfDensitySection,
                      atlas: BundleAtlas, complement: ComplementH) -> HalfDensitySection:
     """``delta_psi(fhat v) - fhat(delta_psi v) + delta_{[[psi,(H_f,df)]]} v``;
     requires the prequantization condition (the hypothesis of the identity)."""
@@ -404,10 +336,10 @@ def lemma51_residual(psi: ComplexSection, f, v: HalfDensitySection,
     f = as_expr(f)
     dirac = atlas.dirac
     h_f, _ = hamiltonian_H(dirac, complement, f)
-    section_f = ComplexSection.from_real(Section(h_f, differential(dirac, f)))
+    section_f = Section(h_f, differential(dirac, f))
     lhs = delta_connection(psi, fhat_halfdensity(f, atlas, complement, v), atlas)
     rhs = fhat_halfdensity(f, atlas, complement, delta_connection(psi, v, atlas))
-    correction = delta_connection(complex_courant(psi, section_f), v, atlas)
+    correction = delta_connection(courant_bracket(psi, section_f), v, atlas)
     total = {p: lhs.combined(p) - rhs.combined(p) + correction.combined(p)
              for p in atlas.patches}
     return _from_combined(atlas, total)

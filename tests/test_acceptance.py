@@ -68,7 +68,6 @@ from diracq.prequant import (
     transition_exp,
 )
 from diracq.quantize import (
-    ComplexSection,
     Polarization,
     half_density_section,
     hzero_invariance_probe,
@@ -341,8 +340,7 @@ def test_criterion_7_quantization_layer():
     sigma = rho_pullback_form(r2.basis_covector(0).scale(-p), std)
     atlas = BundleAtlas(std, ("U",), {}, {"U": sigma}, hermitian=True)
     atlas.validate()
-    vertical = Polarization(std, complement,
-                            (ComplexSection.from_real(std.frame[1]),))
+    vertical = Polarization(std, complement, (std.frame[1],))
     assert vertical.check().passed
     rng = rng_for(2024, "criterion7")
     functions = [q, p, q + p, as_expr(3), as_expr(Fraction(-1, 2))]

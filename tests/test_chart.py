@@ -19,7 +19,16 @@ from diracq.chart import (
     lie_derivative_form,
     sort_sign,
 )
-from diracq.expr import ComplexExpr, Expr, ExprError, ZERO, as_expr, equal, is_zero
+from diracq.expr import (
+    ComplexExpr,
+    Expr,
+    ExprError,
+    ZERO,
+    as_expr,
+    complex_is_zero,
+    equal,
+    is_zero,
+)
 from diracq.randgen import random_kform, random_kvector, random_polynomial, random_vector_field, rng_for
 
 
@@ -59,6 +68,27 @@ class TestExteriorDerivative:
         phi = KForm(r2, 1, {(0,): 1, (1,): Fraction(-3, 2)})
         assert exterior_derivative(phi).is_zero_tensor()
         assert calls == []
+
+    def test_numbers_are_not_differentiated_by_apply_and_divergence(
+            self, r2, monkeypatch):
+        calls = []
+        diff = Expr.diff
+
+        def counting(self, sym):
+            calls.append(sym)
+            return diff(self, sym)
+
+        monkeypatch.setattr(Expr, "diff", counting)
+        q, p = (Expr(s) for s in r2.coords)
+        x = VectorField(r2, (p, as_expr(2)))
+        assert is_zero(x.apply(3))
+        assert complex_is_zero(x.apply(ComplexExpr(as_expr(1), as_expr(-2))))
+        constant = VectorField(r2, (as_expr(1), as_expr(Fraction(-3, 2))))
+        assert is_zero(constant.divergence())
+        assert calls == []
+        # a complex scalar with a literally zero imaginary part is real
+        assert equal(x.apply(ComplexExpr(q * p, ZERO)), p * p + 2 * q)
+        assert len(calls) == r2.dim
 
     def test_top_degree_gives_empty(self, r2):
         omega = r2.basis_covector(0).wedge(r2.basis_covector(1))

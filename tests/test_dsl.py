@@ -6,7 +6,7 @@ import pytest
 
 from diracq.checks import Resolver
 from diracq.dsl import DslError, format_model, parse_model
-from diracq.expr import Expr, equal, is_zero, symbol
+from diracq.expr import ComplexExpr, Expr, ZERO, as_expr, equal, is_zero, symbol
 from diracq.hamiltonian import hamiltonian_H
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -48,7 +48,7 @@ class TestParse:
         text = ("chart M dim 2 coords q p\n"
                 "form omega = q*dq /\\ p*dp\n")
         model = parse_model(text)
-        omega = model.forms["omega"].re
+        omega = model.forms["omega"]
         q, p = symbol("q"), symbol("p")
         assert equal(omega.coeff((0, 1)), Expr(q * p))
 
@@ -107,6 +107,24 @@ class TestParse:
         assert equal(h_f.components[3], -2 * x1)
 
 
+    @pytest.mark.parametrize("decl, what", [
+        ("form omega = i*dq/\\dp\ndirac D = graph_presymplectic(omega)",
+         "presymplectic form"),
+        ("bivector W = d_q/\\(q + i)*d_p\ndirac D = graph_poisson(W)",
+         "bivector"),
+        ("vector X = d_q + i*d_p\ndirac D = regular_distribution(X)",
+         "distribution field"),
+        ("section s1 = (d_q, dp)\nsection s2 = (d_p, -i*dq)\n"
+         "dirac D = frame(s1, s2)", "frame section"),
+    ])
+    def test_complex_structure_data_skips(self, decl, what):
+        from diracq.checks import run_checks
+        model = parse_model(f"chart M dim 2 coords q p\n{decl}\n")
+        [record] = run_checks(model, suites=["dirac"]).checks[:1]
+        assert (record.status, record.witness) == ("skipped",
+                                                   f"{what} must be real")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.dq")))
     def test_format_parse_round_trip(self, name):
@@ -114,5 +132,23 @@ class TestRoundTrip:
         model = parse_model(text, name=name)
         printed = format_model(model)
         reparsed = parse_model(printed, name=name)
+        assert reparsed == model
+        assert format_model(reparsed) == printed
+
+    def test_complex_values_round_trip(self):
+        text = ("chart M dim 2 coords q p\n"
+                "form omega = dq/\\dp\n"
+                "form theta = (q + i*p)*dq - i*dp\n"
+                "vector Z = d_q - i*q*d_p\n"
+                "dirac D = graph_presymplectic(omega)\n"
+                "complement H = auto\n"
+                "polarization P = span((d_q - i*d_p, dp + i*dq))\n")
+        model = parse_model(text)
+        theta = model.forms["theta"]
+        assert theta.coeff((0,)) == ComplexExpr(Expr(symbol("q")),
+                                                Expr(symbol("p")))
+        assert theta.coeff((1,)) == ComplexExpr(ZERO, as_expr(-1))
+        printed = format_model(model)
+        reparsed = parse_model(printed)
         assert reparsed == model
         assert format_model(reparsed) == printed

@@ -6,9 +6,17 @@ import mpmath
 import pytest
 
 from diracq.algebroid import AForm, dirac_presentation, rho_pullback_form
-from diracq.chart import AlphaDensity, Chart, VectorField, lie_derivative_density
-from diracq.dirac import Section, zero_section
+from diracq.chart import (
+    AlphaDensity,
+    Chart,
+    VectorField,
+    imag_part,
+    lie_derivative_density,
+    real_part,
+)
+from diracq.dirac import Section, courant_bracket, pairing_minus, zero_section
 from diracq.expr import (
+    I,
     ComplexExpr,
     Expr,
     SingularPointError,
@@ -20,11 +28,8 @@ from diracq.expr import (
 from diracq.hamiltonian import default_complement
 from diracq.prequant import BundleAtlas
 from diracq.quantize import (
-    ComplexSection,
     Polarization,
     QuantizeError,
-    complex_courant,
-    complex_lambda,
     delta_connection,
     fhat_halfdensity,
     half_density_section,
@@ -36,7 +41,12 @@ from diracq.quantize import (
     selfadjoint_integrand,
     sp_membership,
 )
-from diracq.randgen import random_polynomial, rng_for
+from diracq.randgen import (
+    random_kform,
+    random_polynomial,
+    random_vector_field,
+    rng_for,
+)
 
 
 @pytest.fixture
@@ -56,22 +66,21 @@ def std_complement(standard_dirac):
 @pytest.fixture
 def horizontal_polarization(standard_dirac, std_complement):
     # spanned by (d_q, dp)
-    frame = (ComplexSection.from_real(standard_dirac.frame[0]),)
+    frame = (standard_dirac.frame[0],)
     return Polarization(standard_dirac, std_complement, frame)
 
 
 @pytest.fixture
 def vertical_polarization(standard_dirac, std_complement):
     # spanned by (d_p, -dq)
-    frame = (ComplexSection.from_real(standard_dirac.frame[1]),)
+    frame = (standard_dirac.frame[1],)
     return Polarization(standard_dirac, std_complement, frame)
 
 
 @pytest.fixture
 def holomorphic_polarization(standard_dirac, std_complement, r2):
-    psi = ComplexSection(
-        Section(r2.basis_vector(0), r2.basis_covector(1)),
-        Section(-r2.basis_vector(1), r2.basis_covector(0)))
+    psi = Section(r2.basis_vector(0), r2.basis_covector(1)) \
+        + Section(-r2.basis_vector(1), r2.basis_covector(0)).scale(I)
     return Polarization(standard_dirac, std_complement, (psi,))
 
 
@@ -82,7 +91,7 @@ class TestPolarizationCheck:
         assert report.q_rank == 1
 
     def test_full_frame_fails_isotropy(self, standard_dirac, std_complement):
-        frame = tuple(ComplexSection.from_real(e) for e in standard_dirac.frame)
+        frame = standard_dirac.frame
         report = polarization_check(
             Polarization(standard_dirac, std_complement, frame))
         assert not report.isotropy_ok
@@ -92,12 +101,6 @@ class TestPolarizationCheck:
         report = polarization_check(holomorphic_polarization)
         assert report.isotropy_ok and report.involutive_ok
         assert report.q_rank == 0
-
-    def test_complex_lambda_bilinear(self, standard_dirac, r2):
-        a = ComplexSection.from_real(standard_dirac.frame[0])
-        b = ComplexSection.from_real(standard_dirac.frame[1])
-        value = complex_lambda(a, b.scale(ComplexExpr(as_expr(0), as_expr(1))))
-        assert is_zero(value.re) and equal(value.im, 1)
 
 
 class TestStandardPolarizationR4:
@@ -109,8 +112,7 @@ class TestStandardPolarizationR4:
         omega = KForm(chart, 2, {(0, 2): 1, (1, 3): 1})
         dirac = graph_presymplectic(omega)
         complement = default_complement(dirac)
-        frame = (ComplexSection.from_real(dirac.frame[0]),
-                 ComplexSection.from_real(dirac.frame[1]))
+        frame = (dirac.frame[0], dirac.frame[1])
         report = polarization_check(
             Polarization(dirac, complement, frame))
         assert report.passed
@@ -158,9 +160,7 @@ class TestQBundle:
         dirac = graph_presymplectic(omega)
         complement = default_complement(dirac)
         e1, _, e3, e4 = dirac.frame
-        psi1 = ComplexSection.from_real(e1)
-        psi2 = ComplexSection(e3, e4)
-        pol = Polarization(dirac, complement, (psi1, psi2))
+        pol = Polarization(dirac, complement, (e1, e3 + e4.scale(I)))
         report = polarization_check(pol)
         assert report.isotropy_ok and report.involutive_ok
         sections = q_bundle(pol, probe=False)
@@ -176,7 +176,7 @@ class TestDeltaConnection:
         atlas = BundleAtlas(standard_dirac, ("U",), {},
                             {"U": AForm(pres, 1, {})}, hermitian=True)
         v = half_density_section(atlas, 1)
-        psi = ComplexSection.from_real(standard_dirac.frame[0])
+        psi = standard_dirac.frame[0]
         assert delta_connection(psi, v, atlas).is_zero_hsection()
 
     def test_zero_anchor_zero_sigma(self, standard_dirac, r2):
@@ -184,13 +184,13 @@ class TestDeltaConnection:
         atlas = BundleAtlas(standard_dirac, ("U",), {},
                             {"U": AForm(pres, 1, {})}, hermitian=True)
         # (0, xi) with anchor zero only lies in D for xi = 0 here
-        psi = ComplexSection.from_real(zero_section(r2))
+        psi = zero_section(r2)
         v = half_density_section(atlas, ComplexExpr.of(Expr(r2.coords[0])))
         assert delta_connection(psi, v, atlas).is_zero_hsection()
 
     def test_function_scaling_leibniz(self, std_atlas, standard_dirac, r2):
         rng = rng_for(50, "delta")
-        psi = ComplexSection.from_real(standard_dirac.frame[0])
+        psi = standard_dirac.frame[0]
         for _ in range(3):
             u = random_polynomial(rng, r2, 2, 2)
             v = half_density_section(std_atlas,
@@ -198,7 +198,7 @@ class TestDeltaConnection:
             scaled = half_density_section(std_atlas, ComplexExpr.of(u) * v.combined("U"))
             lhs = delta_connection(psi, scaled, std_atlas).combined("U")
             rhs = ComplexExpr.of(u) * delta_connection(psi, v, std_atlas).combined("U") \
-                + psi.apply_vector(u) * v.combined("U")
+                + psi.X.apply(u) * v.combined("U")
             assert complex_is_zero(lhs - rhs)
 
 
@@ -242,15 +242,14 @@ class TestLemma51:
         from diracq.hamiltonian import hamiltonian_H, differential
         q = Expr(r2.coords[0])
         h_q, _ = hamiltonian_H(standard_dirac, std_complement, q)
-        psi = ComplexSection.from_real(
-            Section(h_q, differential(standard_dirac, q)))
+        psi = Section(h_q, differential(standard_dirac, q))
         v = half_density_section(std_atlas, ComplexExpr.of(Expr(r2.coords[1])))
         residual = lemma51_residual(psi, q, v, std_atlas, std_complement)
         assert residual.is_zero_hsection()
 
     def test_frame_section_momentum(self, std_atlas, std_complement,
                                     standard_dirac, r2):
-        psi = ComplexSection.from_real(standard_dirac.frame[0])
+        psi = standard_dirac.frame[0]
         v = half_density_section(std_atlas, 1)
         residual = lemma51_residual(psi, Expr(r2.coords[1]), v, std_atlas,
                                     std_complement)
@@ -263,7 +262,7 @@ class TestLemma51:
         atlas = BundleAtlas(standard_dirac, ("U",), {}, {"U": sigma},
                             hermitian=True)
         v = half_density_section(atlas, 1)
-        psi = ComplexSection.from_real(standard_dirac.frame[0])
+        psi = standard_dirac.frame[0]
         with pytest.raises(QuantizeError, match="prequantization condition"):
             lemma51_residual(psi, Expr(r2.coords[0]), v, atlas, std_complement)
 
@@ -358,10 +357,37 @@ class TestIntegrateDensity:
             integrate_density(kappa, {"q": (0, 1), "p": (0, 1)})
 
 
+def _complex_sections(rng, chart):
+    """A random complex section ``a1 + i*a2`` and its real parts."""
+    def real():
+        return Section(random_vector_field(rng, chart, degree=2),
+                       random_kform(rng, chart, 1))
+    a1, a2 = real(), real()
+    return a1 + a2.scale(I), a1, a2
+
+
 def test_complex_courant_expands_bilinearly(standard_dirac, r2):
-    a = ComplexSection.from_real(standard_dirac.frame[0])
-    b = ComplexSection.from_real(standard_dirac.frame[1])
-    i_scaled = b.scale(ComplexExpr(as_expr(0), as_expr(1)))
-    bracket = complex_courant(a, i_scaled)
-    plain = complex_courant(a, b)
-    assert bracket.re.is_zero_section() == plain.im.is_zero_section()
+    """The Courant bracket and the skew pairing of complex sections equal the
+    re/im expansion through real brackets:
+    [[a1 + i a2, b1 + i b2]] = [[a1,b1]] - [[a2,b2]] + i([[a1,b2]] + [[a2,b1]]).
+    """
+    e1, e2 = standard_dirac.frame
+    value = pairing_minus(e1, e2.scale(I))
+    assert is_zero(value.re) and equal(value.im, 1)
+    bracket = courant_bracket(e1, e2.scale(I))
+    plain = courant_bracket(e1, e2)
+    assert bracket.map_coeffs(real_part).is_zero_section() \
+        == plain.map_coeffs(imag_part).is_zero_section()
+    rng = rng_for(52, "complex-bilinear")
+    for _ in range(4):
+        a, a1, a2 = _complex_sections(rng, r2)
+        b, b1, b2 = _complex_sections(rng, r2)
+        bracket = courant_bracket(a, b)
+        expected = (courant_bracket(a1, b1) - courant_bracket(a2, b2)) \
+            + (courant_bracket(a1, b2) + courant_bracket(a2, b1)).scale(I)
+        assert (bracket - expected).is_zero_section()
+        pairing = pairing_minus(a, b)
+        expected = ComplexExpr(
+            pairing_minus(a1, b1) - pairing_minus(a2, b2),
+            pairing_minus(a1, b2) + pairing_minus(a2, b1))
+        assert complex_is_zero(pairing - expected)

@@ -40,3 +40,13 @@ def test_traced_functions_exist():
         assert callable(target), metric
     for module_name in tracer.CANCEL_MODULES:
         assert hasattr(importlib.import_module(module_name), "sp")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exports_resolve(path):
+    """Every name a module exports exists, so a deletion cannot leave a
+    stale ``__all__`` entry."""
+    module = importlib.import_module(f"diracq.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []
