@@ -102,6 +102,11 @@ class TestPolarizationCheck:
         assert report.isotropy_ok and report.involutive_ok
         assert report.q_rank == 0
 
+    def test_complex_lambda_bilinear(self, standard_dirac):
+        e1, e2 = standard_dirac.frame
+        value = pairing_minus(e1, e2.scale(I))
+        assert is_zero(value.re) and equal(value.im, 1)
+
 
 class TestStandardPolarizationR4:
     def test_coordinate_pairs_define_a_polarization(self):
@@ -372,8 +377,6 @@ def test_complex_courant_expands_bilinearly(standard_dirac, r2):
     [[a1 + i a2, b1 + i b2]] = [[a1,b1]] - [[a2,b2]] + i([[a1,b2]] + [[a2,b1]]).
     """
     e1, e2 = standard_dirac.frame
-    value = pairing_minus(e1, e2.scale(I))
-    assert is_zero(value.re) and equal(value.im, 1)
     bracket = courant_bracket(e1, e2.scale(I))
     plain = courant_bracket(e1, e2)
     assert bracket.map_coeffs(real_part).is_zero_section() \
