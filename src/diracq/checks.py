@@ -1,15 +1,20 @@
 """Verification suites over parsed models, and the deterministic report.
 
-Reports are byte-identical across runs with the same seed and inputs; the
-``millis`` field is kept at zero so serialization stays reproducible.
+Each suite is a table of rows, and one runner turns every row's outcome,
+skip or exception into a record.  Reports are byte-identical across runs
+with the same seed and inputs; the ``millis`` field is kept at zero so
+serialization stays reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .algebroid import (
     AForm,
@@ -22,7 +27,7 @@ from .algebroid import (
     pullback_over_line,
     rho_pullback_form,
 )
-from .chart import AlphaDensity, exterior_derivative, real_part
+from .chart import AlphaDensity, real_part
 from .dirac import (
     DiracStructure,
     graph_poisson,
@@ -39,7 +44,9 @@ from .hamiltonian import (
     bracket_omega,
     bracket_prime,
     default_complement,
-    hamiltonian_H,
+    differential,
+    field_residual,
+    jacobiator,
 )
 from .prequant import (
     AtlasError,
@@ -54,7 +61,6 @@ from .prequant import (
     prequant_operator,
 )
 from .quantize import (
-    HalfDensitySection,
     Polarization,
     half_density_section,
     hzero_invariance_probe,
@@ -79,8 +85,7 @@ class CheckRecord:
     millis: int = 0
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "witness": self.witness, "millis": self.millis}
+        return asdict(self)
 
 
 @dataclass
@@ -90,8 +95,7 @@ class Report:
     checks: list[CheckRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"model": self.model, "seed": self.seed,
-                "checks": [c.to_dict() for c in self.checks]}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -104,9 +108,7 @@ class Report:
             if c.witness:
                 line += f"  [{c.witness}]"
             lines.append(line)
-        counts = {}
-        for c in self.checks:
-            counts[c.status] = counts.get(c.status, 0) + 1
+        counts = Counter(c.status for c in self.checks)
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         lines.append(f"  -- {summary}")
         return "\n".join(lines) + "\n"
@@ -121,15 +123,30 @@ class SkipSuite(Exception):
     """Raised when a suite's prerequisites are not declared in the model."""
 
 
+@dataclass(frozen=True)
+class _Context:
+    seed: int
+    trials: int
+
+
+def _once(method):
+    """Keep a resolver method's value (an exception is raised anew)."""
+    @functools.wraps(method)
+    def cached(self):
+        if method.__name__ not in self._cache:
+            self._cache[method.__name__] = method(self)
+        return self._cache[method.__name__]
+    return cached
+
+
 class Resolver:
-    """Lazy construction of runtime objects from model declarations."""
+    """Lazy construction of runtime objects from model declarations.  Every
+    object but ``structure()`` and ``dirac_report()`` skips with "not a
+    Dirac structure" unless ``verify()`` passes."""
 
     def __init__(self, model: Model):
         self.model = model
-        self._dirac: DiracStructure | None = None
-        self._complement: ComplementH | None = None
-        self._atlas: BundleAtlas | AtlasError | None = None
-        self._polarization: Polarization | None = None
+        self._cache: dict = {}
 
     # -- coercions ----------------------------------------------------------
 
@@ -142,50 +159,70 @@ class Resolver:
         return value
 
     def real_scalars(self) -> dict[str, Expr]:
-        out = {}
-        for name, z in self.model.scalars.items():
-            if z.im.node == 0:
-                out[name] = z.re
-        return out
+        return {name: z.re for name, z in self.model.scalars.items()
+                if z.im.node == 0}
 
     # -- objects ------------------------------------------------------------
 
-    def dirac(self) -> DiracStructure:
-        if self._dirac is not None:
-            return self._dirac
+    @_once
+    def structure(self) -> DiracStructure:
+        """The declared frame, not yet judged."""
         decl = self.model.dirac_decl
         if decl is None:
             raise SkipSuite("no Dirac structure declared")
         _, kind, args = decl
         model = self.model
         if kind == "graph_presymplectic":
-            form = self.real(model.forms[args[0]], "presymplectic form")
-            self._dirac = graph_presymplectic(form)
-        elif kind == "graph_poisson":
-            bivector = self.real(model.bivectors[args[0]], "bivector")
-            self._dirac = graph_poisson(bivector)
-        elif kind == "regular_distribution":
-            fields = [self.real(model.vectors[a], "distribution field")
-                      for a in args]
-            self._dirac = regular_distribution(fields)
-        else:
-            sections = [self.real(model.sections[a], "frame section")
-                        for a in args]
-            self._dirac = DiracStructure(model.chart, sections)
-        return self._dirac
+            return graph_presymplectic(
+                self.real(model.forms[args[0]], "presymplectic form"))
+        if kind == "graph_poisson":
+            return graph_poisson(self.real(model.bivectors[args[0]], "bivector"))
+        if kind == "regular_distribution":
+            return regular_distribution([
+                self.real(model.vectors[a], "distribution field") for a in args])
+        return DiracStructure(model.chart, [
+            self.real(model.sections[a], "frame section") for a in args])
 
+    def dirac_report(self):
+        return self.structure().verify()
+
+    def dirac(self) -> DiracStructure:
+        if not self.dirac_report().passed:
+            raise SkipSuite("not a Dirac structure")
+        return self.structure()
+
+    @_once
     def complement(self) -> ComplementH:
-        if self._complement is not None:
-            return self._complement
         decl = self.model.complement_decl
         dirac = self.dirac()
         if decl is None or decl[1] == "auto":
-            self._complement = default_complement(dirac)
-        else:
-            sections = [self.real(self.model.sections[a], "complement section")
-                        for a in decl[2]]
-            self._complement = ComplementH(dirac, sections)
-        return self._complement
+            return default_complement(dirac)
+        return ComplementH(dirac, [
+            self.real(self.model.sections[a], "complement section")
+            for a in decl[2]])
+
+    @_once
+    def admissible(self) -> dict[str, Expr]:
+        """The declared real scalars that are admissible."""
+        return {name: f for name, f in self.real_scalars().items()
+                if admissible_vector_field(self.dirac(), f).ok}
+
+    def pool(self, ctx: _Context, count: int) -> list[Expr]:
+        """The admissible declared scalars, then admissible random
+        polynomials up to ``count`` (at most ``12 * count`` draws)."""
+        key = ("pool", ctx.seed, count)
+        if key not in self._cache:
+            dirac = self.dirac()
+            rng = rng_for(ctx.seed, f"{self.model.name}:poisson-pool")
+            pool = list(self.admissible().values())
+            attempts = 0
+            while len(pool) < count and attempts < 12 * count:
+                attempts += 1
+                f = random_polynomial(rng, dirac.chart, degree=3, terms=2)
+                if admissible_vector_field(dirac, f).ok:
+                    pool.append(f)
+            self._cache[key] = pool
+        return self._cache[key]
 
     def sigma_forms(self) -> dict[str, AForm]:
         dirac = self.dirac()
@@ -202,469 +239,435 @@ class Resolver:
                                              for i, z in enumerate(payload)})
         return out
 
-    def atlas(self) -> BundleAtlas:
-        """The declared atlas; an ``AtlasError`` met while building it is
-        kept and raised again on every later call."""
-        if isinstance(self._atlas, AtlasError):
-            raise self._atlas
-        if self._atlas is not None:
-            return self._atlas
+    @_once
+    def atlas_or_failure(self) -> BundleAtlas | str:
+        """The declared atlas, or the witness of why it cannot be built."""
         model = self.model
         if not model.patches or not model.sigmas:
             raise SkipSuite("no atlas declared (patches + sigma required)")
         sigma = self.sigma_forms()
         try:
             if model.cochain:
-                atlas = build_prequantization(self.dirac(), model.patches,
-                                              sigma, model.cochain)
-            else:
-                atlas = BundleAtlas(self.dirac(), tuple(model.patches),
-                                    dict(model.transitions), sigma,
-                                    hermitian=model.hermitian)
-                atlas.validate()
+                return build_prequantization(self.dirac(), model.patches,
+                                             sigma, model.cochain)
+            atlas = BundleAtlas(self.dirac(), tuple(model.patches),
+                                dict(model.transitions), sigma,
+                                hermitian=model.hermitian)
+            atlas.validate()
+            return atlas
+        except IntegralityError as err:
+            return f"integrality obstruction: {err.witness}"
         except AtlasError as err:
-            self._atlas = err
-            raise
-        self._atlas = atlas
+            return str(err)
+
+    def atlas(self) -> BundleAtlas:
+        """The declared atlas; one that cannot be built skips with why."""
+        atlas = self.atlas_or_failure()
+        if isinstance(atlas, str):
+            raise SkipSuite(atlas)
         return atlas
 
+    @_once
     def polarization(self) -> Polarization:
-        if self._polarization is not None:
-            return self._polarization
         decl = self.model.polarization_decl
         if decl is None:
             raise SkipSuite("no polarization declared")
-        self._polarization = Polarization(self.dirac(), self.complement(),
-                                          decl[1])
-        return self._polarization
+        return Polarization(self.dirac(), self.complement(), decl[1])
 
-    def halfdensity_sections(self) -> dict[str, HalfDensitySection]:
+    @_once
+    def polarization_report(self):
+        return polarization_check(self.polarization())
+
+    @_once
+    def sp_members(self) -> dict[str, Expr]:
+        """The admissible declared scalars in S(P)."""
+        return {name: f for name, f in self.admissible().items()
+                if sp_membership(f, self.polarization())[0]}
+
+    @_once
+    def halfdensity_sections(self) -> dict:
         if not self.model.halfdensities:
             raise SkipSuite("no half-density sections declared")
-        atlas = self.atlas()
-        return {name: half_density_section(atlas, coeff)
+        return {name: half_density_section(self.atlas(), coeff)
                 for name, coeff in self.model.halfdensities.items()}
 
-
-def _atlas_failure(err: AtlasError) -> str:
-    """The witness of an atlas that could not be built."""
-    if isinstance(err, IntegralityError):
-        return f"integrality obstruction: {err.witness}"
-    return str(err)
-
-
-def _unit(records: list[CheckRecord], name: str, fn) -> None:
-    try:
-        outcome = fn()
-    except SkipSuite as skip:
-        records.append(CheckRecord(name, "skipped", str(skip)))
-        return
-    except Exception as err:  # surfaced as a record, not a crash
-        records.append(CheckRecord(name, "error", f"{type(err).__name__}: {err}"))
-        return
-    if outcome is True or outcome is None:
-        records.append(CheckRecord(name, "pass"))
-    elif outcome is False:
-        records.append(CheckRecord(name, "fail"))
-    else:
-        ok, witness = outcome
-        records.append(CheckRecord(name, "pass" if ok else "fail", witness))
+    @_once
+    def line(self):
+        """The pull-back over a line whose coordinate is a fresh name."""
+        chart = self.dirac().chart
+        t_name = "t"
+        while t_name in chart.coord_names + chart.param_names:
+            t_name += "_"
+        return pullback_over_line(self.dirac(), t_name)
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the runner
 
 
-def _suite_dirac(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    dirac = resolver.dirac()
-    report = dirac.verify()
-    _unit(records, "dirac/D1-isotropy", lambda: (report.d1_ok, report.d1_witness))
-    _unit(records, "dirac/D2-rank",
-          lambda: (report.d2_ok, f"rank {report.d2_rank}"))
-    _unit(records, "dirac/D3-closure", lambda: (report.d3_ok, report.d3_witness))
-    _unit(records, "dirac/integrability-identity",
-          lambda: (report.lemma_ok, report.lemma_witness))
-    _unit(records, "dirac/kernel-equations", lambda: (
-        report.kernel_ok,
-        f"dim rho_TM(D)={report.dim_characteristic}, "
-        f"dim D^T*M={report.dim_cotangent_kernel}, "
-        f"dim rho_T*M(D)={report.dim_admissible_covectors}, "
-        f"dim D^TM={report.dim_tangent_kernel}"))
-    _unit(records, "dirac/annihilator-duality",
-          lambda: report.annihilator_ok)
-    # the cocycle and the morphism law are only defined on a Dirac structure
-    for name, check in (
-            ("dirac/omega-cocycle", lambda: omega_on_frame(dirac) is not None),
-            ("dirac/pi-sharp-morphism",
-             lambda: pi_sharp_on_frame(dirac).verify_morphism())):
-        if report.passed:
-            _unit(records, name, check)
-        else:
-            records.append(CheckRecord(name, "skipped",
-                                       "not a Dirac structure"))
-    return records
+@dataclass(frozen=True)
+class Row:
+    """A check: ``check(resolver, ctx)`` returns ``(ok, witness)``, a bare
+    ``ok``, or ``None`` for no record, or raises ``SkipSuite``.  A row that
+    ``ends`` stops its suite on any record but a pass."""
+
+    name: str
+    check: Callable[[Resolver, _Context], object]
+    ends: bool = False
 
 
-def _admissible_pool(resolver: Resolver, ctx, count: int) -> list[Expr]:
-    dirac = resolver.dirac()
-    rng = rng_for(ctx.seed, f"{resolver.model.name}:poisson-pool")
-    pool: list[Expr] = []
-    for f in resolver.real_scalars().values():
-        if admissible_vector_field(dirac, f).ok:
-            pool.append(f)
-    attempts = 0
-    while len(pool) < count and attempts < 12 * count:
-        attempts += 1
-        f = random_polynomial(rng, dirac.chart, degree=3, terms=2)
-        if admissible_vector_field(dirac, f).ok:
-            pool.append(f)
-    return pool
+def _needs(suite: str, *objects: str) -> Row:
+    """A suite's first row: a skip or an error while it resolves
+    ``objects``, in order, is the suite's one record."""
+    def resolve(r, ctx):
+        for name in objects:
+            getattr(r, name)()
+    return Row(suite, resolve, ends=True)
 
 
-def _suite_poisson(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    dirac = resolver.dirac()
-    complement = resolver.complement()
-    non_admissible = [name for name, f in resolver.real_scalars().items()
-                      if not admissible_vector_field(dirac, f).ok]
-    _unit(records, "poisson/admissible-scalars",
-          lambda: (True, ("non-admissible: " + ", ".join(non_admissible))
-                   if non_admissible else None))
-    pool = _admissible_pool(resolver, ctx, max(4, min(ctx.trials // 3, 8)))
-    if len(pool) < 3:
-        records.append(CheckRecord("poisson/laws", "skipped",
-                                   "fewer than three admissible functions found"))
-        return records
-    triples = list(itertools.islice(itertools.combinations(pool, 3), ctx.trials))
-
-    def antisymmetry():
-        for f, g, _ in triples:
-            if not is_zero(bracket_omega(dirac, complement, f, g)
-                           + bracket_omega(dirac, complement, g, f)):
-                return (False, f"{{f,g}}+{{g,f}} != 0 for f={f}, g={g}")
-        return True
-
-    def leibniz():
-        for f, g, h in triples:
-            lhs = bracket_omega(dirac, complement, f, g * h)
-            rhs = (bracket_omega(dirac, complement, f, g) * h
-                   + g * bracket_omega(dirac, complement, f, h))
-            if not is_zero(lhs - rhs):
-                return (False, f"Leibniz fails for f={f}, g={g}, h={h}")
-        return True
-
-    def jacobi():
-        for f, g, h in triples:
-            def br(a, b):
-                return bracket_omega(dirac, complement, a, b)
-            total = br(br(f, g), h) + br(br(g, h), f) + br(br(h, f), g)
-            if not is_zero(total):
-                return (False, f"Jacobi fails: residual {total}")
-        return True
-
-    def field_identity():
-        for f, g, _ in triples:
-            h_f, _c = hamiltonian_H(dirac, complement, f)
-            h_g, _c = hamiltonian_H(dirac, complement, g)
-            h_fg, _c = hamiltonian_H(dirac, complement,
-                                     bracket_omega(dirac, complement, f, g))
-            residual = h_f.lie_bracket(h_g) + h_fg
-            if not residual.is_zero_field():
-                return (False, f"[H_f,H_g]+H_{{f,g}} != 0 for f={f}, g={g}")
-        return True
-
-    def prime_matches():
-        for f, g, _ in triples:
-            if not is_zero(bracket_prime(dirac, f, g)
-                           - bracket_omega(dirac, complement, f, g)):
-                return (False, f"{{f,g}}' != {{f,g}} for f={f}, g={g}")
-        return True
-
-    def kernel_shift():
-        kernel = dirac.tangent_kernel_fields()
-        for f, _g, _h in triples:
-            dform = exterior_derivative(resolver.dirac().chart.scalar_form(f))
-            for v in kernel:
-                if not is_zero(dform.evaluate([v])):
-                    return (False, f"df does not kill D^TM for f={f}")
-        return True
-
-    _unit(records, "poisson/antisymmetry", antisymmetry)
-    _unit(records, "poisson/leibniz", leibniz)
-    _unit(records, "poisson/jacobi", jacobi)
-    _unit(records, "poisson/field-identity", field_identity)
-    _unit(records, "poisson/prime-matches-omega", prime_matches)
-    _unit(records, "poisson/kernel-shift-invariance", kernel_shift)
-    return records
-
-
-def _suite_prequant(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    try:
-        atlas = resolver.atlas()
-    except AtlasError as err:
-        records.append(CheckRecord("prequant/atlas", "fail",
-                                   _atlas_failure(err)))
-        return records
-    _unit(records, "prequant/atlas", lambda: True)
-    _unit(records, "prequant/curvature-patch-independent",
-          lambda: curvature_2section(atlas) is not None)
-    _unit(records, "prequant/lambda-closed",
-          lambda: lambda_Dform(resolver.dirac()) is not None)
-    condition = prequant_condition(atlas)
-    witness = None if condition.ok else \
-        "; ".join(f"tau-Lambda[{k}] = {v}" for k, v in
-                  condition.residual.coeffs.items())
-    _unit(records, "prequant/condition", lambda: (condition.ok, witness))
-
-    def commutator():
-        dirac = resolver.dirac()
-        complement = resolver.complement()
-        pool = _admissible_pool(resolver, ctx, 5)
-        if len(pool) < 2:
-            raise SkipSuite("not enough admissible functions")
-        section = line_section_from_patch(atlas, atlas.patches[0], 1)
-        pairs = list(itertools.islice(itertools.combinations(pool, 2),
-                                      max(1, ctx.trials // 2)))
-        for f, g in pairs:
-            fg = bracket_omega(dirac, complement, f, g)
-            lhs = prequant_operator(
-                f, atlas, complement,
-                prequant_operator(g, atlas, complement, section)) \
-                - prequant_operator(
-                    g, atlas, complement,
-                    prequant_operator(f, atlas, complement, section))
-            rhs = prequant_operator(fg, atlas, complement, section)
-            if not (lhs - rhs).is_zero_section():
-                return (False, f"[fhat,ghat] != {{f,g}}hat for f={f}, g={g}")
-        return True
-
-    _unit(records, "prequant/commutator", commutator)
-
-    if atlas.hermitian:
-        def hermitian():
-            dirac = resolver.dirac()
-            complement = resolver.complement()
-            rng = rng_for(ctx.seed, f"{resolver.model.name}:hermitian")
-            pool = _admissible_pool(resolver, ctx, 3)
-            if not pool:
-                raise SkipSuite("no admissible functions")
-            for f in pool[:3]:
-                z1 = ComplexExpr(random_polynomial(rng, dirac.chart, 2, 2),
-                                 random_polynomial(rng, dirac.chart, 2, 2))
-                z2 = ComplexExpr(random_polynomial(rng, dirac.chart, 2, 2),
-                                 random_polynomial(rng, dirac.chart, 2, 2))
-                s1 = line_section_from_patch(atlas, atlas.patches[0], z1)
-                s2 = line_section_from_patch(atlas, atlas.patches[0], z2)
-                residuals = hermitian_check(atlas, complement, f, s1, s2)
-                for patch, value in residuals.items():
-                    if not complex_is_zero(value):
-                        return (False, f"residual on {patch} for f={f}: {value}")
-            return True
-
-        _unit(records, "prequant/hermitian-identity", hermitian)
-    return records
-
-
-def _suite_polarize(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    pol = resolver.polarization()
-    report = polarization_check(pol)
-    _unit(records, "polarize/isotropy",
-          lambda: (report.isotropy_ok, report.isotropy_witness))
-    _unit(records, "polarize/involutivity",
-          lambda: (report.involutive_ok, report.involutive_witness))
-    _unit(records, "polarize/containment",
-          lambda: (report.containment_ok, report.containment_witness))
-
-    def sp_closure():
-        outsiders = []
-        for name, f in resolver.real_scalars().items():
-            if not admissible_vector_field(resolver.dirac(), f).ok:
+def _run_suite(rows, r: Resolver, ctx: _Context) -> list[CheckRecord]:
+    records = []
+    for row in rows:
+        try:
+            outcome = row.check(r, ctx)
+            if outcome is None:
                 continue
-            ok, _ = sp_membership(f, pol)
-            if not ok:
-                outsiders.append(name)
-        return (True, ("outside S(P): " + ", ".join(outsiders))
-                if outsiders else None)
-
-    _unit(records, "polarize/sp-closure", sp_closure)
-
-    def q_probe():
-        members = [f for f in resolver.real_scalars().values()
-                   if admissible_vector_field(resolver.dirac(), f).ok
-                   and sp_membership(f, pol)[0]]
-        sections = q_bundle(pol, probe=False)
-        ok, witness = projectability_probe(pol, sections, members)
-        return (ok, witness or f"rank {len(sections)}")
-
-    _unit(records, "polarize/q-bundle", q_probe)
+            ok, witness = outcome if isinstance(outcome, tuple) \
+                else (outcome, None)
+            record = CheckRecord(row.name, "pass" if ok else "fail", witness)
+        except SkipSuite as skip:
+            record = CheckRecord(row.name, "skipped", str(skip))
+        except Exception as err:  # surfaced as a record, not a crash
+            record = CheckRecord(row.name, "error",
+                                 f"{type(err).__name__}: {err}")
+        records.append(record)
+        if row.ends and record.status != "pass":
+            break
     return records
 
 
-def _suite_quantize(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    try:
-        atlas = resolver.atlas()
-    except AtlasError as err:
-        raise SkipSuite(_atlas_failure(err)) from err
-    pol = resolver.polarization()
-    densities = resolver.halfdensity_sections()
-    complement = resolver.complement()
-    dirac = resolver.dirac()
-    if not prequant_condition(atlas).ok:
-        records.append(CheckRecord("quantize/prequantizable", "fail",
-                                   "prequantization condition fails"))
-        return records
-    _unit(records, "quantize/prequantizable", lambda: True)
-    members = [f for f in resolver.real_scalars().values()
-               if admissible_vector_field(dirac, f).ok
-               and sp_membership(f, pol)[0]]
-    if not members:
-        records.append(CheckRecord("quantize/lemma51", "skipped",
-                                   "no declared functions in S(P)"))
-        return records
+# ---------------------------------------------------------------------------
+# the suites
 
-    def lemma():
-        for f in members:
-            for psi in pol.frame:
-                for v in densities.values():
-                    residual = lemma51_residual(psi, f, v, atlas, complement)
-                    if not residual.is_zero_hsection():
-                        return (False, f"residual for f={f}")
+
+def _on_report(fn) -> Callable:
+    return lambda r, ctx: fn(r.dirac_report())
+
+
+_DIRAC = (
+    _needs("dirac", "dirac_report"),
+    Row("dirac/D1-isotropy", _on_report(lambda d: (d.d1_ok, d.d1_witness))),
+    Row("dirac/D2-rank", _on_report(lambda d: (d.d2_ok, f"rank {d.d2_rank}"))),
+    Row("dirac/D3-closure", _on_report(lambda d: (d.d3_ok, d.d3_witness))),
+    Row("dirac/integrability-identity",
+        _on_report(lambda d: (d.lemma_ok, d.lemma_witness))),
+    Row("dirac/kernel-equations", _on_report(lambda d: (d.kernel_ok, (
+        f"dim rho_TM(D)={d.dim_characteristic}, "
+        f"dim D^T*M={d.dim_cotangent_kernel}, "
+        f"dim rho_T*M(D)={d.dim_admissible_covectors}, "
+        f"dim D^TM={d.dim_tangent_kernel}")))),
+    Row("dirac/annihilator-duality", _on_report(lambda d: d.annihilator_ok)),
+    # the cocycle and the morphism law are only defined on a Dirac structure
+    Row("dirac/omega-cocycle",
+        lambda r, ctx: omega_on_frame(r.dirac()) is not None),
+    Row("dirac/pi-sharp-morphism",
+        lambda r, ctx: pi_sharp_on_frame(r.dirac()).verify_morphism()),
+)
+
+
+def _law_pool(r, ctx) -> list[Expr]:
+    return r.pool(ctx, max(4, min(ctx.trials // 3, 8)))
+
+
+def _law_triples(r, ctx) -> list[tuple[Expr, Expr, Expr]]:
+    return list(itertools.islice(itertools.combinations(_law_pool(r, ctx), 3),
+                                 ctx.trials))
+
+
+def _br(r, f, g) -> Expr:
+    return bracket_omega(r.dirac(), r.complement(), f, g)
+
+
+def _listing(prefix: str, names, kept) -> tuple[bool, str | None]:
+    """A pass that lists the ``names`` not ``kept``, if any."""
+    outside = [name for name in names if name not in kept]
+    return True, (prefix + ", ".join(outside)) if outside else None
+
+
+def _three_functions(r, ctx) -> None:
+    if len(_law_pool(r, ctx)) < 3:
+        raise SkipSuite("fewer than three admissible functions found")
+
+
+def _law(residual, witness: str) -> Callable:
+    """A row whose ``residual(r, f, g, h)`` is zero on every law triple; the
+    ``witness`` template is filled in on the first triple where it is not."""
+    def check(r, ctx):
+        for f, g, h in _law_triples(r, ctx):
+            value = residual(r, f, g, h)
+            if not is_zero(value):
+                return False, witness.format(f=f, g=g, h=h, residual=value)
         return True
-
-    def selfadjoint():
-        names = list(densities)
-        for f in members:
-            for a in names:
-                for b in names:
-                    density = selfadjoint_integrand(f, densities[a],
-                                                    densities[b], atlas,
-                                                    complement)
-                    if not complex_is_zero(density.coeff):
-                        return (False, f"nonzero integrand for f={f}, "
-                                       f"v1={a}, v2={b}")
-        return True
-
-    def hzero():
-        flat_found = False
-        for name, v in densities.items():
-            for f in members:
-                flat, invariant = hzero_invariance_probe(pol, atlas,
-                                                         complement, f, v)
-                if flat:
-                    flat_found = True
-                    if not invariant:
-                        return (False, f"fhat leaves the flat space on {name}")
-        if not flat_found:
-            raise SkipSuite("no declared half-density is flat along P")
-        return True
-
-    def quadrature():
-        chart = dirac.chart
-        unit = AlphaDensity(chart, Fraction(1), ComplexExpr.of(1))
-        box = {name: (Fraction(0), Fraction(1)) for name in chart.coord_names}
-        value = integrate_density(unit, box)
-        return (abs(float(value) - 1.0) < 1e-8, f"volume {value}")
-
-    _unit(records, "quantize/lemma51", lemma)
-    _unit(records, "quantize/selfadjoint-integrand", selfadjoint)
-    _unit(records, "quantize/hzero-invariance", hzero)
-    _unit(records, "quantize/quadrature", quadrature)
-    return records
+    return check
 
 
-def _suite_poincare(resolver: Resolver, ctx) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    dirac = resolver.dirac()
-    t_name = "t"
-    while t_name in dirac.chart.coord_names + dirac.chart.param_names:
-        t_name += "_"
-    line = pullback_over_line(dirac, t_name)
-    n = dirac.dim
-    _unit(records, "poincare/pullback-rank",
-          lambda: (line.rank == n + 1, f"rank {line.rank}"))
-
-    def anchor_t():
-        anchor = line.anchors[-1]
-        expected = line.chart.basis_vector(n)
-        return all(is_zero(a - b) for a, b in
-                   zip(anchor.components, expected.components))
-
-    _unit(records, "poincare/anchor-t", anchor_t)
-
-    def structure_inherited():
-        base = dirac_presentation(dirac)
-        for key, coeffs in base.structure.items():
-            lifted = line.structure.get(key, ())
-            for a, b in zip(coeffs, lifted):
-                if not is_zero(a - b):
-                    return False
-            if len(lifted) != n + 1 or not is_zero(lifted[-1]):
-                return False
-        return True
-
-    _unit(records, "poincare/structure-inherited", structure_inherited)
-
-    def homotopy():
-        import sympy as sp
-        from .expr import symbol
-        rng = rng_for(ctx.seed, f"{resolver.model.name}:poincare")
-        t = symbol(line.chart.coord_names[-1])
-        for trial in range(ctx.trials):
-            degree = rng.randint(1, min(3, line.rank))
-            coeffs = {}
-            for key in itertools.combinations(range(line.rank), degree):
-                poly = random_polynomial(rng, dirac.chart, degree=2, terms=2)
-                tpart = sum(rng.randint(0, 3) * t ** k for k in range(3))
-                coeffs[key] = Expr(sp.expand(poly.node * tpart)) \
-                    if rng.random() < 0.8 else poly
-            omega = AForm(line, degree, coeffs)
-            lhs = d_A(homotopy_S(omega)) + homotopy_S(d_A(omega))
-            rhs = omega - pr_pullback(iota_restrict(omega), line)
-            if not aform_equal(lhs, rhs):
-                return (False, f"homotopy identity fails on trial {trial}")
-        return True
-
-    _unit(records, "poincare/homotopy-identity", homotopy)
-
-    def pullback_commutes():
-        rng = rng_for(ctx.seed, f"{resolver.model.name}:poincare-pr")
-        for _ in range(max(3, ctx.trials // 4)):
-            degree = rng.randint(0, n - 1)
-            if degree == 0:
-                theta = AForm(dirac_presentation(dirac), 0,
-                              {(): random_polynomial(rng, dirac.chart, 2, 2)})
-            else:
-                coeffs = {key: random_polynomial(rng, dirac.chart, 2, 2)
-                          for key in itertools.combinations(range(n), degree)}
-                theta = AForm(dirac_presentation(dirac), degree, coeffs)
-            lhs = pr_pullback(d_A(theta), line)
-            rhs = d_A(pr_pullback(theta, line))
-            if not aform_equal(lhs, rhs):
-                return False
-        return True
-
-    _unit(records, "poincare/pullback-commutes", pullback_commutes)
-    return records
+def _field_identity(r, ctx):
+    for f, g, _ in _law_triples(r, ctx):
+        if not field_residual(r.dirac(), r.complement(), f, g).is_zero_field():
+            return False, f"[H_f,H_g]+H_{{f,g}} != 0 for f={f}, g={g}"
+    return True
 
 
-_SUITE_RUNNERS = {
-    "dirac": _suite_dirac,
-    "poisson": _suite_poisson,
-    "prequant": _suite_prequant,
-    "polarize": _suite_polarize,
-    "quantize": _suite_quantize,
-    "poincare": _suite_poincare,
-}
+def _kernel_shift(r, ctx):
+    kernel = r.dirac().tangent_kernel_fields()
+    for f, _g, _h in _law_triples(r, ctx):
+        dform = differential(r.dirac(), f)
+        if not all(is_zero(dform.evaluate([v])) for v in kernel):
+            return False, f"df does not kill D^TM for f={f}"
+    return True
 
 
-@dataclass
-class _Context:
-    seed: int
-    trials: int
+_POISSON = (
+    _needs("poisson", "complement"),
+    Row("poisson/admissible-scalars", lambda r, ctx: _listing(
+        "non-admissible: ", r.real_scalars(), r.admissible())),
+    Row("poisson/laws", _three_functions, ends=True),  # skips all six laws
+    Row("poisson/antisymmetry", _law(
+        lambda r, f, g, h: _br(r, f, g) + _br(r, g, f),
+        "{{f,g}}+{{g,f}} != 0 for f={f}, g={g}")),
+    Row("poisson/leibniz", _law(
+        lambda r, f, g, h: _br(r, f, g * h) - (_br(r, f, g) * h
+                                               + g * _br(r, f, h)),
+        "Leibniz fails for f={f}, g={g}, h={h}")),
+    Row("poisson/jacobi", _law(
+        lambda r, f, g, h: jacobiator(r.dirac(), r.complement(), f, g, h),
+        "Jacobi fails: residual {residual}")),
+    Row("poisson/field-identity", _field_identity),
+    Row("poisson/prime-matches-omega", _law(
+        lambda r, f, g, h: bracket_prime(r.dirac(), f, g) - _br(r, f, g),
+        "{{f,g}}' != {{f,g}} for f={f}, g={g}")),
+    Row("poisson/kernel-shift-invariance", _kernel_shift),
+)
+
+
+def _atlas_built(r, ctx):
+    atlas = r.atlas_or_failure()
+    return (False, atlas) if isinstance(atlas, str) else (True, None)
+
+
+def _condition(r, ctx):
+    condition = prequant_condition(r.atlas())
+    return condition.ok, None if condition.ok else "; ".join(
+        f"tau-Lambda[{k}] = {v}" for k, v in condition.residual.coeffs.items())
+
+
+def _commutator(r, ctx):
+    atlas, complement = r.atlas(), r.complement()
+    pool = r.pool(ctx, 5)
+    if len(pool) < 2:
+        raise SkipSuite("not enough admissible functions")
+    section = line_section_from_patch(atlas, atlas.patches[0], 1)
+
+    def hat(f, s):
+        return prequant_operator(f, atlas, complement, s)
+
+    for f, g in itertools.islice(itertools.combinations(pool, 2),
+                                 max(1, ctx.trials // 2)):
+        fg = _br(r, f, g)
+        lhs = hat(f, hat(g, section)) - hat(g, hat(f, section))
+        if not (lhs - hat(fg, section)).is_zero_section():
+            return False, f"[fhat,ghat] != {{f,g}}hat for f={f}, g={g}"
+    return True
+
+
+def _hermitian(r, ctx):
+    atlas = r.atlas()
+    if not atlas.hermitian:  # the row exists on hermitian atlases only
+        return None
+    chart = r.dirac().chart
+    rng = rng_for(ctx.seed, f"{r.model.name}:hermitian")
+    pool = r.pool(ctx, 3)
+    if not pool:
+        raise SkipSuite("no admissible functions")
+    for f in pool[:3]:
+        s1, s2 = (line_section_from_patch(atlas, atlas.patches[0], ComplexExpr(
+            random_polynomial(rng, chart, 2, 2),
+            random_polynomial(rng, chart, 2, 2))) for _ in range(2))
+        residuals = hermitian_check(atlas, r.complement(), f, s1, s2)
+        for patch, value in residuals.items():
+            if not complex_is_zero(value):
+                return False, f"residual on {patch} for f={f}: {value}"
+    return True
+
+
+_PREQUANT = (
+    _needs("prequant", "atlas_or_failure"),
+    Row("prequant/atlas", _atlas_built, ends=True),
+    Row("prequant/curvature-patch-independent",
+        lambda r, ctx: curvature_2section(r.atlas()) is not None),
+    Row("prequant/lambda-closed",
+        lambda r, ctx: lambda_Dform(r.dirac()) is not None),
+    Row("prequant/condition", _condition),
+    Row("prequant/commutator", _commutator),
+    Row("prequant/hermitian-identity", _hermitian),
+)
+
+
+def _q_probe(r, ctx):
+    members = list(r.sp_members().values())
+    sections = q_bundle(r.polarization(), probe=False)
+    ok, witness = projectability_probe(r.polarization(), sections, members)
+    return ok, witness or f"rank {len(sections)}"
+
+
+def _on_polarization(fn) -> Callable:
+    return lambda r, ctx: fn(r.polarization_report())
+
+
+_POLARIZE = (
+    _needs("polarize", "polarization_report"),
+    Row("polarize/isotropy",
+        _on_polarization(lambda p: (p.isotropy_ok, p.isotropy_witness))),
+    Row("polarize/involutivity",
+        _on_polarization(lambda p: (p.involutive_ok, p.involutive_witness))),
+    Row("polarize/containment",
+        _on_polarization(lambda p: (p.containment_ok, p.containment_witness))),
+    Row("polarize/sp-closure", lambda r, ctx: _listing(
+        "outside S(P): ", r.admissible(), r.sp_members())),
+    Row("polarize/q-bundle", _q_probe),
+)
+
+
+def _prequantizable(r, ctx):
+    ok = prequant_condition(r.atlas()).ok
+    return ok, None if ok else "prequantization condition fails"
+
+
+def _some_member(r, ctx) -> None:
+    if not r.sp_members():
+        raise SkipSuite("no declared functions in S(P)")
+
+
+def _lemma51(r, ctx):
+    for f in r.sp_members().values():
+        for psi in r.polarization().frame:
+            for v in r.halfdensity_sections().values():
+                if not lemma51_residual(psi, f, v, r.atlas(),
+                                        r.complement()).is_zero_hsection():
+                    return False, f"residual for f={f}"
+    return True
+
+
+def _selfadjoint(r, ctx):
+    densities = r.halfdensity_sections()
+    for f in r.sp_members().values():
+        for a, b in itertools.product(densities, repeat=2):
+            density = selfadjoint_integrand(f, densities[a], densities[b],
+                                            r.atlas(), r.complement())
+            if not complex_is_zero(density.coeff):
+                return False, f"nonzero integrand for f={f}, v1={a}, v2={b}"
+    return True
+
+
+def _hzero(r, ctx):
+    flat_found = False
+    for name, v in r.halfdensity_sections().items():
+        for f in r.sp_members().values():
+            flat, invariant = hzero_invariance_probe(
+                r.polarization(), r.atlas(), r.complement(), f, v)
+            flat_found = flat_found or flat
+            if flat and not invariant:
+                return False, f"fhat leaves the flat space on {name}"
+    if not flat_found:
+        raise SkipSuite("no declared half-density is flat along P")
+    return True
+
+
+def _quadrature(r, ctx):
+    chart = r.dirac().chart
+    unit = AlphaDensity(chart, Fraction(1), ComplexExpr.of(1))
+    box = {name: (Fraction(0), Fraction(1)) for name in chart.coord_names}
+    value = integrate_density(unit, box)
+    return abs(float(value) - 1.0) < 1e-8, f"volume {value}"
+
+
+_QUANTIZE = (
+    _needs("quantize", "atlas", "polarization", "halfdensity_sections",
+           "complement"),
+    Row("quantize/prequantizable", _prequantizable, ends=True),
+    Row("quantize/lemma51", _some_member, ends=True),  # skips all four
+    Row("quantize/lemma51", _lemma51),
+    Row("quantize/selfadjoint-integrand", _selfadjoint),
+    Row("quantize/hzero-invariance", _hzero),
+    Row("quantize/quadrature", _quadrature),
+)
+
+
+def _anchor_t(r, ctx):
+    expected = r.line().chart.basis_vector(r.dirac().dim)
+    return all(is_zero(a - b) for a, b in
+               zip(r.line().anchors[-1].components, expected.components))
+
+
+def _structure_inherited(r, ctx):
+    n = r.dirac().dim
+    for key, coeffs in dirac_presentation(r.dirac()).structure.items():
+        lifted = r.line().structure.get(key, ())
+        if not all(is_zero(a - b) for a, b in zip(coeffs, lifted)) \
+                or len(lifted) != n + 1 or not is_zero(lifted[-1]):
+            return False
+    return True
+
+
+def _homotopy(r, ctx):
+    import sympy as sp
+    from .expr import symbol
+    line, chart = r.line(), r.dirac().chart
+    rng = rng_for(ctx.seed, f"{r.model.name}:poincare")
+    t = symbol(line.chart.coord_names[-1])
+    for trial in range(ctx.trials):
+        degree = rng.randint(1, min(3, line.rank))
+        coeffs = {}
+        for key in itertools.combinations(range(line.rank), degree):
+            poly = random_polynomial(rng, chart, degree=2, terms=2)
+            tpart = sum(rng.randint(0, 3) * t ** k for k in range(3))
+            coeffs[key] = Expr(sp.expand(poly.node * tpart)) \
+                if rng.random() < 0.8 else poly
+        omega = AForm(line, degree, coeffs)
+        lhs = d_A(homotopy_S(omega)) + homotopy_S(d_A(omega))
+        rhs = omega - pr_pullback(iota_restrict(omega), line)
+        if not aform_equal(lhs, rhs):
+            return False, f"homotopy identity fails on trial {trial}"
+    return True
+
+
+def _pullback_commutes(r, ctx):
+    line, dirac = r.line(), r.dirac()
+    pres, n = dirac_presentation(dirac), dirac.dim
+    rng = rng_for(ctx.seed, f"{r.model.name}:poincare-pr")
+    for _ in range(max(3, ctx.trials // 4)):
+        degree = rng.randint(0, n - 1)
+        theta = AForm(pres, degree, {
+            key: random_polynomial(rng, dirac.chart, 2, 2)
+            for key in itertools.combinations(range(n), degree)})
+        if not aform_equal(pr_pullback(d_A(theta), line),
+                           d_A(pr_pullback(theta, line))):
+            return False
+    return True
+
+
+_POINCARE = (
+    _needs("poincare", "line"),
+    Row("poincare/pullback-rank", lambda r, ctx: (
+        r.line().rank == r.dirac().dim + 1, f"rank {r.line().rank}")),
+    Row("poincare/anchor-t", _anchor_t),
+    Row("poincare/structure-inherited", _structure_inherited),
+    Row("poincare/homotopy-identity", _homotopy),
+    Row("poincare/pullback-commutes", _pullback_commutes),
+)
+
+_TABLE = {"dirac": _DIRAC, "poisson": _POISSON, "prequant": _PREQUANT,
+          "polarize": _POLARIZE, "quantize": _QUANTIZE, "poincare": _POINCARE}
 
 
 def run_checks(model: Model, suites: list[str] | None = None,
@@ -677,15 +680,9 @@ def run_checks(model: Model, suites: list[str] | None = None,
     ctx = _Context(seed=seed, trials=trials)
     with equality_config(seed=seed):
         for suite in SUITES:
-            if suite not in requested:
+            if suite in requested:
+                report.checks.extend(_run_suite(_TABLE[suite], resolver, ctx))
+            else:
                 report.checks.append(CheckRecord(suite, "skipped",
                                                  "not requested"))
-                continue
-            try:
-                report.checks.extend(_SUITE_RUNNERS[suite](resolver, ctx))
-            except SkipSuite as skip:
-                report.checks.append(CheckRecord(suite, "skipped", str(skip)))
-            except Exception as err:
-                report.checks.append(CheckRecord(
-                    suite, "error", f"{type(err).__name__}: {err}"))
     return report

@@ -363,11 +363,10 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
 
 
 def graph_presymplectic(omega: KForm) -> DiracStructure:
-    """The graph of ``X -> i_X omega`` for a closed 2-form."""
+    """The graph of ``X -> i_X omega``.  It is Dirac iff omega is closed;
+    ``verify()`` judges that (D3, whose witness carries ``d omega``)."""
     if omega.degree != 2:
         raise DiracConstructionError("a presymplectic form must have degree 2")
-    if not exterior_derivative(omega).is_zero_tensor():
-        raise DiracConstructionError("not presymplectic: d(omega) != 0")
     chart = omega.chart
     frame = [Section(chart.basis_vector(i),
                      interior_product(chart.basis_vector(i), omega))
@@ -376,26 +375,19 @@ def graph_presymplectic(omega: KForm) -> DiracStructure:
 
 
 def graph_poisson(pi: KVector) -> DiracStructure:
-    """The graph of ``alpha -> pi#(alpha)`` for a Poisson bivector; the
-    Jacobi condition is probed through the contravariant derivative (``d_A``
-    of the cotangent presentation) squaring to zero on coordinate functions."""
+    """The graph of ``alpha -> pi#(alpha)``.  It is Dirac iff ``[pi, pi] = 0``;
+    ``verify()`` judges that (D3)."""
     if pi.degree != 2:
         raise DiracConstructionError("a Poisson bivector must have degree 2")
-    from .algebroid import _cotangent_presentation, d_A
     chart = pi.chart
-    cotangent = _cotangent_presentation(chart, pi)
-    for i in range(chart.dim):
-        probe = d_A(d_A(Expr(chart.coordinate(i)), cotangent))
-        if not probe.is_zero_tensor():
-            raise DiracConstructionError(
-                f"not Poisson: Jacobi probe fails on {chart.coord_names[i]}")
     frame = [Section(pi.sharp(chart.basis_covector(i)), chart.basis_covector(i))
              for i in range(chart.dim)]
     return DiracStructure(chart, frame)
 
 
 def regular_distribution(fields: Sequence[VectorField]) -> DiracStructure:
-    """``F + F°`` for a generically independent, involutive distribution."""
+    """``F + F°`` for generically independent fields.  It is Dirac iff F is
+    involutive; ``verify()`` judges that (D3)."""
     if not fields:
         raise DiracConstructionError("the distribution needs at least one field")
     chart = fields[0].chart
@@ -405,12 +397,6 @@ def regular_distribution(fields: Sequence[VectorField]) -> DiracStructure:
     span = linalg.echelon([f.components for f in fields], n)
     if span.rank != len(fields):
         raise DiracConstructionError("the fields are generically dependent")
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            bracket = fields[i].lie_bracket(fields[j])
-            if not linalg.solve(span, bracket.components).ok:
-                raise DiracConstructionError(
-                    f"F not involutive: [F{i+1},F{j+1}] leaves the span")
     frame = [Section(f, KForm(chart, 1, {})) for f in fields]
     frame += [Section(VectorField(chart, (ZERO,) * n),
                       KForm(chart, 1, {(i,): c for i, c in enumerate(eta)}))

@@ -34,7 +34,7 @@ import sympy as sp
 
 from .chart import Chart, KForm, KVector, VectorField
 from .dirac import Section
-from .expr import I, ComplexExpr, Expr, symbol
+from .expr import I, ComplexExpr, Expr, ExprError, symbol
 
 __all__ = ["DslError", "Model", "parse_model", "format_model", "SUITES"]
 
@@ -369,14 +369,17 @@ def parse_model(text: str, name: str = "model") -> Model:
         tokens = _tokenize(line, line_no)
         stream = _Stream(tokens, line_no)
         keyword = stream.expect_ident()
-        if keyword == "chart":
-            if model is not None:
-                raise stream.error("only one chart per model")
-            model = _parse_chart(stream, name)
-            continue
-        if model is None:
-            raise stream.error("the chart must be declared first")
-        _parse_statement(keyword, stream, model)
+        try:
+            if keyword == "chart":
+                if model is not None:
+                    raise stream.error("only one chart per model")
+                model = _parse_chart(stream, name)
+            elif model is None:
+                raise stream.error("the chart must be declared first")
+            else:
+                _parse_statement(keyword, stream, model)
+        except ExprError as err:  # the tensor arithmetic of the statement
+            raise stream.error(str(err)) from err
     if model is None:
         raise DslError("empty model: no chart declared", 1, 1)
     return model

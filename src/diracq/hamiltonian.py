@@ -1,5 +1,5 @@
-"""Admissible functions, their Hamiltonian-type vector fields, and the two
-Poisson brackets on a Dirac chart.
+"""Admissible functions, their Hamiltonian-type vector fields, the two
+Poisson brackets on a Dirac chart, and the Jacobi and field identities.
 
 ``X_f`` is any particular solution of ``(X, df) in D`` (free variables zeroed,
 lowest-index pivoting); ``H_f`` is the unique solution whose vector part lies
@@ -27,7 +27,8 @@ __all__ = [
     "hamiltonian_H",
     "bracket_prime",
     "bracket_omega",
-    "jacobi_suite",
+    "jacobiator",
+    "field_residual",
 ]
 
 
@@ -179,17 +180,20 @@ def bracket_omega(dirac: DiracStructure, complement: ComplementH, f, g) -> Expr:
     return value
 
 
-def jacobi_suite(dirac: DiracStructure, complement: ComplementH, f, g, h):
-    """The Jacobiator of the Omega-compatible bracket and the field residual
-    ``[H_f, H_g] + H_{{f,g}}``; both vanish for a Dirac structure."""
-    f, g, h = as_expr(f), as_expr(g), as_expr(h)
-
+def jacobiator(dirac: DiracStructure, complement: ComplementH, f, g, h) -> Expr:
+    """``{{f,g},h} + {{g,h},f} + {{h,f},g}`` for the Omega-compatible
+    bracket; zero on a Dirac structure."""
     def br(a, b):
         return bracket_omega(dirac, complement, a, b)
 
-    jacobiator = br(br(f, g), h) + br(br(g, h), f) + br(br(h, f), g)
+    return br(br(f, g), h) + br(br(g, h), f) + br(br(h, f), g)
+
+
+def field_residual(dirac: DiracStructure, complement: ComplementH,
+                   f, g) -> VectorField:
+    """``[H_f, H_g] + H_{f,g}``; zero on a Dirac structure."""
     h_f, _ = hamiltonian_H(dirac, complement, f)
     h_g, _ = hamiltonian_H(dirac, complement, g)
-    h_fg, _ = hamiltonian_H(dirac, complement, br(f, g))
-    residual = h_f.lie_bracket(h_g) + h_fg
-    return jacobiator, residual
+    h_fg, _ = hamiltonian_H(dirac, complement,
+                            bracket_omega(dirac, complement, f, g))
+    return h_f.lie_bracket(h_g) + h_fg

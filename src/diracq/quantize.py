@@ -40,6 +40,7 @@ from .expr import (
     ExprError,
     Point,
     SingularPointError,
+    ZERO,
     as_expr,
     complex_is_zero,
     evaluate,
@@ -97,15 +98,19 @@ def complex_membership(span: linalg.Echelon, target: Section):
 def dirac_complex_coefficients(dirac: DiracStructure,
                                psi: Section) -> tuple[ComplexExpr, ...]:
     """Frame coefficients of a section of the complexified structure; the
-    real frame splits the solve into the two real membership problems."""
-    cert_re = membership(dirac, psi.map_coeffs(real_part))
-    cert_im = membership(dirac, psi.map_coeffs(imag_part))
-    if not cert_re.ok or not cert_im.ok:
-        bad = cert_re.witness if not cert_re.ok else cert_im.witness
-        raise QuantizeError(f"section does not lie in the complexified "
-                            f"structure: residual {bad}")
-    return tuple(ComplexExpr(a, b)
-                 for a, b in zip(cert_re.coefficients, cert_im.coefficients))
+    real frame splits the solve into the two real membership problems, and
+    a part that is the zero section has zero coefficients without one."""
+    parts = []
+    for part in (psi.map_coeffs(real_part), psi.map_coeffs(imag_part)):
+        if part.is_zero_section():
+            parts.append((ZERO,) * dirac.dim)
+            continue
+        cert = membership(dirac, part)
+        if not cert.ok:
+            raise QuantizeError(f"section does not lie in the complexified "
+                                f"structure: residual {cert.witness}")
+        parts.append(cert.coefficients)
+    return tuple(ComplexExpr(a, b) for a, b in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

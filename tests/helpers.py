@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
@@ -15,6 +18,19 @@ from diracq.expr import (
     random_rational,
     symbol,
 )
+
+
+def perfbench_module(name: str):
+    """A module of ``perfbench/``, loaded from its file (read only: the
+    directory is not put on ``sys.path``)."""
+    key = f"_perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def _as_mpf(value):

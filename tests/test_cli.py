@@ -3,7 +3,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from diracq.checks import run_checks
 from diracq.cli import main
+from diracq.dsl import SUITES, parse_model
+
+from helpers import perfbench_module
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -74,23 +80,67 @@ def test_incompatible_transition_atlas_fails(tmp_path, capsys):
     assert prequant[0]["witness"]
 
 
-def test_non_closed_frame_skips_the_dirac_only_checks(tmp_path, capsys):
-    # the graph of x1 dx2^dx3, which is not closed, presented by a frame
-    model = tmp_path / "negframe.dq"
+# non-Dirac inputs on R^3, one per constructor: the graph of the non-closed
+# x1 dx2^dx3 as a frame and as a form, the graph of the bivector of
+# v = (x2, x3, x1) (v . curl v != 0), and span(d_x1, d_x2 + x1 d_x3)
+NON_DIRAC = {
+    "frame": "section s1 = (d_x1, 0*dx1)\n"
+             "section s2 = (d_x2, (x1)*dx3)\n"
+             "section s3 = (d_x3, (-x1)*dx2)\n"
+             "dirac D = frame(s1, s2, s3)\n",
+    "graph_presymplectic": "form omega = x1*dx2/\\dx3\n"
+                           "dirac D = graph_presymplectic(omega)\n",
+    "graph_poisson": "bivector W = x1*d_x1/\\d_x2 - x3*d_x1/\\d_x3"
+                     " + x2*d_x2/\\d_x3\n"
+                     "dirac D = graph_poisson(W)\n",
+    "regular_distribution": "vector X1 = d_x1\n"
+                            "vector X2 = d_x2 + x1*d_x3\n"
+                            "dirac D = regular_distribution(X1, X2)\n",
+}
+
+
+@pytest.mark.parametrize("constructor", NON_DIRAC)
+def test_non_closed_frame_skips_the_dirac_only_checks(tmp_path, capsys,
+                                                      constructor):
+    # an atlas and a polarization, so that every other suite reaches the
+    # Dirac prerequisite
+    model = tmp_path / "negative.dq"
     model.write_text("chart M dim 3 coords x1 x2 x3\n"
-                     "section s1 = (d_x1, 0*dx1)\n"
-                     "section s2 = (d_x2, (x1)*dx3)\n"
-                     "section s3 = (d_x3, (-x1)*dx2)\n"
-                     "dirac D = frame(s1, s2, s3)\n")
+                     + NON_DIRAC[constructor]
+                     + "scalar f = x1\n"
+                     "patch U1\n"
+                     "sigma U1 = pull(x1*dx2)\n"
+                     "polarization P = span((d_x1, 0*dx1))\n"
+                     "halfdensity v = 1\n")
     code, out = run_cli(capsys, "check", str(model), "--json",
-                        "--suite", "dirac")
+                        "--suite", "all")
     assert code == 1
-    statuses = {c["name"]: c for c in json.loads(out)["checks"]}
+    checks = json.loads(out)["checks"]
+    statuses = {c["name"]: c for c in checks}
     assert statuses["dirac/D3-closure"]["status"] == "fail"
     for name in ("dirac/omega-cocycle", "dirac/pi-sharp-morphism"):
         assert statuses[name]["status"] == "skipped"
         assert statuses[name]["witness"] == "not a Dirac structure"
-    assert not any(c["status"] == "error" for c in statuses.values())
+    others = [c for c in checks if not c["name"].startswith("dirac/")]
+    assert [(c["name"], c["status"], c["witness"]) for c in others] == [
+        (suite, "skipped", "not a Dirac structure")
+        for suite in ("poisson", "prequant", "polarize", "quantize",
+                      "poincare")]
+    assert not any(c["status"] == "error" for c in checks)
+
+
+def test_rational_negatives_match_the_oracle():
+    """The benchmark's fixed non-Dirac inputs report the truth of Courant's
+    characterizations, and no suite reports an error on them."""
+    families = perfbench_module("families")
+    oracle = perfbench_module("oracle")
+    for op in families.rational_negatives():
+        model = parse_model(op["text"], name=op["name"])
+        report = run_checks(model, suites=op["suites"], seed=7, trials=6)
+        assert oracle.judge(report.to_dict()["checks"],
+                            oracle.expect_generated(op)) is None, op["name"]
+        report = run_checks(model, suites=list(SUITES), seed=7, trials=6)
+        assert not any(c.status == "error" for c in report.checks), op["name"]
 
 
 def test_perturbed_sigma_fails_only_prequant(capsys):
@@ -120,6 +170,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     model = tmp_path / "broken.dq"
     model.write_text("chart M dim 2 coords q p\nscalar f = q +\n")
     assert main(["check", str(model)]) == 2
+
+
+def test_tensor_arithmetic_error_exit_code(tmp_path, capsys):
+    model = tmp_path / "degrees.dq"
+    model.write_text("chart M dim 2 coords q p\nform omega = dq + dq/\\dp\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "degree mismatch" in err
 
 
 def test_missing_file_exit_code():

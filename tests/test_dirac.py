@@ -106,10 +106,12 @@ class TestGraphPresymplectic:
             assert equal(section.X.components[i], 1)
 
     def test_non_closed_rejected(self):
+        # the graph is built; verify() rejects it, since d(omega) != 0
         chart = Chart("R3", ("x1", "x2", "x3"))
         omega = KForm(chart, 2, {(0, 1): Expr(chart.coords[2] ** 2)})
-        with pytest.raises(DiracConstructionError, match="not presymplectic"):
-            graph_presymplectic(omega)
+        report = graph_presymplectic(omega).verify()
+        assert report.d3_ok is False
+        assert "not in span" in report.d3_witness
 
 
 class TestGraphPoisson:
@@ -140,8 +142,9 @@ class TestGraphPoisson:
         chart = Chart("R4", ("x1", "x2", "x3", "x4"))
         x1, x3 = chart.coords[0], chart.coords[2]
         pi = KVector(chart, 2, {(0, 1): 1, (2, 3): Expr(x1)})
-        with pytest.raises(DiracConstructionError, match="not Poisson"):
-            graph_poisson(pi)
+        report = graph_poisson(pi).verify()
+        assert report.d3_ok is False
+        assert "not in span" in report.d3_witness
 
 
 class TestRegularDistribution:
@@ -173,8 +176,22 @@ class TestRegularDistribution:
         x = Expr(chart.coords[0])
         f1 = chart.basis_vector(0)
         f2 = VectorField(chart, (ZERO, as_expr(1), x))  # d_y + x d_z
-        with pytest.raises(DiracConstructionError, match="not involutive"):
-            regular_distribution([f1, f2])
+        report = regular_distribution([f1, f2]).verify()
+        assert report.d3_ok is False
+        assert "not in span" in report.d3_witness
+
+
+def test_constructors_keep_their_structural_errors():
+    chart = Chart("R2", ("x1", "x2"))
+    with pytest.raises(DiracConstructionError, match="degree 2"):
+        graph_presymplectic(chart.basis_covector(0))
+    with pytest.raises(DiracConstructionError, match="degree 2"):
+        graph_poisson(KVector(chart, 1, {(0,): 1}))
+    with pytest.raises(DiracConstructionError, match="at least one field"):
+        regular_distribution([])
+    with pytest.raises(DiracConstructionError, match="dependent"):
+        regular_distribution([chart.basis_vector(0),
+                              chart.basis_vector(0).scale(2)])
 
 
 class TestVerify:

@@ -3,6 +3,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diracq.checks import Resolver
 from diracq.dsl import DslError, format_model, parse_model
@@ -152,3 +154,31 @@ class TestRoundTrip:
         reparsed = parse_model(printed)
         assert reparsed == model
         assert format_model(reparsed) == printed
+
+
+# tokens of the DSL, and a little of what is not
+_TOKENS = ["q", "p", "dq", "dp", "d_q", "d_p", "f", "omega", "X", "s", "i",
+           "pi", "exp", "sin", "cos", "0", "1", "2", "3", "+", "-", "*", "/",
+           "^", "(", ")", ",", "=", "/\\", "span", "pull", "dcoeffs", "auto",
+           "graph_presymplectic", "frame", "U1", "U2"]
+_KEYWORDS = ["scalar", "form", "vector", "bivector", "section", "dirac",
+             "complement", "patch", "transition", "sigma", "cochain",
+             "hermitian", "polarization", "halfdensity", "check", "chart"]
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(_KEYWORDS),
+                          st.lists(st.sampled_from(_TOKENS), max_size=12)),
+                max_size=5))
+def test_parse_model_is_total(statements):
+    """Any token stream either parses or ends in a ``DslError``."""
+    lines = ["chart M dim 2 coords q p",
+             "scalar f = q", "form omega = dq/\\dp", "vector X = d_q",
+             "section s = (d_q, dp)"]
+    lines += [" ".join([keyword, *tokens]) for keyword, tokens in statements]
+    try:
+        model = parse_model("\n".join(lines))
+    except DslError:
+        return
+    assert model.chart.coord_names == ("q", "p")

@@ -19,8 +19,9 @@ from diracq.hamiltonian import (
     bracket_prime,
     default_complement,
     differential,
+    field_residual,
     hamiltonian_H,
-    jacobi_suite,
+    jacobiator,
 )
 from diracq.randgen import random_polynomial, rng_for
 
@@ -142,10 +143,9 @@ class TestBrackets:
     def test_jacobi_canonical_triple(self, standard_dirac, r2):
         complement = default_complement(standard_dirac)
         q, p = (Expr(s) for s in r2.coords)
-        jacobiator, residual = jacobi_suite(standard_dirac, complement,
-                                            q, p, q * p)
-        assert is_zero(jacobiator)
-        assert residual.is_zero_field()
+        assert is_zero(jacobiator(standard_dirac, complement, q, p, q * p))
+        assert field_residual(standard_dirac, complement,
+                              q, p).is_zero_field()
 
     def test_jacobi_r4_polynomials(self, presymplectic_r4, r4_data):
         f, complement = r4_data
@@ -153,10 +153,9 @@ class TestBrackets:
         g = x1 ** 2
         h = x1 * (Expr(presymplectic_r4.chart.coords[1])
                   + Expr(presymplectic_r4.chart.coords[3]))
-        jacobiator, residual = jacobi_suite(presymplectic_r4, complement,
-                                            f, g, h)
-        assert is_zero(jacobiator)
-        assert residual.is_zero_field()
+        assert is_zero(jacobiator(presymplectic_r4, complement, f, g, h))
+        assert field_residual(presymplectic_r4, complement,
+                              f, g).is_zero_field()
 
 
 class TestWellDefinedness:

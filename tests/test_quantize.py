@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from diracq import quantize
 from diracq.algebroid import AForm, dirac_presentation, rho_pullback_form
 from diracq.chart import (
     AlphaDensity,
@@ -14,7 +16,9 @@ from diracq.chart import (
     lie_derivative_density,
     real_part,
 )
+from diracq.checks import run_checks
 from diracq.dirac import Section, courant_bracket, pairing_minus, zero_section
+from diracq.dsl import parse_model
 from diracq.expr import (
     I,
     ComplexExpr,
@@ -394,3 +398,22 @@ def test_complex_courant_expands_bilinearly(standard_dirac, r2):
             pairing_minus(a1, b1) - pairing_minus(a2, b2),
             pairing_minus(a1, b2) + pairing_minus(a2, b1))
         assert complex_is_zero(pairing - expected)
+
+
+def test_zero_parts_need_no_membership_solve(monkeypatch):
+    """A real section has the zero section as its imaginary part; its frame
+    coefficients are zero without a membership solve."""
+    solve = quantize.membership
+    zero_targets = []
+
+    def counted(dirac, section):
+        zero_targets.append(section.is_zero_section())
+        return solve(dirac, section)
+
+    monkeypatch.setattr(quantize, "membership", counted)
+    text = (Path(__file__).resolve().parent.parent / "models"
+            / "standard_r2.dq").read_text()
+    report = run_checks(parse_model(text, "standard_r2"),
+                        suites=["quantize"], seed=7)
+    assert report.exit_code == 0
+    assert zero_targets and not any(zero_targets)

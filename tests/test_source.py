@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import importlib
-import importlib.util
 import warnings
 from pathlib import Path
 
 import pytest
+
+from helpers import perfbench_module
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent
                   / "src" / "diracq").glob("*.py"))
@@ -19,18 +21,10 @@ def test_compiles_without_warnings(path):
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-def _tracer_module():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_functions_exist():
     """Every function the benchmark tracer wraps still resolves, so a rename
     fails here rather than in a traced benchmark run."""
-    tracer = _tracer_module()
+    tracer = perfbench_module("tracer")
     for metric, (module_name, path) in {**tracer.TARGETS,
                                         **tracer.COUNTED}.items():
         target = importlib.import_module(module_name)
@@ -50,3 +44,32 @@ def test_exports_resolve(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def test_private_definitions_are_used():
+    """Every ``_``-prefixed top-level function or class of the package is
+    referenced somewhere in it other than in its own body, so a helper left
+    behind by a refactor fails here."""
+    defined, used = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = node.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined[owner] = path.name
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    unused = sorted(f"{defined[name]}: {name}" for name in defined
+                    if name not in used)
+    assert unused == []
