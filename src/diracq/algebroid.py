@@ -448,9 +448,7 @@ def iota_restrict(omega: AForm) -> AForm:
     for key, value in omega.coeffs.items():
         if line.t_index in key:
             continue
-        out[key] = value.subs({t_sym: sp.Integer(0)}) if isinstance(value, Expr) \
-            else ComplexExpr(value.re.subs({t_sym: sp.Integer(0)}),
-                             value.im.subs({t_sym: sp.Integer(0)}))
+        out[key] = value.subs({t_sym: sp.Integer(0)})
     return AForm(line.pullback_base, omega.degree, out)
 
 

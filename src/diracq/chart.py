@@ -119,7 +119,8 @@ def _is_number(value) -> bool:
     """A literal number, real or complex: every derivative of it is 0, so
     the differential operators skip it instead of differentiating."""
     if isinstance(value, ComplexExpr):
-        return value.re.node.is_Number and value.im.node.is_Number
+        return all(part.node.is_Number
+                   for part in (value.re, value.im, value.phase))
     return value.node.is_Number
 
 
@@ -222,21 +223,23 @@ def scalar_is_zero(value) -> bool:
 
 
 def _scalar(value):
-    """A real or complex exact scalar; a complex one whose imaginary part is
-    literally 0 is stored as its real part, so real tensors stay real."""
+    """A real or complex exact scalar; a complex one whose imaginary part and
+    phase are literally 0 is stored as its real part, so real tensors stay
+    real."""
     if isinstance(value, ComplexExpr):
-        return value.re if value.im.node == 0 else value
+        return value.re if value.im.node == 0 and value.phase.node == 0 \
+            else value
     return as_expr(value)
 
 
 def real_part(value):
     """The real part of a real or complex scalar; with ``map_coeffs``, of a
-    tensor or section."""
-    return ComplexExpr.of(value).re
+    tensor or section.  A phase is expanded to cos/sin first."""
+    return ComplexExpr.of(value).expand().re
 
 
 def imag_part(value):
-    return ComplexExpr.of(value).im
+    return ComplexExpr.of(value).expand().im
 
 
 def conjugate(value):

@@ -359,6 +359,35 @@ def _require_real(z: ComplexExpr, stream) -> Expr:
     return z.re
 
 
+# the model table each Dirac constructor's arguments name, what they are,
+# and whether it takes exactly one
+_DIRAC_ARGS = {"graph_presymplectic": ("forms", "form", True),
+               "graph_poisson": ("bivectors", "bivector", True),
+               "regular_distribution": ("vectors", "vector", False),
+               "frame": ("sections", "section", False)}
+
+
+def _declared_names(stream: _Stream, table: dict, what: str,
+                    single: bool = False) -> tuple[str, ...]:
+    """``(a, b, ...)``: one or more names (exactly one when ``single``),
+    each a declared ``what``."""
+    stream.expect("(")
+    names = []
+    while True:
+        token = stream.peek()
+        name = stream.expect_ident()
+        if name not in table:
+            raise DslError(f"{name!r} is not a declared {what}", stream.line,
+                           token.column)
+        names.append(name)
+        if not stream.accept(","):
+            break
+        if single:
+            raise stream.error(f"expected one {what}")
+    stream.expect(")")
+    return tuple(names)
+
+
 def parse_model(text: str, name: str = "model") -> Model:
     """Parse a model file; diagnostics carry line and column."""
     model: Model | None = None
@@ -447,17 +476,11 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         name = stream.expect_ident()
         stream.expect("=")
         kind = stream.expect_ident()
-        if kind not in ("graph_presymplectic", "graph_poisson",
-                        "regular_distribution", "frame"):
+        if kind not in _DIRAC_ARGS:
             raise stream.error(f"unknown Dirac constructor {kind!r}")
-        stream.expect("(")
-        args = []
-        if not stream.accept(")"):
-            args.append(stream.expect_ident())
-            while stream.accept(","):
-                args.append(stream.expect_ident())
-            stream.expect(")")
-        model.dirac_decl = (name, kind, tuple(args))
+        table, what, single = _DIRAC_ARGS[kind]
+        model.dirac_decl = (name, kind, _declared_names(
+            stream, getattr(model, table), what, single))
     elif keyword == "complement":
         name = stream.expect_ident()
         stream.expect("=")
@@ -465,12 +488,8 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         if kind == "auto":
             model.complement_decl = (name, "auto", ())
         elif kind == "sections":
-            stream.expect("(")
-            args = [stream.expect_ident()]
-            while stream.accept(","):
-                args.append(stream.expect_ident())
-            stream.expect(")")
-            model.complement_decl = (name, "sections", tuple(args))
+            model.complement_decl = (name, "sections", _declared_names(
+                stream, model.sections, "section"))
         else:
             raise stream.error("complement must be 'auto' or 'sections(...)'")
     elif keyword == "patch":

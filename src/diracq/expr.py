@@ -15,6 +15,17 @@ canonical form (``sympy.cancel``, also used by :func:`normalize`) computed,
 and equality decided probabilistically by exact-rational seeding of
 high-precision evaluation.
 
+A :class:`ComplexExpr` is ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
+amplitude pair and a real phase, taken mod Z and zero unless given, so that
+``exp(-2 pi i w)`` is kept as its exponent ``w`` rather than as cos/sin
+atoms.  A product adds phases, ``conj`` and the inverse negate them, and the
+derivative follows the log-derivative rule ``d(a e) = (da - 2 pi i a dw) e``.
+Two phases whose difference normalizes to an integer are the same phase, and
+a literal zero takes any phase.  A sum or a comparison of values whose phases
+differ by anything else expands both to the cos/sin form (``expand``); it is
+the only place a phase becomes atoms.  Equality of complex values compares
+amplitudes over the common phase, so on phased values it stays exact.
+
 Semantics are generic-point: two rational functions are equal when they agree
 off their pole sets, so ``x/x`` normalizes to ``1``.  Values are immutable and
 all operations are pure functions.
@@ -56,7 +67,6 @@ __all__ = [
     "evaluate",
     "random_rational",
     "equality_config",
-    "equality_seed",
 ]
 
 Scalar = Union["Expr", "ComplexExpr", int, Fraction]
@@ -306,11 +316,6 @@ def equality_config(*, seed: int):
         _seed = old
 
 
-def equality_seed() -> int:
-    """The seed of the sampled equality test in the current scope."""
-    return _seed
-
-
 def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
     """A random rational with numerator/denominator bounded by ``bound``."""
     bound = bound or _BOUND
@@ -399,12 +404,42 @@ def is_zero(e) -> bool:
 # complex scalars
 
 
+def _phase_sum(a: Expr, b: Expr) -> Expr:
+    if a.node == 0:
+        return b
+    return a if b.node == 0 else a + b
+
+
+def _literal_zero(z: "ComplexExpr") -> bool:
+    return z.re.node == 0 and z.im.node == 0
+
+
+def _align(z1: "ComplexExpr", z2: "ComplexExpr"):
+    """``z1`` and ``z2`` over one common phase, read off the first.  Phases
+    that differ by an integer are one phase, a literal zero takes the other's
+    phase, and phases that differ by anything else both expand to zero."""
+    if z1.phase.node == z2.phase.node or _literal_zero(z2):
+        return z1, z2
+    if _literal_zero(z1):
+        return ComplexExpr(z1.re, z1.im, z2.phase), z2
+    if normalize(z1.phase - z2.phase).node.is_Integer:
+        return z1, z2
+    return z1.expand(), z2.expand()
+
+
 @dataclass(frozen=True)
 class ComplexExpr:
-    """Complex scalar modeled as an exact (re, im) pair."""
+    """Complex scalar ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
+    amplitude pair and a real phase taken mod Z, zero unless given."""
 
     re: Expr
     im: Expr
+    phase: Expr = ZERO
+
+    def __post_init__(self):
+        # exp(-2 pi i n) = 1 for an integer n
+        if self.phase.node.is_Integer and self.phase is not ZERO:
+            object.__setattr__(self, "phase", ZERO)
 
     @staticmethod
     def of(value) -> "ComplexExpr":
@@ -412,18 +447,27 @@ class ComplexExpr:
             return value
         return ComplexExpr(as_expr(value), ZERO)
 
+    def expand(self) -> "ComplexExpr":
+        """The same value with phase zero: the amplitude times
+        ``cos(2 pi phase) - i sin(2 pi phase)``."""
+        if self.phase.node == 0:
+            return self
+        angle = (2 * PI * self.phase).node
+        c, s = Expr(sp.cos(angle)), Expr(sp.sin(angle))
+        return ComplexExpr(self.re * c + self.im * s, self.im * c - self.re * s)
+
     def conj(self) -> "ComplexExpr":
-        return ComplexExpr(self.re, -self.im)
+        return ComplexExpr(self.re, -self.im, -self.phase)
 
     def __add__(self, other) -> "ComplexExpr":
-        other = ComplexExpr.of(other)
-        return ComplexExpr(self.re + other.re, self.im + other.im)
+        a, b = _align(self, ComplexExpr.of(other))
+        return ComplexExpr(a.re + b.re, a.im + b.im, a.phase)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexExpr":
-        other = ComplexExpr.of(other)
-        return ComplexExpr(self.re - other.re, self.im - other.im)
+        a, b = _align(self, ComplexExpr.of(other))
+        return ComplexExpr(a.re - b.re, a.im - b.im, a.phase)
 
     def __rsub__(self, other) -> "ComplexExpr":
         return ComplexExpr.of(other) - self
@@ -431,10 +475,11 @@ class ComplexExpr:
     def __mul__(self, other) -> "ComplexExpr":
         if not isinstance(other, ComplexExpr):
             other = as_expr(other)
-            return ComplexExpr(self.re * other, self.im * other)
+            return ComplexExpr(self.re * other, self.im * other, self.phase)
         return ComplexExpr(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
+            _phase_sum(self.phase, other.phase),
         )
 
     __rmul__ = __mul__
@@ -443,26 +488,39 @@ class ComplexExpr:
         other = ComplexExpr.of(other)
         norm = other.re * other.re + other.im * other.im
         num = self * other.conj()
-        return ComplexExpr(num.re / norm, num.im / norm)
+        return ComplexExpr(num.re / norm, num.im / norm, num.phase)
 
     def __rtruediv__(self, other) -> "ComplexExpr":
         return ComplexExpr.of(other) / self
 
     def __neg__(self) -> "ComplexExpr":
-        return ComplexExpr(-self.re, -self.im)
+        return ComplexExpr(-self.re, -self.im, self.phase)
 
     def diff(self, sym: sp.Symbol) -> "ComplexExpr":
-        return ComplexExpr(self.re.diff(sym), self.im.diff(sym))
+        """The log-derivative rule ``d(a e) = (da - 2 pi i a dw) e`` for
+        ``e = exp(-2 pi i w)``."""
+        re, im = self.re.diff(sym), self.im.diff(sym)
+        if self.phase.node != 0:
+            k = 2 * PI * self.phase.diff(sym)
+            re, im = re + k * self.im, im - k * self.re
+        return ComplexExpr(re, im, self.phase)
+
+    def subs(self, mapping: Mapping[sp.Symbol, sp.Expr]) -> "ComplexExpr":
+        return ComplexExpr(self.re.subs(mapping), self.im.subs(mapping),
+                           self.phase.subs(mapping))
 
     def __str__(self) -> str:
-        return f"({self.re}) + i*({self.im})"
+        amplitude = f"({self.re}) + i*({self.im})"
+        if self.phase.node == 0:
+            return amplitude
+        return f"({amplitude})*exp(-2*pi*i*({self.phase}))"
 
 
 I = ComplexExpr(ZERO, ONE)
 
 
 def complex_equal(z1, z2) -> bool:
-    z1, z2 = ComplexExpr.of(z1), ComplexExpr.of(z2)
+    z1, z2 = _align(ComplexExpr.of(z1), ComplexExpr.of(z2))
     return equal(z1.re, z2.re) and equal(z1.im, z2.im)
 
 

@@ -40,7 +40,7 @@ class FieldOps:
 
 
 def _normalize_complex(z: ComplexExpr) -> ComplexExpr:
-    return ComplexExpr(normalize(z.re), normalize(z.im))
+    return ComplexExpr(normalize(z.re), normalize(z.im), z.phase)
 
 
 EXPR_FIELD = FieldOps(ZERO, ONE, is_zero, normalize)

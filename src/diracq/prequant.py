@@ -7,30 +7,25 @@ function, and the Cech cocycle construction from local primitives.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-import sympy as sp
-
 from .algebroid import AForm, aform_equal, d_A, dirac_presentation
+from .chart import imag_part
 from .dirac import DiracStructure, pairing_minus, omega_on_frame, VerificationError
 from .expr import (
     ComplexExpr,
     Expr,
     ExprError,
     I,
+    ONE,
     PI,
-    Point,
     ZERO,
     as_expr,
     complex_equal,
     complex_is_zero,
-    evaluate,
-    equality_seed,
     is_zero,
-    random_rational,
+    normalize,
 )
 from .hamiltonian import ComplementH, hamiltonian_H
 
@@ -65,9 +60,10 @@ class IntegralityError(AtlasError):
 
 
 def transition_exp(w: Expr) -> ComplexExpr:
-    """``exp(-2 pi i w)`` as an exact (cos, -sin) pair."""
-    angle = (2 * PI * as_expr(w)).node
-    return ComplexExpr(Expr(sp.cos(angle)), Expr(-sp.sin(angle)))
+    """``exp(-2 pi i w)`` kept as its phase ``w``: products, inverses and
+    derivatives of transitions act on the exponent, so the cocycle and
+    compatibility tests of a cochain atlas stay free of cos/sin atoms."""
+    return ComplexExpr(ONE, ZERO, as_expr(w))
 
 
 @dataclass
@@ -229,7 +225,7 @@ def curvature_2section(atlas: BundleAtlas) -> AForm:
                 f"curvature differs between patches {names[0]} and {name}")
     if atlas.hermitian:
         for value in first.coeffs.values():
-            if isinstance(value, ComplexExpr) and not is_zero(value.im):
+            if isinstance(value, ComplexExpr) and not is_zero(imag_part(value)):
                 raise AtlasError("Hermitian atlas produced a non-real curvature")
     return first
 
@@ -348,23 +344,18 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
 # the cocycle construction
 
 
-def _sample_point(dirac: DiracStructure) -> Point:
-    rng = random.Random(equality_seed() ^ 0x5EED)
-    chart = dirac.chart
-    values = {name: random_rational(rng, 100)
-              for name in chart.coord_names + chart.param_names}
-    return Point(chart.name, values)
-
-
 def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
                           sigma: Mapping[str, AForm],
                           cochain: Mapping[tuple[str, str], Expr]) -> BundleAtlas:
     """Assemble the Hermitian prequantization atlas from local primitives.
 
-    Requires ``d_D w_jk = sigma_j - sigma_k`` on declared overlaps; the
-    alternating sums ``w_jk + w_kl - w_jl`` must be constant along D and take
-    exact integer values, otherwise the integrality obstruction is reported
-    with its witness.  Transitions are ``exp(-2 pi i w_jk)``.
+    Requires ``d_D w_jk = sigma_j - sigma_k`` on declared overlaps.  Each
+    Cech sum ``w_ab + w_bc - w_ac`` on a declared triple must normalize to
+    an integer; otherwise :class:`IntegralityError` carries the normalized
+    sum as its witness (a non-integral constant such as ``1/3``, or a
+    non-constant sum such as ``x2``).  Transitions are ``exp(-2 pi i w_jk)``
+    kept as phases (:func:`transition_exp`), and those sums are exactly what
+    makes them a cocycle, so validation stays exact.
     """
     dirac.require_verified()
     pres = dirac_presentation(dirac)
@@ -380,24 +371,16 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
         if not aform_equal(d_A(w, pres), sigma[j] - sigma[k]):
             raise AtlasError(
                 f"d_D w[{j},{k}] does not match sigma_{j} - sigma_{k}")
-    point = _sample_point(dirac)
     for a, b, c in itertools.combinations(patches, 3):
         keys = ((a, b), (b, c), (a, c))
         if not all(key in cochain for key in keys):
             continue
-        f_abc = cochain[(a, b)] + cochain[(b, c)] - cochain[(a, c)]
-        if not d_A(f_abc, pres).is_zero_form():
+        f_abc = normalize(cochain[(a, b)] + cochain[(b, c)] - cochain[(a, c)])
+        if not f_abc.node.is_Integer:
             raise IntegralityError(
-                f"integrality obstruction: w[{a},{b}]+w[{b},{c}]-w[{a},{c}] "
-                "is not constant along D", str(f_abc))
-        if not f_abc.is_rational_fragment():
-            raise IntegralityError(
-                "integrality obstruction: non-rational cochain sum", str(f_abc))
-        value = evaluate(f_abc, point)
-        if not isinstance(value, Fraction) or value.denominator != 1:
-            raise IntegralityError(
-                f"integrality obstruction on ({a},{b},{c}): value {value} "
-                "is not an integer", value)
+                f"integrality obstruction on ({a},{b},{c}): "
+                f"w[{a},{b}]+w[{b},{c}]-w[{a},{c}] = {f_abc} "
+                "is not an integer", f_abc)
     transitions = {}
     for (j, k), w in cochain.items():
         transitions[(j, k)] = transition_exp(w)

@@ -404,8 +404,8 @@ def integrate_density(kappa: AlphaDensity,
     chart = kappa.chart
     if set(box) != set(chart.coord_names):
         raise QuantizeError("the box must cover exactly the chart coordinates")
-    free = {str(s) for s in (kappa.coeff.re.free_symbols
-                             | kappa.coeff.im.free_symbols)}
+    coeff = kappa.coeff.expand()
+    free = {str(s) for s in coeff.re.free_symbols | coeff.im.free_symbols}
     extra = free - set(chart.coord_names)
     if extra:
         raise QuantizeError(f"unbound parameters in the integrand: {sorted(extra)}")
@@ -418,14 +418,14 @@ def integrate_density(kappa: AlphaDensity,
             values[name] = lo + (hi - lo) * Fraction(step, grid_steps)
         point = Point(chart.name, values)
         try:
-            evaluate(kappa.coeff.re, point)
-            evaluate(kappa.coeff.im, point)
+            evaluate(coeff.re, point)
+            evaluate(coeff.im, point)
         except SingularPointError as err:
             raise SingularPointError(
                 f"singularity inside the integration box at {values}") from err
     syms = [symbol(n) for n in chart.coord_names]
-    f_re = sp.lambdify(syms, kappa.coeff.re.node, "mpmath")
-    f_im = sp.lambdify(syms, kappa.coeff.im.node, "mpmath")
+    f_re = sp.lambdify(syms, coeff.re.node, "mpmath")
+    f_im = sp.lambdify(syms, coeff.im.node, "mpmath")
     intervals = [[_frac_to_mpf(lo), _frac_to_mpf(hi)] for lo, hi in axes]
     with mpmath.workdps(30):
         real = mpmath.quad(f_re, *intervals)

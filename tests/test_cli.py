@@ -172,6 +172,60 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["check", str(model)]) == 2
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_non_constant_cech_sum_has_one_witness(tmp_path, capsys, seed):
+    # x2 is constant along D = span(d_x1) but not a constant: no seed may
+    # turn it into a sampled value
+    model = tmp_path / "cechsum.dq"
+    model.write_text("chart F dim 2 coords x1 x2\n"
+                     "vector X = d_x1\n"
+                     "dirac D = regular_distribution(X)\n"
+                     "patch U1\npatch U2\npatch U3\n"
+                     "sigma U1 = dcoeffs(0, 0)\n"
+                     "sigma U2 = dcoeffs(0, 0)\n"
+                     "sigma U3 = dcoeffs(0, 0)\n"
+                     "cochain U1 U2 = x2\n"
+                     "cochain U2 U3 = 0\n"
+                     "cochain U1 U3 = 0\n")
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "prequant", "--seed", seed)
+    assert code == 1
+    prequant = [c for c in json.loads(out)["checks"]
+                if c["name"].startswith("prequant")]
+    assert [(c["name"], c["status"], c["witness"]) for c in prequant] == [
+        ("prequant/atlas", "fail", "integrality obstruction: x2")]
+
+
+def test_non_hermitian_atlas_skips_the_selfadjoint_integrand(tmp_path, capsys):
+    model = tmp_path / "nometric.dq"
+    model.write_text("chart M dim 2 coords q p\n"
+                     "form omega = dq/\\dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "scalar f = q*p\n"
+                     "patch U1\n"
+                     "sigma U1 = pull(-p*dq)\n"
+                     "polarization P = span((d_p, -dq))\n"
+                     "halfdensity v = 1\n")
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "quantize")
+    assert code == 0
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (records["quantize/selfadjoint-integrand"]["status"],
+            records["quantize/selfadjoint-integrand"]["witness"]) == (
+        "skipped", "Hermitian data required")
+    assert records["quantize/lemma51"]["status"] == "pass"
+    assert not any(c["status"] == "error" for c in records.values())
+
+
+def test_undeclared_structure_name_exit_code(tmp_path, capsys):
+    model = tmp_path / "typo.dq"
+    model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"
+                     "dirac D = graph_presymplectic(omegb)\n")
+    assert main(["check", str(model), "--suite", "all"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3:31:" in err and "'omegb' is not a declared form" in err
+
+
 def test_tensor_arithmetic_error_exit_code(tmp_path, capsys):
     model = tmp_path / "degrees.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq + dq/\\dp\n")

@@ -127,6 +127,30 @@ class TestParse:
                                                    f"{what} must be real")
 
 
+@pytest.mark.parametrize("decl, name, message", [
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omegb)",
+     "omegb", "'omegb' is not a declared form"),
+    ("vector X = d_q\ndirac D = graph_presymplectic(X)",
+     "X)", "'X' is not a declared form"),
+    ("form omega = dq/\\dp\ndirac D = graph_poisson(omega)",
+     "omega)", "'omega' is not a declared bivector"),
+    ("vector X = d_q\ndirac D = regular_distribution(X, Y)",
+     "Y", "'Y' is not a declared vector"),
+    ("section s = (d_q, dp)\ndirac D = frame(s, t)",
+     "t)", "'t' is not a declared section"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega)\n"
+     "complement H = sections(zz)", "zz", "'zz' is not a declared section"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega, omega)",
+     "omega)", "expected one form"),
+])
+def test_structure_names_are_resolved_at_parse_time(decl, name, message):
+    text = f"chart M dim 2 coords q p\n{decl}\n"
+    with pytest.raises(DslError, match=message) as err:
+        parse_model(text)
+    line = text.splitlines()[err.value.line - 1]
+    assert err.value.column == line.rindex(name) + 1
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.dq")))
     def test_format_parse_round_trip(self, name):

@@ -13,7 +13,10 @@ from diracq.expr import (
     Expr,
     ExprError,
     I,
+    ONE,
+    PI,
     Point,
+    ZERO,
     SingularPointError,
     as_expr,
     complex_equal,
@@ -262,6 +265,72 @@ class TestComplexExpr:
 
     def test_i_squares_to_minus_one(self):
         assert complex_equal(I * I, -1)
+
+
+class TestPhase:
+    """``ComplexExpr(re, im, w)`` is ``(re + i im) exp(-2 pi i w)``."""
+
+    def test_product_adds_phases(self):
+        z = ComplexExpr(ex("x"), ONE, ex("x"))
+        w = ComplexExpr(ONE, ex("y"), ex("y"))
+        product = z * w
+        assert equal(product.phase, ex("x + y"))
+        assert equal(product.re, ex("x - y"))
+        assert equal(product.im, ex("x*y + 1"))
+        assert (z * ex("y")).phase == z.phase
+
+    def test_conj_and_division_negate_phases(self):
+        z = ComplexExpr(ex("x"), ex("y"), ex("x*y"))
+        w = ComplexExpr(ONE, ex("x"), ex("y"))
+        assert equal(z.conj().phase, ex("-x*y"))
+        assert equal((z / w).phase, ex("x*y - y"))
+        assert equal((1 / w).phase, ex("-y"))
+        assert (z.conj() * z).phase == ZERO
+        assert complex_equal((z / w) * w, z)
+
+    def test_diff_follows_the_log_derivative_rule(self):
+        z = ComplexExpr(ex("x"), ex("y"), ex("x**2*y"))
+        d = z.diff(x)
+        # d(a e) = (da - 2 pi i a dw) e, with a = x + i y and dw = 2 x y
+        dw = ex("2*x*y")
+        assert d.phase == z.phase
+        assert equal(d.re, 1 + 2 * PI * dw * ex("y"))
+        assert equal(d.im, -2 * PI * dw * ex("x"))
+        # the same derivative as that of the cos/sin form
+        expanded = z.expand()
+        assert complex_equal(d.expand(), ComplexExpr(expanded.re.diff(x),
+                                                     expanded.im.diff(x)))
+
+    def test_phases_that_differ_by_an_integer_are_equal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(expr_module, "_probabilistic_equal",
+                            lambda *a, **k: calls.append(a))
+        z1 = ComplexExpr(ex("x"), ONE, ex("x*y"))
+        z2 = ComplexExpr(ex("x"), ONE, ex("x*y + 2"))
+        assert complex_equal(z1, z2)
+        total = z1 + z2
+        assert total.phase == z1.phase and equal(total.re, 2 * ex("x"))
+        assert ComplexExpr(ONE, ZERO, as_expr(-3)) == ComplexExpr.of(1)
+        assert not complex_equal(z1, ComplexExpr(ex("x"), ex("2"), ex("x*y")))
+        assert calls == []
+
+    def test_literal_zero_takes_any_phase(self):
+        z = ComplexExpr(ex("x"), ONE, ex("x*y"))
+        for zero in (ComplexExpr(ZERO, ZERO), ComplexExpr(ZERO, ZERO, ex("y"))):
+            assert (z + zero) == z and (zero + z) == z
+            assert (z - zero).phase == z.phase
+
+    def test_mixed_phases_expand_to_cos_sin(self):
+        z1 = ComplexExpr(ONE, ZERO, ex("x/2"))
+        z2 = ComplexExpr(ex("y"), ZERO, ex("x/3"))
+        total = z1 + z2
+        assert total.phase == ZERO
+        a1, a2 = sp.pi * x, 2 * sp.pi * x / 3
+        expected = ComplexExpr(Expr(sp.cos(a1) + y * sp.cos(a2)),
+                               Expr(-sp.sin(a1) - y * sp.sin(a2)))
+        assert complex_equal(total, expected)
+        # a constant phase difference of 1/2 is the sign -1
+        assert complex_equal(ComplexExpr(ONE, ZERO, as_expr(1) / 2), -1)
 
 
 def test_random_rational_respects_bound():

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
+import pytest
+import sympy as sp
+
+import diracq.expr as expr_module
 from diracq.algebroid import AForm, aform_equal, d_A, dirac_presentation, rho_pullback_form
 from diracq.chart import Chart, KForm, exterior_derivative
+from diracq.checks import run_checks
 from diracq.dirac import regular_distribution
+from diracq.dsl import SUITES, parse_model
 from diracq.expr import ComplexExpr, Expr, as_expr, complex_is_zero, equal
 from diracq.hamiltonian import default_complement
 from diracq.prequant import (
@@ -22,6 +28,10 @@ from diracq.prequant import (
     transition_exp,
 )
 from diracq.randgen import random_polynomial, rng_for
+
+from helpers import perfbench_module
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture
@@ -284,3 +294,40 @@ class TestCechConstruction:
         atlas = build_prequantization(standard_dirac, ["U1", "U2"], sigma, w)
         section = line_section_from_patch(atlas, "U1", ComplexExpr.of(Expr(r2.coords[0])))
         section.check_gluing()
+
+
+class TestExactPhases:
+    """A cochain atlas keeps its transitions as phases, so no identity on
+    it needs the sampled equality."""
+
+    def test_cech_corpus_model_never_samples(self, monkeypatch):
+        calls = []
+        sampled = expr_module._probabilistic_equal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sampled(*args, **kwargs)
+
+        monkeypatch.setattr(expr_module, "_probabilistic_equal", counted)
+        model = parse_model((MODELS / "cech_three_patch.dq").read_text())
+        report = run_checks(model, suites=list(SUITES), seed=7)
+        assert not any(c.status in ("fail", "error") for c in report.checks)
+        assert calls == []
+
+    def test_transition_is_a_phase(self, r2):
+        q = Expr(r2.coords[0])
+        g = transition_exp(q)
+        assert g == ComplexExpr(as_expr(1), as_expr(0), q)
+        assert complex_is_zero(g.expand() - ComplexExpr(
+            Expr(sp.cos(2 * sp.pi * q.node)), Expr(-sp.sin(2 * sp.pi * q.node))))
+
+    def test_generated_cech_round_matches_the_oracle(self):
+        families = perfbench_module("families")
+        oracle = perfbench_module("oracle")
+        for op in families.cech_round(2, 0):
+            model = parse_model(op["text"], name=op["name"])
+            report = run_checks(model, suites=op["suites"], seed=7, trials=2)
+            checks = report.to_dict()["checks"]
+            assert not any(c["status"] == "error" for c in checks), op["name"]
+            assert oracle.judge(checks, oracle.expect_generated(op)) is None, \
+                op["name"]
