@@ -470,13 +470,13 @@ def homotopy_S(omega: AForm) -> AForm:
             raise AlgebroidError("homotopy integration expects real coefficients")
         rest = tuple(i for i in key if i != line.t_index)
         try:
-            sp.Poly(value.node, t_sym)
+            poly = sp.Poly(value.node, t_sym)
         except sp.PolynomialError as err:
             raise AlgebroidError(
                 f"unsupported integrand (not polynomial in {t_sym}): {value}"
             ) from err
-        anti = sp.integrate(value.node, t_sym)
-        integral = Expr(anti - anti.subs(t_sym, sp.Integer(0)))
+        # the antiderivative without a constant term is the integral from 0
+        integral = Expr(poly.integrate().as_expr())
         # moving the dt slot from its sorted position to the front
         sign = (-1) ** len(rest)
         out[rest] = integral if sign > 0 else -integral

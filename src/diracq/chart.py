@@ -125,13 +125,16 @@ def _is_number(value) -> bool:
 
 
 def _apply_scalar(components: Sequence, chart: Chart, f):
-    """Directional derivative sum(X_i * d f / dx_i); f real or complex."""
+    """Directional derivative sum(X_i * d f / dx_i); f real or complex.  A
+    component that is literally 0 adds nothing and is not differentiated
+    along."""
     f = _scalar(f)
     if _is_number(f):
         return ZERO
     out = ZERO
     for comp, sym in zip(components, chart.coords):
-        out = out + comp * f.diff(sym)
+        if _nonzero_node(comp):
+            out = out + comp * f.diff(sym)
     return out
 
 

@@ -23,6 +23,10 @@ and binds looser than ``*``.
     polarization P = span((d_q, dp), ...)
     halfdensity v = <scalar>
     check dirac poisson prequant polarize quantize poincare | all
+
+Names are resolved as they are read: the arguments of ``dirac`` and
+``complement sections(...)`` and the patches of ``transition``, ``sigma`` and
+``cochain`` must be declared on earlier lines.
 """
 
 from __future__ import annotations
@@ -367,6 +371,16 @@ _DIRAC_ARGS = {"graph_presymplectic": ("forms", "form", True),
                "frame": ("sections", "section", False)}
 
 
+def _declared_name(stream: _Stream, table, what: str) -> str:
+    """One name, which an earlier statement declared as a ``what``."""
+    token = stream.peek()
+    name = stream.expect_ident()
+    if name not in table:
+        raise DslError(f"{name!r} is not a declared {what}", stream.line,
+                       token.column)
+    return name
+
+
 def _declared_names(stream: _Stream, table: dict, what: str,
                     single: bool = False) -> tuple[str, ...]:
     """``(a, b, ...)``: one or more names (exactly one when ``single``),
@@ -374,12 +388,7 @@ def _declared_names(stream: _Stream, table: dict, what: str,
     stream.expect("(")
     names = []
     while True:
-        token = stream.peek()
-        name = stream.expect_ident()
-        if name not in table:
-            raise DslError(f"{name!r} is not a declared {what}", stream.line,
-                           token.column)
-        names.append(name)
+        names.append(_declared_name(stream, table, what))
         if not stream.accept(","):
             break
         if single:
@@ -495,12 +504,12 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
     elif keyword == "patch":
         model.patches.append(stream.expect_ident())
     elif keyword == "transition":
-        j = stream.expect_ident()
-        k = stream.expect_ident()
+        j = _declared_name(stream, model.patches, "patch")
+        k = _declared_name(stream, model.patches, "patch")
         stream.expect("=")
         model.transitions[(j, k)] = _require_scalar(parser.expression(), stream)
     elif keyword == "sigma":
-        patch = stream.expect_ident()
+        patch = _declared_name(stream, model.patches, "patch")
         stream.expect("=")
         kind = stream.expect_ident()
         stream.expect("(")
@@ -519,8 +528,8 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         else:
             raise stream.error("sigma must be pull(...) or dcoeffs(...)")
     elif keyword == "cochain":
-        j = stream.expect_ident()
-        k = stream.expect_ident()
+        j = _declared_name(stream, model.patches, "patch")
+        k = _declared_name(stream, model.patches, "patch")
         stream.expect("=")
         model.cochain[(j, k)] = _require_real(
             _require_scalar(parser.expression(), stream), stream)

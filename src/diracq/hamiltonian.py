@@ -5,6 +5,13 @@ Poisson brackets on a Dirac chart, and the Jacobi and field identities.
 lowest-index pivoting); ``H_f`` is the unique solution whose vector part lies
 in a fixed complement of the tangent kernel ``V = D n TM`` inside the
 characteristic distribution.
+
+Once the complement is fixed, ``H_f`` depends on ``f`` alone, so each
+:class:`ComplementH` memoizes it: ``hamiltonian_H`` keeps the field and frame
+coefficients under the sympy tree of ``f``, and ``bracket_omega`` keeps
+``{f, g}`` under the ordered pair of trees.  The key is structural (no
+normalization), only successful results are kept, and ``{g, f}`` is computed
+in its own right rather than read off ``{f, g}`` as its negation.
 """
 
 from __future__ import annotations
@@ -72,7 +79,14 @@ def admissible_vector_field(dirac: DiracStructure, f) -> AdmissibleResult:
 
 class ComplementH:
     """Sections of D whose vector parts complement V = D n TM inside the
-    characteristic distribution; fixed once and reused by every bracket."""
+    characteristic distribution; fixed once and reused by every bracket.
+
+    It owns two memos that live as long as it does: ``hamiltonians`` maps
+    the tree ``f.node`` to ``hamiltonian_H``'s ``(field, frame_coeffs)``,
+    and ``brackets`` maps the ordered pair ``(f.node, g.node)`` to
+    ``{f, g}``.  A ``NotAdmissibleError`` is never stored, and a pair's
+    reverse is never filled in from it.
+    """
 
     def __init__(self, dirac: DiracStructure, sections: Sequence[Section]):
         dirac.require_verified()
@@ -104,6 +118,8 @@ class ComplementH:
             [covector_components(h.xi) for h in self.sections]
             + [covector_components(dirac.section_from_coefficients(z).xi)
                for z in tau], n)
+        self.hamiltonians: dict = {}
+        self.brackets: dict = {}
 
     def __len__(self) -> int:
         return len(self.sections)
@@ -122,13 +138,20 @@ def default_complement(dirac: DiracStructure) -> ComplementH:
                                if col >= len(kernel)])
 
 
+def _require_owner(dirac: DiracStructure, complement: ComplementH) -> None:
+    if complement.dirac is not dirac:
+        raise ComplementError("the complement belongs to a different structure")
+
+
 def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
     """The unique vector field in the fixed complement with ``(H_f, df)`` a
     section of D.  Returns the field and the frame coefficients of the
-    section ``(H_f, df)``."""
-    if complement.dirac is not dirac:
-        raise ComplementError("the complement belongs to a different structure")
+    section ``(H_f, df)``, memoized on the complement under ``f``'s tree."""
+    _require_owner(dirac, complement)
     f = as_expr(f)
+    known = complement.hamiltonians.get(f.node)
+    if known is not None:
+        return known
     n = dirac.dim
     result = linalg.solve(complement.span,
                           covector_components(differential(dirac, f)))
@@ -141,7 +164,8 @@ def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
     for combo, coeff in zip(complement.column_coefficients, result.solution):
         for i, c in enumerate(combo):
             frame_coeffs[i] = frame_coeffs[i] + coeff * c
-    return field, tuple(frame_coeffs)
+    known = complement.hamiltonians[f.node] = (field, tuple(frame_coeffs))
+    return known
 
 
 def _assert_well_defined(dirac: DiracStructure, f: Expr) -> None:
@@ -167,8 +191,14 @@ def bracket_prime(dirac: DiracStructure, f, g) -> Expr:
 
 def bracket_omega(dirac: DiracStructure, complement: ComplementH, f, g) -> Expr:
     """``{f, g} = H_g f``, cross-checked against the presymplectic pairing of
-    the two Hamiltonian fields through the frame expansion."""
+    the two Hamiltonian fields through the frame expansion; memoized on the
+    complement under the ordered pair of trees."""
+    _require_owner(dirac, complement)
     f, g = as_expr(f), as_expr(g)
+    key = (f.node, g.node)
+    known = complement.brackets.get(key)
+    if known is not None:
+        return known
     h_g, _ = hamiltonian_H(dirac, complement, g)
     value = h_g.apply(f)
     _, coeffs_f = hamiltonian_H(dirac, complement, f)
@@ -177,6 +207,7 @@ def bracket_omega(dirac: DiracStructure, complement: ComplementH, f, g) -> Expr:
         omega_val = omega_val + c * dirac.frame[i].xi.evaluate([h_g])
     if not is_zero(value - omega_val):
         raise NotAdmissibleError("bracket disagrees with Omega(H_f, H_g)")
+    complement.brackets[key] = value
     return value
 
 

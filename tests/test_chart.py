@@ -207,6 +207,51 @@ class TestContravariantDerivative:
         assert contravariant_derivative(pi, q).is_zero_tensor()
 
 
+class TestApply:
+    """``X.apply(f)`` skips literally zero components; the sum is unchanged."""
+
+    @staticmethod
+    def full_sum(field: VectorField, f):
+        out = ZERO
+        for comp, sym in zip(field.components, field.chart.coords):
+            out = out + comp * f.diff(sym)
+        return out
+
+    @pytest.fixture
+    def r3(self) -> Chart:
+        return Chart("R3", ("x", "y", "z"))
+
+    def fields(self, r3):
+        x, y, z = (Expr(s) for s in r3.coords)
+        return [VectorField(r3, (ZERO, x * y, ZERO)),
+                VectorField(r3, (z, ZERO, ComplexExpr(y, x))),
+                VectorField(r3, (ComplexExpr(ZERO, ZERO, x), x, ZERO)),
+                VectorField(r3, (ZERO, ZERO, ZERO))]
+
+    def test_real_function(self, r3):
+        rng = rng_for(3, "apply-zero-components")
+        for _ in range(3):
+            f = random_polynomial(rng, r3, 3, 2)
+            for field in self.fields(r3):
+                assert complex_is_zero(field.apply(f) - self.full_sum(field, f))
+
+    def test_phased_function(self, r3):
+        x, y, z = (Expr(s) for s in r3.coords)
+        f = ComplexExpr(x * z, y, x * y)
+        for field in self.fields(r3):
+            assert complex_is_zero(field.apply(f) - self.full_sum(field, f))
+
+    def test_zero_components_are_not_differentiated_along(self, r3,
+                                                          monkeypatch):
+        seen = []
+        diff = Expr.diff
+        monkeypatch.setattr(Expr, "diff", lambda self, sym: (
+            seen.append(sym) or diff(self, sym)))
+        x, y, _ = (Expr(s) for s in r3.coords)
+        VectorField(r3, (ZERO, x, ZERO)).apply(x * y)
+        assert seen == [r3.coords[1]]
+
+
 class TestDensities:
     def test_scaling_flow(self):
         chart = Chart("L", ("x",))

@@ -143,6 +143,20 @@ def test_rational_negatives_match_the_oracle():
         assert not any(c.status == "error" for c in report.checks), op["name"]
 
 
+def test_generated_rational_round_matches_the_oracle():
+    """One seeded round of the benchmark's rational Dirac structures, each
+    judged against the truth the oracle derives without diracq."""
+    families = perfbench_module("families")
+    oracle = perfbench_module("oracle")
+    for op in families.rational_round(2, 0):
+        model = parse_model(op["text"], name=op["name"])
+        report = run_checks(model, suites=op["suites"], seed=7, trials=2)
+        checks = report.to_dict()["checks"]
+        assert not any(c["status"] == "error" for c in checks), op["name"]
+        assert oracle.judge(checks, oracle.expect_generated(op)) is None, \
+            op["name"]
+
+
 def test_perturbed_sigma_fails_only_prequant(capsys):
     code, out = run_cli(capsys, "check", str(MODELS / "perturbed_sigma.dq"),
                         "--json", "--seed", "7")
@@ -224,6 +238,16 @@ def test_undeclared_structure_name_exit_code(tmp_path, capsys):
     assert main(["check", str(model), "--suite", "all"]) == 2
     err = capsys.readouterr().err
     assert "line 3:31:" in err and "'omegb' is not a declared form" in err
+
+
+def test_undeclared_patch_exit_code(tmp_path, capsys):
+    model = tmp_path / "patches.dq"
+    model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "patch U1\npatch U2\ncochain U1 U9 = 0\n")
+    assert main(["check", str(model), "--suite", "prequant"]) == 2
+    err = capsys.readouterr().err
+    assert "line 6:12:" in err and "'U9' is not a declared patch" in err
 
 
 def test_tensor_arithmetic_error_exit_code(tmp_path, capsys):

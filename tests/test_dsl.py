@@ -142,6 +142,14 @@ class TestParse:
      "complement H = sections(zz)", "zz", "'zz' is not a declared section"),
     ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega, omega)",
      "omega)", "expected one form"),
+    ("patch U1\npatch U2\ncochain U1 U9 = 0", "U9",
+     "'U9' is not a declared patch"),
+    ("cochain U1 U2 = q\npatch U1\npatch U2", "U1",
+     "'U1' is not a declared patch"),
+    ("patch U1\nsigma U7 = pull(-p*dq)", "U7",
+     "'U7' is not a declared patch"),
+    ("patch U2\ntransition U1 U2 = 1", "U1",
+     "'U1' is not a declared patch"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
     text = f"chart M dim 2 coords q p\n{decl}\n"

@@ -4,10 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from diracq import linalg
+from diracq import hamiltonian, linalg
 from diracq.chart import Chart, KForm
 from diracq.checks import Resolver
-from diracq.dirac import Section, membership, regular_distribution
+from diracq.dirac import (
+    Section,
+    graph_presymplectic,
+    membership,
+    regular_distribution,
+)
 from diracq.dsl import parse_model
 from diracq.expr import Expr, as_expr, equal, is_zero, symbol
 from diracq.hamiltonian import (
@@ -220,3 +225,93 @@ def test_solves_reuse_the_factored_spans(monkeypatch):
         assert admissible_vector_field(dirac, f).ok
         assert membership(dirac, Section(h_f, differential(dirac, f))).ok
     assert eliminations == []
+
+
+class TestMemo:
+    """A complement solves for H_f once per function tree and keeps each
+    ordered bracket; a fresh complement gives the same values."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = linalg.solve
+        monkeypatch.setattr(linalg, "solve", lambda *args, **kwargs: (
+            calls.append(args) or solve(*args, **kwargs)))
+        return calls
+
+    @pytest.fixture
+    def functions(self, r2):
+        rng = rng_for(11, "memo")
+        return [random_polynomial(rng, r2, 3, 2) for _ in range(4)]
+
+    def test_one_solve_per_function(self, standard_dirac, functions, solves):
+        complement = default_complement(standard_dirac)
+        before = len(solves)
+        for _ in range(3):
+            for f in functions:
+                hamiltonian_H(standard_dirac, complement, f)
+                hamiltonian_H(standard_dirac, complement, Expr(f.node))
+        distinct = len({f.node for f in functions})
+        assert len(solves) - before == distinct
+        for f in functions:
+            for g in functions:
+                bracket_omega(standard_dirac, complement, f, g)
+        assert len(solves) - before == distinct
+        other = default_complement(standard_dirac)
+        before = len(solves)
+        hamiltonian_H(standard_dirac, other, functions[0])
+        assert len(solves) - before == 1
+
+    def test_memo_equals_a_fresh_complement(self, presymplectic_r4, r4_data):
+        f, complement = r4_data
+        g = f * f + Expr(symbol("x1"))
+        for _ in range(2):
+            memo_f = hamiltonian_H(presymplectic_r4, complement, f)
+            memo_fg = bracket_omega(presymplectic_r4, complement, f, g)
+        fresh = ComplementH(presymplectic_r4, complement.sections)
+        assert fresh.hamiltonians == {} and fresh.brackets == {}
+        assert bracket_omega(presymplectic_r4, fresh, f, g) == memo_fg
+        assert hamiltonian_H(presymplectic_r4, fresh, f) == memo_f
+
+    def test_reverse_bracket_is_computed(self, standard_dirac, functions,
+                                         monkeypatch):
+        f, g = functions[:2]
+        complement = default_complement(standard_dirac)
+        fg = bracket_omega(standard_dirac, complement, f, g)
+        assert set(complement.brackets) == {(f.node, g.node)}
+        solved = []
+        solve_h = hamiltonian.hamiltonian_H
+        monkeypatch.setattr(hamiltonian, "hamiltonian_H", lambda *args: (
+            solved.append(args[2]) or solve_h(*args)))
+        gf = bracket_omega(standard_dirac, complement, g, f)
+        assert solved == [f, g]
+        assert is_zero(fg + gf)
+        assert complement.brackets[(g.node, f.node)] == gf
+        bracket_omega(standard_dirac, complement, g, f)
+        assert solved == [f, g]
+
+    def test_failures_are_not_kept(self, solves):
+        chart = Chart("F", ("x1", "x2"))
+        dirac = regular_distribution([chart.basis_vector(0)])
+        complement = default_complement(dirac)
+        before = len(solves)
+        x1 = Expr(chart.coords[0])
+        for _ in range(2):
+            with pytest.raises(NotAdmissibleError):
+                hamiltonian_H(dirac, complement, x1)
+            with pytest.raises(NotAdmissibleError):
+                bracket_omega(dirac, complement, x1, x1)
+        assert len(solves) - before == 4
+        assert complement.hamiltonians == {} and complement.brackets == {}
+
+    def test_memo_keeps_the_owner_check(self, standard_dirac, r2, functions):
+        complement = default_complement(standard_dirac)
+        f, g = functions[:2]
+        bracket_omega(standard_dirac, complement, f, g)
+        other = graph_presymplectic(
+            r2.basis_covector(0).wedge(r2.basis_covector(1)))
+        other.verify()
+        with pytest.raises(ComplementError):
+            hamiltonian_H(other, complement, f)
+        with pytest.raises(ComplementError):
+            bracket_omega(other, complement, f, g)
