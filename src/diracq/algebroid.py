@@ -14,15 +14,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import sympy as sp
-
 from .chart import (
     Chart,
     KForm,
     KVector,
     VectorField,
     _Alternating,
-    _nonzero_node,
+    _nonzero,
     scalar_is_zero,
 )
 from .dirac import (
@@ -148,7 +146,7 @@ class AForm(_Alternating):
             raise AlgebroidError("coefficient evaluation needs degree 1")
         out = ZERO
         for i, c in enumerate(coeffs):
-            if _nonzero_node(c):
+            if _nonzero(c):
                 out = out + c * self.coeff((i,))
         return out
 
@@ -197,7 +195,7 @@ def d_A(theta: AForm | object, algebroid: AlgebroidPresentation | None = None) -
     def bracket_term(a: int, b: int, rest: tuple[int, ...]):
         term = ZERO
         for m, c in enumerate(A.bracket_coefficients(a, b)):
-            if c.node != 0:
+            if _nonzero(c):
                 term = term + c * theta.coeff_signed((m,) + rest)
         return term
 
@@ -377,7 +375,7 @@ def _covariant(conn: AConnection, index: int, comps: list) -> list:
         value = A.anchors[index].apply(comps[j])
         for k in range(m):
             theta_val = conn.theta[j][k].coeff((index,))
-            if _nonzero_node(theta_val) and _nonzero_node(comps[k]):
+            if _nonzero(theta_val) and _nonzero(comps[k]):
                 value = value + theta_val * comps[k]
         out.append(value)
     return out
@@ -395,7 +393,7 @@ def _operator_curvature(conn: AConnection, a: int, b: int):
         second = _covariant(conn, b, _covariant(conn, a, basis))
         third = [ZERO] * m
         for mm in range(A.rank):
-            if coeffs_ab[mm].node == 0:
+            if not _nonzero(coeffs_ab[mm]):
                 continue
             step = _covariant(conn, mm, basis)
             third = [t + coeffs_ab[mm] * s for t, s in zip(third, step)]
@@ -448,15 +446,15 @@ def iota_restrict(omega: AForm) -> AForm:
     for key, value in omega.coeffs.items():
         if line.t_index in key:
             continue
-        out[key] = value.subs({t_sym: sp.Integer(0)})
+        out[key] = value.subs({t_sym: 0})
     return AForm(line.pullback_base, omega.degree, out)
 
 
 def homotopy_S(omega: AForm) -> AForm:
     """The degree-lowering operator integrating dt-components from 0 to t.
 
-    Coefficients must be polynomial in t so the integral stays in the
-    expression class.
+    A coefficient's numerator must be polynomial in t over a denominator
+    free of t, so the integral stays in the field.
     """
     line = omega.algebroid
     if line.pullback_base is None or line.t_index is None:
@@ -470,13 +468,11 @@ def homotopy_S(omega: AForm) -> AForm:
             raise AlgebroidError("homotopy integration expects real coefficients")
         rest = tuple(i for i in key if i != line.t_index)
         try:
-            poly = sp.Poly(value.node, t_sym)
-        except sp.PolynomialError as err:
+            integral = value.integral_from_zero(t_sym)
+        except ExprError as err:
             raise AlgebroidError(
                 f"unsupported integrand (not polynomial in {t_sym}): {value}"
             ) from err
-        # the antiderivative without a constant term is the integral from 0
-        integral = Expr(poly.integrate().as_expr())
         # moving the dt slot from its sorted position to the front
         sign = (-1) ** len(rest)
         out[rest] = integral if sign > 0 else -integral

@@ -116,24 +116,23 @@ class Chart:
 
 
 def _is_number(value) -> bool:
-    """A literal number, real or complex: every derivative of it is 0, so
+    """A rational number, real or complex: every derivative of it is 0, so
     the differential operators skip it instead of differentiating."""
     if isinstance(value, ComplexExpr):
-        return all(part.node.is_Number
+        return all(part.is_rational
                    for part in (value.re, value.im, value.phase))
-    return value.node.is_Number
+    return value.is_rational
 
 
 def _apply_scalar(components: Sequence, chart: Chart, f):
     """Directional derivative sum(X_i * d f / dx_i); f real or complex.  A
-    component that is literally 0 adds nothing and is not differentiated
-    along."""
+    zero component adds nothing and is not differentiated along."""
     f = _scalar(f)
     if _is_number(f):
         return ZERO
     out = ZERO
     for comp, sym in zip(components, chart.coords):
-        if _nonzero_node(comp):
+        if _nonzero(comp):
             out = out + comp * f.diff(sym)
     return out
 
@@ -191,7 +190,7 @@ class VectorField:
 
     def __str__(self) -> str:
         terms = [f"({c})*d_{n}" for c, n in zip(self.components, self.chart.coord_names)
-                 if _nonzero_node(c)]
+                 if _nonzero(c)]
         return " + ".join(terms) if terms else "0"
 
 
@@ -227,11 +226,9 @@ def scalar_is_zero(value) -> bool:
 
 def _scalar(value):
     """A real or complex exact scalar; a complex one whose imaginary part and
-    phase are literally 0 is stored as its real part, so real tensors stay
-    real."""
+    phase are 0 is stored as its real part, so real tensors stay real."""
     if isinstance(value, ComplexExpr):
-        return value.re if value.im.node == 0 and value.phase.node == 0 \
-            else value
+        return value.re if value.im == ZERO and value.phase == ZERO else value
     return as_expr(value)
 
 
@@ -249,19 +246,20 @@ def conjugate(value):
     return ComplexExpr.of(value).conj()
 
 
-def _nonzero_node(value) -> bool:
-    """Structural, not semantic: the expression tree is not literally 0."""
+def _nonzero(value) -> bool:
+    """Not the zero of the field: exact off the atoms, so a coefficient
+    such as ``x/x - 1`` is zero, but ``sin(x)**2 + cos(x)**2 - 1`` is not."""
     if isinstance(value, ComplexExpr):
-        return value.re.node != 0 or value.im.node != 0
-    return as_expr(value).node != 0
+        return value.re != ZERO or value.im != ZERO
+    return as_expr(value) != ZERO
 
 
 class _Alternating:
     """Alternating coefficient store shared by k-forms, k-vectors and A-forms.
 
     One real or complex coefficient per strictly increasing index tuple over
-    ``base`` (a chart, or an algebroid presentation in subclasses); literal
-    zeros are dropped.  Subclasses name the basis elements in ``_basis``.
+    ``base`` (a chart, or an algebroid presentation in subclasses); zeros of
+    the field are dropped.  Subclasses name the basis elements in ``_basis``.
     """
 
     error = ExprError
@@ -276,7 +274,7 @@ class _Alternating:
             if any(i < 0 or i >= size for i in key):
                 raise self.error(f"index tuple {key} out of range")
             value = _scalar(value)
-            if _nonzero_node(value):
+            if _nonzero(value):
                 clean[key] = value
         self.base = base
         self.degree = degree

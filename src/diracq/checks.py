@@ -37,7 +37,8 @@ from .dirac import (
     regular_distribution,
 )
 from .dsl import SUITES, Model
-from .expr import ComplexExpr, Expr, complex_is_zero, equality_config, is_zero
+from .expr import (ComplexExpr, Expr, ZERO, complex_is_zero, equality_config,
+                   is_zero, symbol)
 from .hamiltonian import (
     ComplementH,
     admissible_vector_field,
@@ -160,7 +161,7 @@ class Resolver:
 
     def real_scalars(self) -> dict[str, Expr]:
         return {name: z.re for name, z in self.model.scalars.items()
-                if z.im.node == 0}
+                if z.im == ZERO}
 
     # -- objects ------------------------------------------------------------
 
@@ -622,19 +623,16 @@ def _structure_inherited(r, ctx):
 
 
 def _homotopy(r, ctx):
-    import sympy as sp
-    from .expr import symbol
     line, chart = r.line(), r.dirac().chart
     rng = rng_for(ctx.seed, f"{r.model.name}:poincare")
-    t = symbol(line.chart.coord_names[-1])
+    t = Expr(symbol(line.chart.coord_names[-1]))
     for trial in range(ctx.trials):
         degree = rng.randint(1, min(3, line.rank))
         coeffs = {}
         for key in itertools.combinations(range(line.rank), degree):
             poly = random_polynomial(rng, chart, degree=2, terms=2)
             tpart = sum(rng.randint(0, 3) * t ** k for k in range(3))
-            coeffs[key] = Expr(sp.expand(poly.node * tpart)) \
-                if rng.random() < 0.8 else poly
+            coeffs[key] = poly * tpart if rng.random() < 0.8 else poly
         omega = AForm(line, degree, coeffs)
         lhs = d_A(homotopy_S(omega)) + homotopy_S(d_A(omega))
         rhs = omega - pr_pullback(iota_restrict(omega), line)

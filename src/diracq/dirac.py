@@ -190,7 +190,8 @@ class DiracReport:
 
 class DiracStructure:
     """A frame of n sections presented as spanning D, plus cached
-    verification state (computed once, idempotently)."""
+    verification state (computed once, idempotently) and the memo of
+    ``hamiltonian.admissible_vector_field`` (``f`` -> its result)."""
 
     def __init__(self, chart: Chart, frame: Sequence[Section]):
         if len(frame) != chart.dim:
@@ -202,6 +203,7 @@ class DiracStructure:
         self.chart = chart
         self.frame = tuple(frame)
         self._report: DiracReport | None = None
+        self.admissible: dict = {}
 
     @property
     def dim(self) -> int:

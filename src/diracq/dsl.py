@@ -38,7 +38,7 @@ import sympy as sp
 
 from .chart import Chart, KForm, KVector, VectorField
 from .dirac import Section
-from .expr import I, ComplexExpr, Expr, ExprError, symbol
+from .expr import I, PI, ZERO, ComplexExpr, Expr, ExprError, atom, symbol
 
 __all__ = ["DslError", "Model", "parse_model", "format_model", "SUITES"]
 
@@ -312,10 +312,10 @@ class _ExpressionParser:
             self.stream.expect(")")
             if not isinstance(inner, ComplexExpr):
                 raise self.err(f"{name} expects a scalar argument")
-            if inner.im.node != 0:
+            if inner.im != ZERO:
                 raise self.err(f"{name} of a complex argument is not supported")
             head = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}[name]
-            return _scalar(Expr(head(inner.re.node)))
+            return _scalar(atom(head, inner.re))
         model = self.model
         if name in model.scalars:
             return model.scalars[name]
@@ -331,7 +331,7 @@ class _ExpressionParser:
         if name == "i":
             return I
         if name == "pi":
-            return _scalar(Expr(sp.pi))
+            return _scalar(PI)
         if name.startswith("d_") and name[2:] in chart.coord_names:
             return chart.basis_vector(chart.coord_names.index(name[2:]))
         if name.startswith("d") and name[1:] in chart.coord_names:
@@ -358,7 +358,7 @@ def _require_scalar(value, stream) -> ComplexExpr:
 
 
 def _require_real(z: ComplexExpr, stream) -> Expr:
-    if z.im.node != 0:
+    if z.im != ZERO:
         raise stream.error("expected a real expression")
     return z.re
 
@@ -574,7 +574,7 @@ def _expr_text(e: Expr) -> str:
 
 
 def _scalar_text(z: ComplexExpr) -> str:
-    if z.im.node == 0:
+    if z.im == ZERO:
         return _expr_text(z.re)
     return f"({_expr_text(z.re)}) + i*({_expr_text(z.im)})"
 

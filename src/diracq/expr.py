@@ -1,38 +1,58 @@
 """Exact symbolic scalars.
 
-An :class:`Expr` is a rational function over the rationals in coordinate and
-parameter symbols, extended by the opaque transcendental atoms ``exp``, ``sin``
-and ``cos`` (and the constant ``pi``).  The rational fragment has a canonical
-reduced numerator/denominator form; transcendental atoms are treated as extra
-generators that are closed under differentiation but never rewritten (in
-particular ``sin(x)**2 + cos(x)**2`` is *not* folded to ``1``).
+An :class:`Expr` is an element of one sparse fraction field over the integers
+(``sympy.polys.fields.FracField`` over ``ZZ``).  Its generators are every
+coordinate and parameter symbol seen so far, the constant ``pi``, and one
+generator per transcendental atom ``exp(u)``, ``sin(u)`` or ``cos(u)``.
+Arithmetic, differentiation and equality run in the field; a sympy tree is
+built only on demand (``Expr.node``: printing, parsing, ``lambdify`` and the
+sampled fallback of :func:`equal`).
 
-Equality is a zero test of the numerator of the difference in sympy's sparse
-polynomial ring over the atoms as generators, after the atom arguments are
-cancelled; no canonical tree is built.  A nonzero numerator decides
-inequality on the rational fragment.  Only when an atom remains is the
-canonical form (``sympy.cancel``, also used by :func:`normalize`) computed,
-and equality decided probabilistically by exact-rational seeding of
-high-precision evaluation.
+The generator registry:
+
+* There is one module-level field and it only grows: a new symbol or atom
+  makes a larger field whose generators stay sorted by a fixed key, so the
+  canonical form of a value does not depend on the order in which generators
+  were met.  An element moves into the grown field the first time it is
+  used and keeps the moved copy.
+* An atom is registered under its head and the canonical tree of its
+  argument, so ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where
+  sympy evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
+  ``cos(2*pi/3) = -1/2``) the value is that evaluation; ``sp.E`` is the atom
+  ``exp(1)``.  ``sin(u)`` and ``cos(u)`` are registered together.  Atoms are
+  opaque: ``sin(x)**2 + cos(x)**2`` is *not* the generator ``1``.
+
+The derivative is a derivation of the field: ``d/dx`` is the partial
+derivative in ``x`` plus, over the atom generators ``g``, ``dF/dg * dg/dx``
+with ``exp(u)' = exp(u) u'``, ``sin(u)' = cos(u) u'`` and
+``cos(u)' = -sin(u) u'``.
+
+Equality takes three steps: equal field elements are equal; a difference
+that involves no atom generator is nonzero, which is exact because ``pi`` is
+transcendental over Q; anything else is decided probabilistically by
+exact-rational seeding of high-precision evaluation
+(:func:`_probabilistic_equal`).  A zero denominator is an
+:class:`ExprError` when the value is built.
 
 A :class:`ComplexExpr` is ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
 amplitude pair and a real phase, taken mod Z and zero unless given, so that
 ``exp(-2 pi i w)`` is kept as its exponent ``w`` rather than as cos/sin
 atoms.  A product adds phases, ``conj`` and the inverse negate them, and the
 derivative follows the log-derivative rule ``d(a e) = (da - 2 pi i a dw) e``.
-Two phases whose difference normalizes to an integer are the same phase, and
-a literal zero takes any phase.  A sum or a comparison of values whose phases
+Two phases whose difference is an integer are the same phase, and a zero
+amplitude takes any phase.  A sum or a comparison of values whose phases
 differ by anything else expands both to the cos/sin form (``expand``); it is
 the only place a phase becomes atoms.  Equality of complex values compares
 amplitudes over the common phase, so on phased values it stays exact.
 
 Semantics are generic-point: two rational functions are equal when they agree
-off their pole sets, so ``x/x`` normalizes to ``1``.  Values are immutable and
-all operations are pure functions.
+off their pole sets, so ``x/x`` is ``1``.  Values are immutable and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +61,8 @@ from typing import Mapping, Union
 
 import mpmath
 import sympy as sp
-from sympy.polys.rings import sring
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
 
 __all__ = [
     "Expr",
@@ -51,6 +72,7 @@ __all__ = [
     "SingularPointError",
     "UnknownSymbolError",
     "symbol",
+    "atom",
     "rational",
     "integer",
     "as_expr",
@@ -76,6 +98,8 @@ Scalar = Union["Expr", "ComplexExpr", int, Fraction]
 _EVAL_DIGITS = 30
 
 _ATOM_HEADS = (sp.exp, sp.sin, sp.cos)
+_PARTNER = {sp.sin: sp.cos, sp.cos: sp.sin}
+_INFINITIES = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
 class ExprError(Exception):
@@ -94,88 +118,424 @@ class UnknownSymbolError(ExprError):
         self.name = name
 
 
+def _zero_division() -> ExprError:
+    return ExprError("division by the zero expression")
+
+
 def symbol(name: str) -> sp.Symbol:
     """The (real) sympy symbol used for a coordinate or parameter."""
     return sp.Symbol(name, real=True)
 
 
-def _check_tree(node: sp.Expr) -> None:
-    if node.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise ExprError("division by the zero expression")
+# ---------------------------------------------------------------------------
+# the field and its generator registry
 
 
-def _coerce(value) -> sp.Expr:
+def _generator_key(tree: sp.Expr):
+    """Symbols first, then ``pi``, then atoms; by text, then by full form."""
+    key = _KEYS.get(tree)
+    if key is None:
+        kind = 0 if tree.is_Symbol else 1 if tree is sp.pi else 2
+        key = _KEYS[tree] = (kind, str(tree), sp.srepr(tree))
+    return key
+
+
+_FIELD = FracField((sp.pi,), ZZ)
+_POSITION: dict = {sp.pi: 0}        # generator tree -> position in _FIELD
+_GENERATORS: dict = {}              # generator tree -> its Expr
+_ATOM_ARGS: dict = {}               # atom generator tree -> (head, argument)
+_ATOMS: dict = {}                   # (head, argument tree) -> head(argument)
+_KEYS: dict = {}                    # generator tree -> its sort key
+
+
+def _grow(trees) -> None:
+    """Add generators; the others keep their relative order."""
+    global _FIELD, _POSITION
+    gens = sorted(set(_FIELD.symbols).union(trees), key=_generator_key)
+    _FIELD = FracField(tuple(gens), ZZ)
+    _POSITION = {tree: i for i, tree in enumerate(gens)}
+    for tree in trees:
+        _GENERATORS[tree] = _wrap(_FIELD.gens[_POSITION[tree]])
+
+
+def _spread(poly, positions, ring):
+    """``poly`` in ``ring``, whose generators include those of ``poly``'s
+    ring in the same order, at ``positions``."""
+    out = {}
+    for monom, coeff in poly.items():
+        exps = [0] * ring.ngens
+        for i, k in zip(positions, monom):
+            exps[i] = k
+        out[tuple(exps)] = coeff
+    return ring.dtype(out)
+
+
+def _lift(elem):
+    """``elem`` moved from an older field into the current one.  Inserting
+    generators keeps the order of the old ones, so the reduced form and the
+    sign of the denominator's leading coefficient carry over unchanged."""
+    positions = [_POSITION[tree] for tree in elem.field.symbols]
+    return _FIELD.raw_new(_spread(elem.numer, positions, _FIELD.ring),
+                          _spread(elem.denom, positions, _FIELD.ring))
+
+
+def _involved(num, den) -> list[int]:
+    """Positions of the generators that ``num`` or ``den`` involves."""
+    return [i for i, col in enumerate(zip(*num, *den)) if any(col)]
+
+
+def _generator(tree: sp.Expr) -> "Expr":
+    if tree not in _GENERATORS:
+        _grow([tree])
+    return _GENERATORS[tree]
+
+
+def _ground(n: int):
+    return _FIELD.raw_new(_FIELD.ring.ground_new(n))
+
+
+def _reduced(field, num, den):
+    """``num / den`` in lowest terms with a positive leading coefficient
+    below.  The gcd runs in the ring of the generators the two polynomials
+    involve, not in the whole field, whose other generators would each cost
+    sympy's heuristic gcd one more level of recursion."""
+    if not den:
+        raise _zero_division()
+    if not num:
+        return field.zero
+    if den.is_one:
+        return field.raw_new(num)
+    if len(num) == 1 or len(den) == 1:
+        return field.raw_new(*num.cancel(den))
+    used = _involved(num, den)
+    if len(used) == field.ngens:
+        return field.raw_new(*num.cancel(den))
+    ring = field.ring.clone(symbols=tuple(field.symbols[i] for i in used))
+
+    def down(poly):
+        return ring.dtype({tuple(monom[i] for i in used): coeff
+                           for monom, coeff in poly.items()})
+
+    num, den = down(num).cancel(down(den))
+    return field.raw_new(_spread(num, used, field.ring),
+                         _spread(den, used, field.ring))
+
+
+def _add(a, b):
+    if not b:
+        return a
+    if not a:
+        return b
+    if a.denom == b.denom:
+        return _reduced(a.field, a.numer + b.numer, a.denom)
+    return _reduced(a.field, a.numer * b.denom + b.numer * a.denom,
+                    a.denom * b.denom)
+
+
+def _mul(a, b):
+    return _reduced(a.field, a.numer * b.numer, a.denom * b.denom)
+
+
+def _div(a, b):
+    return _reduced(a.field, a.numer * b.denom, a.denom * b.numer)
+
+
+def _power(elem, n: int):
+    """``elem ** n`` in reduced form (sympy's negative power keeps the sign
+    of the old numerator in the denominator)."""
+    if n >= 0:
+        return elem ** n
+    if not elem:
+        raise _zero_division()
+    num, den = elem.denom ** -n, elem.numer ** -n
+    if den.LC < 0:
+        num, den = -num, -den
+    return elem.field.raw_new(num, den)
+
+
+def _new_atom(head, arg: "Expr") -> "Expr":
+    tree = head(arg.node)
+    if not (tree is sp.E or (isinstance(tree, head)
+                             and tree.args[0] == arg.node)):
+        try:
+            return _convert(tree)          # sympy evaluated the atom
+        except ExprError:                  # to a value outside the field
+            tree = head(arg.node, evaluate=False)
+    _ATOM_ARGS[tree] = (head, arg)
+    return _generator(tree)
+
+
+def atom(head, arg) -> "Expr":
+    """``head(arg)`` for ``head`` one of ``sp.exp``, ``sp.sin``, ``sp.cos``."""
+    arg = as_expr(arg)
+    key = (head, arg.node)
+    found = _ATOMS.get(key)
+    if found is None:
+        found = _ATOMS[key] = _new_atom(head, arg)
+        if head in _PARTNER:
+            atom(_PARTNER[head], arg)
+    return found
+
+
+def _convert(node: sp.Expr) -> "Expr":
+    if node.is_Rational:
+        return _wrap(_FIELD.raw_new(_FIELD.ring.ground_new(int(node.p)),
+                                    _FIELD.ring.ground_new(int(node.q))))
+    if node.is_Symbol or node is sp.pi:
+        return _generator(node)
+    if node.is_Add:
+        out = ZERO
+        for arg in node.args:
+            out = out + _convert(arg)
+        return out
+    if node.is_Mul:
+        out = ONE
+        for arg in node.args:
+            out = out * _convert(arg)
+        return out
+    if node.is_Pow and node.exp.is_Integer:
+        return _convert(node.base) ** int(node.exp)
+    if node is sp.E:
+        return atom(sp.exp, ONE)
+    if isinstance(node, _ATOM_HEADS):
+        return atom(node.func, _convert(node.args[0]))
+    if node in _INFINITIES:
+        raise _zero_division()
+    raise ExprError(f"cannot interpret {node} as an exact scalar")
+
+
+def _from_tree(node: sp.Expr) -> "Expr":
+    new = [s for s in node.free_symbols if s not in _GENERATORS]
+    if new:
+        _grow(new)                          # one growth for all new symbols
+    return _convert(node)
+
+
+def _element(value):
+    """``value`` as an element of the current field."""
     if isinstance(value, Expr):
-        return value.node
+        return value.elem
     if isinstance(value, bool):
         raise ExprError("booleans are not scalars")
     if isinstance(value, int):
-        return sp.Integer(value)
+        return _ground(value)
     if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
+        return _FIELD.raw_new(_FIELD.ring.ground_new(value.numerator),
+                              _FIELD.ring.ground_new(value.denominator))
     if isinstance(value, sp.Expr):
-        return value
+        return _from_tree(value).elem
     raise ExprError(f"cannot interpret {value!r} as an exact scalar")
 
 
-@dataclass(frozen=True)
+def _wrap(elem) -> "Expr":
+    out = object.__new__(Expr)
+    out._elem, out._node, out._support = elem, None, None
+    return out
+
+
+def _derivative(poly, i: int):
+    out = {}
+    for monom, coeff in poly.items():
+        k = monom[i]
+        if k:
+            out[monom[:i] + (k - 1,) + monom[i + 1:]] = coeff * k
+    return poly.ring.dtype(out)
+
+
+def _at(poly, i: int, value: int):
+    """``poly`` with its ``i``-th generator set to ``value``."""
+    out: dict = {}
+    for monom, coeff in poly.items():
+        key = monom[:i] + (0,) + monom[i + 1:]
+        out[key] = out.get(key, 0) + coeff * value ** monom[i]
+    return poly.ring.dtype({m: c for m, c in out.items() if c})
+
+
+def _partial(elem, i: int):
+    """The partial derivative of ``elem`` in its ``i``-th generator."""
+    num, den = elem.numer, elem.denom
+    dnum, dden = _derivative(num, i), _derivative(den, i)
+    if not dden:
+        return _reduced(elem.field, dnum, den)
+    return _reduced(elem.field, dnum * den - num * dden, den * den)
+
+
+def _atom_derivative(tree: sp.Expr, sym: sp.Symbol) -> "Expr":
+    """``d tree / d sym`` for an atom generator, by the chain rule."""
+    head, arg = _ATOM_ARGS[tree]
+    inner = arg.diff(sym)
+    if inner == ZERO:
+        return ZERO
+    if head is sp.exp:
+        return _GENERATORS[tree] * inner
+    if head is sp.sin:
+        return atom(sp.cos, arg) * inner
+    return -atom(sp.sin, arg) * inner
+
+
 class Expr:
-    """Immutable exact scalar; arithmetic via the usual operators."""
+    """Immutable exact scalar, an element of the module's field: built from
+    a sympy tree, an ``int``, a ``Fraction`` or another ``Expr``;
+    arithmetic via the usual operators."""
 
-    node: sp.Expr
+    __slots__ = ("_elem", "_node", "_support")
 
-    def __post_init__(self):
-        _check_tree(self.node)
+    def __init__(self, value):
+        self._elem = _element(value)
+        self._node = None
+        self._support = None
+
+    @property
+    def elem(self):
+        """The field element, moved into the current field on first use."""
+        elem = self._elem
+        if elem.field is not _FIELD:
+            elem = self._elem = _lift(elem)
+        return elem
+
+    @property
+    def node(self) -> sp.Expr:
+        """The sympy tree of the reduced numerator over the denominator."""
+        if self._node is None:
+            self._node = self.elem.as_expr()
+        return self._node
+
+    @property
+    def support(self) -> frozenset:
+        """The generator trees the value involves."""
+        if self._support is None:
+            elem = self.elem
+            self._support = frozenset(elem.field.symbols[i] for i in
+                                      _involved(elem.numer, elem.denom))
+        return self._support
+
+    @property
+    def is_rational(self) -> bool:
+        """A rational number: every derivative of it is 0."""
+        elem = self.elem
+        return elem.numer.is_ground and elem.denom.is_ground
+
+    @property
+    def is_integer(self) -> bool:
+        elem = self.elem
+        return elem.numer.is_ground and elem.denom.is_one
+
+    def as_numer_denom(self) -> tuple["Expr", "Expr"]:
+        """The reduced numerator and denominator; the denominator's leading
+        coefficient is positive."""
+        elem = self.elem
+        return (_wrap(elem.field.raw_new(elem.numer)),
+                _wrap(elem.field.raw_new(elem.denom)))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return Expr(self.node + _coerce(other))
+        other = _element(other)
+        return _wrap(_add(self.elem, other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return Expr(self.node - _coerce(other))
+        other = _element(other)
+        return _wrap(_add(self.elem, -other))
 
     def __rsub__(self, other) -> "Expr":
-        return Expr(_coerce(other) - self.node)
+        other = _element(other)
+        return _wrap(_add(other, -self.elem))
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return Expr(self.node * _coerce(other))
+        other = _element(other)
+        return _wrap(_mul(self.elem, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return Expr(self.node / _coerce(other))
+        other = _element(other)
+        return _wrap(_div(self.elem, other))
 
     def __rtruediv__(self, other) -> "Expr":
-        return Expr(_coerce(other) / self.node)
+        other = _element(other)
+        return _wrap(_div(other, self.elem))
 
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int):
             raise ExprError("only integer exponents are supported")
-        return Expr(self.node ** exponent)
+        return _wrap(_power(self.elem, exponent))
 
     def __neg__(self) -> "Expr":
-        return Expr(-self.node)
+        return _wrap(-self.elem)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        a, b = self.elem, other.elem
+        return a.numer == b.numer and a.denom == b.denom
+
+    def __hash__(self) -> int:
+        # the tree, not the field element, so growth leaves it unchanged
+        return hash(self.node)
 
     # -- calculus -----------------------------------------------------------
 
     def diff(self, sym: sp.Symbol) -> "Expr":
-        return Expr(sp.diff(self.node, sym))
+        support = self.support
+        chains = [(tree, _atom_derivative(tree, sym)) for tree in support
+                  if tree in _ATOM_ARGS]
+        chains = [(tree, d) for tree, d in chains if d != ZERO]
+        if sym not in support and not chains:
+            return ZERO
+        elem = self.elem              # after any growth the chain rule made
+        out = _partial(elem, _POSITION[sym]) if sym in support else None
+        for tree, d in chains:
+            term = _mul(_partial(elem, _POSITION[tree]), d.elem)
+            out = term if out is None else _add(out, term)
+        return _wrap(out)
 
     def subs(self, mapping: Mapping[sp.Symbol, sp.Expr]) -> "Expr":
-        out = self.node.subs(mapping, simultaneous=True)
-        _check_tree(out)
-        return Expr(out)
+        """Substitution; in the field when every value is an integer and no
+        atom argument involves a substituted symbol, through the tree
+        otherwise."""
+        support = self.support
+        integers = all(isinstance(v, int) or getattr(v, "is_Integer", False)
+                       for v in mapping.values())
+        if not integers or any(not tree.free_symbols.isdisjoint(mapping)
+                               for tree in support if tree in _ATOM_ARGS):
+            return Expr(self.node.subs(mapping, simultaneous=True))
+        elem = self.elem
+        num, den = elem.numer, elem.denom
+        for sym, value in mapping.items():
+            if sym in support:
+                i = _POSITION[sym]
+                num, den = _at(num, i, int(value)), _at(den, i, int(value))
+        return _wrap(_reduced(elem.field, num, den))
+
+    def integral_from_zero(self, sym: sp.Symbol) -> "Expr":
+        """The antiderivative in ``sym`` that vanishes at ``sym = 0``, for a
+        numerator polynomial in ``sym`` over a denominator free of it."""
+        support = self.support
+        if any(sym in tree.free_symbols for tree in support
+               if tree in _ATOM_ARGS):
+            raise ExprError(f"an atom argument involves {sym}")
+        if sym not in support:
+            return self * Expr(sym)
+        elem = self.elem
+        i = _POSITION[sym]
+        if any(monom[i] for monom in elem.denom):
+            raise ExprError(f"the denominator involves {sym}")
+        scale = math.lcm(*(monom[i] + 1 for monom in elem.numer))
+        num = elem.numer.ring.dtype({
+            monom[:i] + (monom[i] + 1,) + monom[i + 1:]:
+                coeff * (scale // (monom[i] + 1))
+            for monom, coeff in elem.numer.items()})
+        return _wrap(_reduced(elem.field, num, elem.denom * scale))
 
     @property
     def free_symbols(self) -> frozenset:
@@ -183,7 +543,7 @@ class Expr:
 
     def is_rational_fragment(self) -> bool:
         """True when no transcendental atom or constant (pi, e) occurs."""
-        return not self.node.has(*_ATOM_HEADS, sp.pi, sp.E)
+        return all(tree.is_Symbol for tree in self.support)
 
     def __str__(self) -> str:
         return sp.sstr(self.node)
@@ -192,54 +552,33 @@ class Expr:
         return f"Expr({sp.sstr(self.node)})"
 
 
-ZERO = Expr(sp.Integer(0))
-ONE = Expr(sp.Integer(1))
-PI = Expr(sp.pi)
+ZERO = _wrap(_ground(0))
+ONE = _wrap(_ground(1))
+PI = _GENERATORS[sp.pi] = _wrap(_FIELD.gens[0])
 
 
 def rational(p: int, q: int = 1) -> Expr:
     if q == 0:
-        raise ExprError("division by the zero expression")
-    return Expr(sp.Rational(p, q))
+        raise _zero_division()
+    return Expr(Fraction(p, q))
 
 
 def integer(n: int) -> Expr:
-    return Expr(sp.Integer(n))
+    return Expr(n)
 
 
 def as_expr(value) -> Expr:
-    return value if isinstance(value, Expr) else Expr(_coerce(value))
+    return value if isinstance(value, Expr) else Expr(value)
 
 
 # ---------------------------------------------------------------------------
 # normalize / differentiate / evaluate / equal
 
 
-def _cancel_atoms(node: sp.Expr) -> sp.Expr:
-    """``node`` with the argument of every ``exp``/``sin``/``cos`` atom
-    cancelled, inner atoms first.  A tree without atoms comes back as is."""
-    atoms = node.atoms(*_ATOM_HEADS)
-    if not atoms:
-        return node
-    return node.xreplace({a: a.func(sp.cancel(_cancel_atoms(a.args[0])))
-                          for a in atoms})
-
-
-def _canonical(node: sp.Expr) -> sp.Expr:
-    """Canonical form: atom arguments cancelled, then one rational
-    cancellation over the atoms-as-generators field."""
-    out = sp.cancel(_cancel_atoms(node))
-    _check_tree(out)
-    return out
-
-
 def normalize(e: Expr) -> Expr:
-    """Canonical reduced form of the rational fragment.
-
-    Idempotent; zero is represented uniquely; sums and products are flattened
-    and sorted under sympy's fixed total node order.
-    """
-    return Expr(_canonical(as_expr(e).node))
+    """The canonical form.  A field element is already reduced (zero is
+    represented uniquely), so this is the identity on values."""
+    return as_expr(e)
 
 
 def differentiate(e: Expr, sym: sp.Symbol) -> Expr:
@@ -280,14 +619,14 @@ def evaluate(e: Expr, point: Point):
         ex = e.node.subs(subs, simultaneous=True)
     except ZeroDivisionError as err:  # sympy raises on 0**-1 directly
         raise SingularPointError(f"singular at point {point.values}") from err
-    if ex.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+    if ex.has(*_INFINITIES):
         raise SingularPointError(f"singular at point {point.values}")
     if e.is_rational_fragment():
         if not ex.is_Rational:
             raise ExprError(f"expected a rational value, got {ex}")
         return Fraction(int(ex.p), int(ex.q))
     val = ex.evalf(_EVAL_DIGITS)
-    if not val.is_number or val.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+    if not val.is_number or val.has(*_INFINITIES):
         raise SingularPointError(f"singular at point {point.values}")
     return _to_mpf(val)
 
@@ -349,7 +688,7 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
                          rhs.subs(subs, simultaneous=True))
             except ZeroDivisionError:
                 continue
-            if any(v.has(sp.zoo, sp.nan, sp.oo, -sp.oo) for v in (value, *sides)):
+            if any(v.has(*_INFINITIES) for v in (value, *sides)):
                 continue
             break
         else:
@@ -371,28 +710,20 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
     return True
 
 
+def _has_atom(e: Expr) -> bool:
+    return any(tree in _ATOM_ARGS for tree in e.support)
+
+
 def equal(e1, e2) -> bool:
-    """Semantic equality: a zero test of the numerator of ``e1 - e2`` over
-    the atoms-as-generators ring, then, when an atom remains, the canonical
-    form and the probabilistic fallback (exact rational sampling /
-    high-precision evaluation)."""
-    lhs, rhs = as_expr(e1).node, as_expr(e2).node
-    diff = _cancel_atoms(lhs - rhs)
-    _, (num, den) = sring(list(diff.as_numer_denom()))
-    if not den:
-        raise ExprError("division by the zero expression")
-    if not num:
+    """Semantic equality: equal field elements are equal; a difference free
+    of atom generators is nonzero; otherwise the probabilistic fallback
+    (exact rational sampling / high-precision evaluation) decides."""
+    lhs, rhs = as_expr(e1), as_expr(e2)
+    if lhs == rhs:
         return True
-    # pi is transcendental over Q, so polynomial identities in pi are decided
-    # exactly along with the plain rational fragment.  The atom test reads the
-    # tree, not the ring: sring turns exp(2) into the generator E.
-    if not diff.has(*_ATOM_HEADS):
+    if not (_has_atom(lhs) or _has_atom(rhs)) or not _has_atom(lhs - rhs):
         return False
-    # cancellation can clear an atom, as in (x*exp(y) + x)/(exp(y) + 1) - x
-    canonical = _canonical(diff)
-    if not canonical.has(*_ATOM_HEADS):
-        return canonical == 0
-    return _probabilistic_equal(lhs, rhs, trials=_TRIALS, seed=_seed,
+    return _probabilistic_equal(lhs.node, rhs.node, trials=_TRIALS, seed=_seed,
                                 tolerance=_TOLERANCE)
 
 
@@ -405,24 +736,25 @@ def is_zero(e) -> bool:
 
 
 def _phase_sum(a: Expr, b: Expr) -> Expr:
-    if a.node == 0:
+    if a == ZERO:
         return b
-    return a if b.node == 0 else a + b
+    return a if b == ZERO else a + b
 
 
-def _literal_zero(z: "ComplexExpr") -> bool:
-    return z.re.node == 0 and z.im.node == 0
+def _zero_amplitude(z: "ComplexExpr") -> bool:
+    return z.re == ZERO and z.im == ZERO
 
 
 def _align(z1: "ComplexExpr", z2: "ComplexExpr"):
     """``z1`` and ``z2`` over one common phase, read off the first.  Phases
-    that differ by an integer are one phase, a literal zero takes the other's
-    phase, and phases that differ by anything else both expand to zero."""
-    if z1.phase.node == z2.phase.node or _literal_zero(z2):
+    that differ by an integer are one phase, a zero amplitude takes the
+    other's phase, and phases that differ by anything else both expand to
+    phase zero."""
+    if z1.phase == z2.phase or _zero_amplitude(z2):
         return z1, z2
-    if _literal_zero(z1):
+    if _zero_amplitude(z1):
         return ComplexExpr(z1.re, z1.im, z2.phase), z2
-    if normalize(z1.phase - z2.phase).node.is_Integer:
+    if (z1.phase - z2.phase).is_integer:
         return z1, z2
     return z1.expand(), z2.expand()
 
@@ -438,7 +770,7 @@ class ComplexExpr:
 
     def __post_init__(self):
         # exp(-2 pi i n) = 1 for an integer n
-        if self.phase.node.is_Integer and self.phase is not ZERO:
+        if self.phase is not ZERO and self.phase.is_integer:
             object.__setattr__(self, "phase", ZERO)
 
     @staticmethod
@@ -450,10 +782,10 @@ class ComplexExpr:
     def expand(self) -> "ComplexExpr":
         """The same value with phase zero: the amplitude times
         ``cos(2 pi phase) - i sin(2 pi phase)``."""
-        if self.phase.node == 0:
+        if self.phase == ZERO:
             return self
-        angle = (2 * PI * self.phase).node
-        c, s = Expr(sp.cos(angle)), Expr(sp.sin(angle))
+        angle = 2 * PI * self.phase
+        c, s = atom(sp.cos, angle), atom(sp.sin, angle)
         return ComplexExpr(self.re * c + self.im * s, self.im * c - self.re * s)
 
     def conj(self) -> "ComplexExpr":
@@ -500,7 +832,7 @@ class ComplexExpr:
         """The log-derivative rule ``d(a e) = (da - 2 pi i a dw) e`` for
         ``e = exp(-2 pi i w)``."""
         re, im = self.re.diff(sym), self.im.diff(sym)
-        if self.phase.node != 0:
+        if self.phase != ZERO:
             k = 2 * PI * self.phase.diff(sym)
             re, im = re + k * self.im, im - k * self.re
         return ComplexExpr(re, im, self.phase)
@@ -511,7 +843,7 @@ class ComplexExpr:
 
     def __str__(self) -> str:
         amplitude = f"({self.re}) + i*({self.im})"
-        if self.phase.node == 0:
+        if self.phase == ZERO:
             return amplitude
         return f"({amplitude})*exp(-2*pi*i*({self.phase}))"
 

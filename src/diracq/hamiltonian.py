@@ -6,12 +6,14 @@ lowest-index pivoting); ``H_f`` is the unique solution whose vector part lies
 in a fixed complement of the tangent kernel ``V = D n TM`` inside the
 characteristic distribution.
 
-Once the complement is fixed, ``H_f`` depends on ``f`` alone, so each
-:class:`ComplementH` memoizes it: ``hamiltonian_H`` keeps the field and frame
-coefficients under the sympy tree of ``f``, and ``bracket_omega`` keeps
-``{f, g}`` under the ordered pair of trees.  The key is structural (no
-normalization), only successful results are kept, and ``{g, f}`` is computed
-in its own right rather than read off ``{f, g}`` as its negation.
+``X_f`` depends on the structure and ``f`` alone, so the structure memoizes
+its :class:`AdmissibleResult` (a negative one too).  Once the complement is
+fixed, ``H_f`` depends on ``f`` alone, so each :class:`ComplementH` memoizes
+it: ``hamiltonian_H`` keeps the field and frame coefficients under ``f``, and
+``bracket_omega`` keeps ``{f, g}`` under the ordered pair ``(f, g)``.  Keys
+are values, so equal functions share an entry; only successful results are
+kept, and ``{g, f}`` is computed in its own right rather than read off
+``{f, g}`` as its negation.
 """
 
 from __future__ import annotations
@@ -64,17 +66,24 @@ class AdmissibleResult:
 
 def admissible_vector_field(dirac: DiracStructure, f) -> AdmissibleResult:
     """Solve the linear system expressing ``df`` in the frame form parts;
-    the negative outcome is data, not an error."""
+    the negative outcome is data, not an error.  Memoized on the structure
+    under ``f``."""
     dirac.require_verified()
     f = as_expr(f)
+    known = dirac.admissible.get(f)
+    if known is not None:
+        return known
     result = linalg.solve(dirac.forms,
                           covector_components(differential(dirac, f)))
     if not result.ok:
-        return AdmissibleResult(False, witness=result.witness)
-    coeffs = tuple(result.solution)
-    return AdmissibleResult(True,
-                            vector_field=dirac.section_from_coefficients(coeffs).X,
-                            coefficients=coeffs)
+        known = AdmissibleResult(False, witness=result.witness)
+    else:
+        coeffs = tuple(result.solution)
+        known = AdmissibleResult(
+            True, vector_field=dirac.section_from_coefficients(coeffs).X,
+            coefficients=coeffs)
+    dirac.admissible[f] = known
+    return known
 
 
 class ComplementH:
@@ -82,10 +91,10 @@ class ComplementH:
     characteristic distribution; fixed once and reused by every bracket.
 
     It owns two memos that live as long as it does: ``hamiltonians`` maps
-    the tree ``f.node`` to ``hamiltonian_H``'s ``(field, frame_coeffs)``,
-    and ``brackets`` maps the ordered pair ``(f.node, g.node)`` to
-    ``{f, g}``.  A ``NotAdmissibleError`` is never stored, and a pair's
-    reverse is never filled in from it.
+    ``f`` to ``hamiltonian_H``'s ``(field, frame_coeffs)``, and ``brackets``
+    maps the ordered pair ``(f, g)`` to ``{f, g}``.  A
+    ``NotAdmissibleError`` is never stored, and a pair's reverse is never
+    filled in from it.
     """
 
     def __init__(self, dirac: DiracStructure, sections: Sequence[Section]):
@@ -146,10 +155,10 @@ def _require_owner(dirac: DiracStructure, complement: ComplementH) -> None:
 def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
     """The unique vector field in the fixed complement with ``(H_f, df)`` a
     section of D.  Returns the field and the frame coefficients of the
-    section ``(H_f, df)``, memoized on the complement under ``f``'s tree."""
+    section ``(H_f, df)``, memoized on the complement under ``f``."""
     _require_owner(dirac, complement)
     f = as_expr(f)
-    known = complement.hamiltonians.get(f.node)
+    known = complement.hamiltonians.get(f)
     if known is not None:
         return known
     n = dirac.dim
@@ -164,7 +173,7 @@ def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
     for combo, coeff in zip(complement.column_coefficients, result.solution):
         for i, c in enumerate(combo):
             frame_coeffs[i] = frame_coeffs[i] + coeff * c
-    known = complement.hamiltonians[f.node] = (field, tuple(frame_coeffs))
+    known = complement.hamiltonians[f] = (field, tuple(frame_coeffs))
     return known
 
 
@@ -192,10 +201,10 @@ def bracket_prime(dirac: DiracStructure, f, g) -> Expr:
 def bracket_omega(dirac: DiracStructure, complement: ComplementH, f, g) -> Expr:
     """``{f, g} = H_g f``, cross-checked against the presymplectic pairing of
     the two Hamiltonian fields through the frame expansion; memoized on the
-    complement under the ordered pair of trees."""
+    complement under the ordered pair ``(f, g)``."""
     _require_owner(dirac, complement)
     f, g = as_expr(f), as_expr(g)
-    key = (f.node, g.node)
+    key = (f, g)
     known = complement.brackets.get(key)
     if known is not None:
         return known

@@ -15,17 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-import sympy as sp
+import sympy as sp  # noqa: F401  (the benchmark tracer counts sp.cancel here)
 
-from .expr import (
-    ComplexExpr,
-    Expr,
-    ZERO,
-    ONE,
-    complex_is_zero,
-    is_zero,
-    normalize,
-)
+from .expr import ComplexExpr, Expr, ZERO, ONE, complex_is_zero, is_zero
 
 __all__ = ["FieldOps", "EXPR_FIELD", "COMPLEX_FIELD", "Echelon", "echelon",
            "SolveResult", "solve"]
@@ -36,32 +28,21 @@ class FieldOps:
     zero: object
     one: object
     is_zero: Callable
-    normalize: Callable
 
 
-def _normalize_complex(z: ComplexExpr) -> ComplexExpr:
-    return ComplexExpr(normalize(z.re), normalize(z.im), z.phase)
-
-
-EXPR_FIELD = FieldOps(ZERO, ONE, is_zero, normalize)
+EXPR_FIELD = FieldOps(ZERO, ONE, is_zero)
 COMPLEX_FIELD = FieldOps(ComplexExpr(ZERO, ZERO), ComplexExpr(ONE, ZERO),
-                         complex_is_zero, _normalize_complex)
+                         complex_is_zero)
 
 
 def _clear_row(row: list) -> list:
     """Scale a row of Exprs by the product of its entry denominators."""
-    dens = []
-    cleaned = []
+    scale = ONE
     for entry in row:
-        node = sp.cancel(entry.node)
-        cleaned.append(node)
-        den = sp.fraction(node)[1]
-        if den != 1:
-            dens.append(den)
-    if not dens:
-        return [Expr(n) for n in cleaned]
-    scale = sp.Mul(*dens)
-    return [Expr(sp.cancel(n * scale)) for n in cleaned]
+        _, den = entry.as_numer_denom()
+        if den != ONE:
+            scale = scale * den
+    return row if scale == ONE else [entry * scale for entry in row]
 
 
 @dataclass
@@ -92,7 +73,7 @@ class Echelon:
             for j in range(col + 1, self.ncols):
                 if not ops.is_zero(x[j]):
                     acc = acc - self.rows[row][j] * x[j]
-            x[col] = ops.normalize(acc / self.rows[row][col])
+            x[col] = acc / self.rows[row][col]
         return x
 
     @cached_property
@@ -149,8 +130,7 @@ def echelon(columns: Sequence[Sequence], height: int,
         for i in range(r + 1, height):
             head = rows[i][col]
             for j in range(col, width):
-                rows[i][j] = field_ops.normalize(
-                    (piv * rows[i][j] - head * rows[r][j]) / prev)
+                rows[i][j] = (piv * rows[i][j] - head * rows[r][j]) / prev
             rows[i][col] = field_ops.zero
         pivots.append((r, col))
         prev = piv
@@ -178,7 +158,7 @@ def solve(ech: Echelon, rhs: Sequence) -> SolveResult:
         acc = ops.zero
         for t, b in zip(ech.rows[row][ech.ncols:], rhs):
             acc = acc + t * b
-        return ops.normalize(acc)
+        return acc
 
     for i in range(ech.rank, len(ech.rows)):
         residual = transformed(i)

@@ -25,7 +25,6 @@ from .expr import (
     complex_equal,
     complex_is_zero,
     is_zero,
-    normalize,
 )
 from .hamiltonian import ComplementH, hamiltonian_H
 
@@ -263,7 +262,7 @@ def lambda_Dform(dirac: DiracStructure) -> AForm:
     coeffs = {}
     for i, j in itertools.combinations(range(n), 2):
         value = pairing_minus(dirac.frame[i], dirac.frame[j])
-        if value.node != 0:
+        if value != ZERO:
             coeffs[(i, j)] = value
     lam = AForm(pres, 2, coeffs)
     if not d_A(lam).is_zero_form():
@@ -350,9 +349,9 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
     """Assemble the Hermitian prequantization atlas from local primitives.
 
     Requires ``d_D w_jk = sigma_j - sigma_k`` on declared overlaps.  Each
-    Cech sum ``w_ab + w_bc - w_ac`` on a declared triple must normalize to
-    an integer; otherwise :class:`IntegralityError` carries the normalized
-    sum as its witness (a non-integral constant such as ``1/3``, or a
+    Cech sum ``w_ab + w_bc - w_ac`` on a declared triple must be an
+    integer; otherwise :class:`IntegralityError` carries the reduced sum as
+    its witness (a non-integral constant such as ``1/3``, or a
     non-constant sum such as ``x2``).  Transitions are ``exp(-2 pi i w_jk)``
     kept as phases (:func:`transition_exp`), and those sums are exactly what
     makes them a cocycle, so validation stays exact.
@@ -375,8 +374,8 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
         keys = ((a, b), (b, c), (a, c))
         if not all(key in cochain for key in keys):
             continue
-        f_abc = normalize(cochain[(a, b)] + cochain[(b, c)] - cochain[(a, c)])
-        if not f_abc.node.is_Integer:
+        f_abc = cochain[(a, b)] + cochain[(b, c)] - cochain[(a, c)]
+        if not f_abc.is_integer:
             raise IntegralityError(
                 f"integrality obstruction on ({a},{b},{c}): "
                 f"w[{a},{b}]+w[{b},{c}]-w[{a},{c}] = {f_abc} "

@@ -12,7 +12,7 @@ import random
 import sympy as sp
 
 from .chart import Chart, KForm, KVector, VectorField
-from .expr import Expr, symbol
+from .expr import ZERO, Expr, as_expr, atom, symbol
 
 __all__ = [
     "rng_for",
@@ -35,17 +35,18 @@ def random_polynomial(rng: random.Random, chart: Chart, degree: int = 3,
                       use_params: bool = False) -> Expr:
     """Small random polynomial in the chart coordinates (and optionally the
     parameters), integer coefficients, total degree bounded."""
-    symbols = list(chart.coords) + (list(chart.params) if use_params else [])
-    node = sp.Integer(0)
+    symbols = [Expr(s) for s in
+               chart.coords + (chart.params if use_params else ())]
+    out = ZERO
     for _ in range(terms):
         coeff = rng.randint(-bound, bound)
         if coeff == 0:
             coeff = 1
-        monomial = sp.Integer(coeff)
+        monomial = as_expr(coeff)
         for _ in range(rng.randint(0, degree)):
-            monomial *= rng.choice(symbols)
-        node += monomial
-    return Expr(sp.expand(node))
+            monomial = monomial * rng.choice(symbols)
+        out = out + monomial
+    return out
 
 
 def random_vector_field(rng: random.Random, chart: Chart,
@@ -113,7 +114,8 @@ def random_mixed_expr(rng: random.Random, names: list[str],
         return base
     inner = random_rational_expr(rng, names, 2)
     head = rng.choice((sp.sin, sp.cos, sp.exp))
-    atom = Expr(head(inner.node))
-    combinators = [lambda: base + atom, lambda: base * atom,
-                   lambda: atom - base]
+    transcendental = atom(head, inner)
+    combinators = [lambda: base + transcendental,
+                   lambda: base * transcendental,
+                   lambda: transcendental - base]
     return rng.choice(combinators)()

@@ -304,3 +304,22 @@ def test_chart_mismatch_raises(r2):
 def test_unknown_coordinate_diff(r2):
     with pytest.raises(ExprError, match="unknown symbol"):
         r2.diff(as_expr(1), "z")
+
+
+class TestSemanticZeros:
+    """The coefficient store reads the field element: a coefficient that is
+    zero in the field is dropped, whatever tree it was written as."""
+
+    def test_zero_coefficient_is_dropped(self):
+        chart = Chart("M", ("x",))
+        x = Expr(chart.coords[0])
+        for zero in (x / x - 1, (x * x - 1) / (x - 1) - x - 1):
+            form = KForm(chart, 1, {(0,): zero})
+            assert form.coeffs == {}
+            assert form == KForm(chart, 1, {})
+
+    def test_zero_component_prints_zero(self):
+        chart = Chart("M", ("x",))
+        x = chart.coords[0]
+        field = VectorField(chart, (Expr((x + 1) ** 2 - x ** 2 - 2 * x - 1),))
+        assert str(field) == "0"

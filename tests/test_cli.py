@@ -12,6 +12,7 @@ from diracq.dsl import SUITES, parse_model
 from helpers import perfbench_module
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -256,6 +257,30 @@ def test_tensor_arithmetic_error_exit_code(tmp_path, capsys):
     assert main(["check", str(model)]) == 2
     err = capsys.readouterr().err
     assert "line 2:" in err and "degree mismatch" in err
+
+
+@pytest.mark.parametrize("scalar, where", [
+    ("1/(q - q)", "line 2:21:"),
+    ("1/((q + 1)^2 - q^2 - 2*q - 1)", "line 2:41:"),
+])
+def test_zero_denominator_exit_code(tmp_path, capsys, scalar, where):
+    model = tmp_path / "pole.dq"
+    model.write_text(f"chart M dim 2 coords q p\nscalar f = {scalar}\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "division by the zero expression" in err
+
+
+def test_corpus_reports_survive_field_growth(capsys):
+    """The scalar field only grows: running the corpus forward and then in
+    reverse in one process still gives every golden report byte for byte."""
+    paths = sorted(MODELS.glob("*.dq"))
+    for order in (paths, paths[::-1]):
+        for path in order:
+            _, out = run_cli(capsys, "check", str(path), "--suite", "all",
+                             "--seed", "7", "--json")
+            assert out.encode() == (GOLDEN / f"{path.stem}.json").read_bytes(), \
+                path.name
 
 
 def test_missing_file_exit_code():

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from diracq import hamiltonian, linalg
+import sympy as sp
+
+from diracq import expr as expr_module, hamiltonian, linalg
 from diracq.chart import Chart, KForm
 from diracq.checks import Resolver
 from diracq.dirac import (
@@ -14,7 +16,7 @@ from diracq.dirac import (
     regular_distribution,
 )
 from diracq.dsl import parse_model
-from diracq.expr import Expr, as_expr, equal, is_zero, symbol
+from diracq.expr import Expr, as_expr, atom, equal, is_zero, symbol
 from diracq.hamiltonian import (
     ComplementError,
     ComplementH,
@@ -278,7 +280,7 @@ class TestMemo:
         f, g = functions[:2]
         complement = default_complement(standard_dirac)
         fg = bracket_omega(standard_dirac, complement, f, g)
-        assert set(complement.brackets) == {(f.node, g.node)}
+        assert set(complement.brackets) == {(f, g)}
         solved = []
         solve_h = hamiltonian.hamiltonian_H
         monkeypatch.setattr(hamiltonian, "hamiltonian_H", lambda *args: (
@@ -286,9 +288,31 @@ class TestMemo:
         gf = bracket_omega(standard_dirac, complement, g, f)
         assert solved == [f, g]
         assert is_zero(fg + gf)
-        assert complement.brackets[(g.node, f.node)] == gf
+        assert complement.brackets[(g, f)] == gf
         bracket_omega(standard_dirac, complement, g, f)
         assert solved == [f, g]
+
+    def test_memo_hit_survives_field_growth(self, standard_dirac, functions,
+                                            solves):
+        complement = default_complement(standard_dirac)
+        f = functions[0]
+        known = hamiltonian_H(standard_dirac, complement, f)
+        before, field = len(solves), expr_module._FIELD
+        # a symbol and an atom no other test uses grow the field
+        atom(sp.exp, Expr(symbol("memo_growth_a")) + Expr(symbol("memo_growth_b")))
+        assert expr_module._FIELD is not field
+        assert hamiltonian_H(standard_dirac, complement, f) is known
+        assert hamiltonian_H(standard_dirac, complement, Expr(f.node)) is known
+        assert len(solves) == before
+
+    def test_equal_functions_share_an_entry(self, standard_dirac, r2, solves):
+        complement = default_complement(standard_dirac)
+        q, p = (Expr(s) for s in r2.coords)
+        before = len(solves)
+        hamiltonian_H(standard_dirac, complement, q * p)
+        hamiltonian_H(standard_dirac, complement, (q * q * p + q * p) / (q + 1))
+        assert len(solves) - before == 1
+        assert list(complement.hamiltonians) == [q * p]
 
     def test_failures_are_not_kept(self, solves):
         chart = Chart("F", ("x1", "x2"))
@@ -315,3 +339,50 @@ class TestMemo:
             hamiltonian_H(other, complement, f)
         with pytest.raises(ComplementError):
             bracket_omega(other, complement, f, g)
+
+
+class TestAdmissibleMemo:
+    """X_f depends on the structure and f alone: one solve per distinct f
+    per structure, a negative result included."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = linalg.solve
+        monkeypatch.setattr(linalg, "solve", lambda *args, **kwargs: (
+            calls.append(args) or solve(*args, **kwargs)))
+        return calls
+
+    def test_one_solve_per_function_per_structure(self, standard_dirac, r2,
+                                                  solves):
+        rng = rng_for(5, "admissible-memo")
+        functions = [random_polynomial(rng, r2, 3, 2) for _ in range(4)]
+        q = Expr(r2.coords[0])
+        standard_dirac.verify()
+        before = len(solves)
+        for _ in range(3):
+            for f in functions:
+                first = admissible_vector_field(standard_dirac, f)
+                again = admissible_vector_field(standard_dirac, f * q / q)
+                assert again is first and first.ok
+        assert len(solves) - before == len(set(functions))
+        for f in functions:
+            for g in functions:
+                bracket_prime(standard_dirac, f, g)
+        assert len(solves) - before == len(set(functions))
+        other = graph_presymplectic(
+            r2.basis_covector(0).wedge(r2.basis_covector(1)))
+        other.verify()
+        before = len(solves)
+        admissible_vector_field(other, functions[0])
+        assert len(solves) - before == 1
+
+    def test_negative_result_is_kept(self, solves):
+        chart = Chart("F", ("x1", "x2"))
+        dirac = regular_distribution([chart.basis_vector(0)])
+        dirac.verify()
+        x1 = Expr(chart.coords[0])
+        before = len(solves)
+        results = [admissible_vector_field(dirac, x1) for _ in range(3)]
+        assert len(solves) - before == 1
+        assert not results[0].ok and all(r is results[0] for r in results)
