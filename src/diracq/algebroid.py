@@ -21,7 +21,6 @@ from .chart import (
     VectorField,
     _Alternating,
     _nonzero,
-    scalar_is_zero,
 )
 from .dirac import (
     DiracStructure,
@@ -49,7 +48,6 @@ __all__ = [
     "iota_restrict",
     "rho_pullback_form",
     "aform_equal",
-    "scalar_is_zero",
 ]
 
 
@@ -161,7 +159,7 @@ def aform_equal(a: AForm, b: AForm) -> bool:
     if a.degree != b.degree:
         return False
     keys = set(a.coeffs) | set(b.coeffs)
-    return all(scalar_is_zero(a.coeff(k) - b.coeff(k)) for k in keys)
+    return all(is_zero(a.coeff(k) - b.coeff(k)) for k in keys)
 
 
 def _koszul(rank: int, degree: int, anchor_term, bracket_term) -> dict:
@@ -268,11 +266,10 @@ def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
 # the Dirac differential through pairs (phi, Q)
 
 
-def d_D_pair(phi: KForm, q: KVector, dirac: DiracStructure,
-             cross_check: bool = False) -> AForm:
+def d_D_pair(phi: KForm, q: KVector, dirac: DiracStructure) -> AForm:
     """Evaluate ``d_D`` of the D-form represented by a pair of an ordinary
-    form and a multivector through the Courant bracket of frame sections;
-    optionally cross-check against ``d_A`` on the Dirac presentation."""
+    form and a multivector through the Courant bracket of frame sections,
+    cross-checked against ``d_A`` on the Dirac presentation."""
     if phi.degree != q.degree:
         raise AlgebroidError("degree mismatch between the form and multivector")
     pres = dirac_presentation(dirac)
@@ -287,10 +284,8 @@ def d_D_pair(phi: KForm, q: KVector, dirac: DiracStructure,
 
     result = AForm(pres, phi.degree + 1,
                    _koszul(dirac.dim, phi.degree, anchor_term, bracket_term))
-    if cross_check:
-        direct = d_A(_pair_as_aform(phi, q, dirac))
-        if not aform_equal(result, direct):
-            raise AlgebroidError("pair differential disagrees with d_A")
+    if not aform_equal(result, d_A(_pair_as_aform(phi, q, dirac))):
+        raise AlgebroidError("pair differential disagrees with d_A")
     return result
 
 
@@ -338,10 +333,10 @@ class AConnection:
         return len(self.theta)
 
 
-def curvature(conn: AConnection, check_operator: bool = True):
-    """Curvature 2-section ``d_A theta + theta ^ theta``; optionally verified
-    against the covariant-derivative commutator on frame pairs applied to
-    basis sections."""
+def curvature(conn: AConnection):
+    """Curvature 2-section ``d_A theta + theta ^ theta``, verified against
+    the covariant-derivative commutator on frame pairs applied to basis
+    sections."""
     A = conn.algebroid
     m = conn.bundle_rank
     kappa = [[d_A(conn.theta[j][k]) for k in range(m)] for j in range(m)]
@@ -350,18 +345,16 @@ def curvature(conn: AConnection, check_operator: bool = True):
             for l in range(m):
                 kappa[j][k] = kappa[j][k] + wedge(conn.theta[j][l],
                                                   conn.theta[l][k])
-    if check_operator:
-        r = A.rank
-        for a in range(r):
-            for b in range(a + 1, r):
-                op = _operator_curvature(conn, a, b)
-                for j in range(m):
-                    for k in range(m):
-                        expected = kappa[j][k].coeff_signed((a, b))
-                        if not scalar_is_zero(op[j][k] - expected):
-                            raise AlgebroidError(
-                                "curvature 2-section disagrees with the "
-                                f"operator definition on (e{a+1},e{b+1})")
+    for a in range(A.rank):
+        for b in range(a + 1, A.rank):
+            op = _operator_curvature(conn, a, b)
+            for j in range(m):
+                for k in range(m):
+                    expected = kappa[j][k].coeff_signed((a, b))
+                    if not is_zero(op[j][k] - expected):
+                        raise AlgebroidError(
+                            "curvature 2-section disagrees with the "
+                            f"operator definition on (e{a+1},e{b+1})")
     return tuple(tuple(row) for row in kappa)
 
 

@@ -24,7 +24,6 @@ from .expr import (
     UnknownSymbolError,
     ZERO,
     as_expr,
-    complex_is_zero,
     is_zero,
     symbol,
 )
@@ -186,7 +185,7 @@ class VectorField:
         return self.map_coeffs(lambda c: factor * c)
 
     def is_zero_field(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.components)
+        return all(is_zero(c) for c in self.components)
 
     def __str__(self) -> str:
         terms = [f"({c})*d_{n}" for c, n in zip(self.components, self.chart.coord_names)
@@ -216,12 +215,6 @@ def sort_sign(indices: Iterable[int]):
         return None
     inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
     return tuple(sorted(indices)), -1 if inversions % 2 else 1
-
-
-def scalar_is_zero(value) -> bool:
-    if isinstance(value, ComplexExpr):
-        return complex_is_zero(value)
-    return is_zero(value)
 
 
 def _scalar(value):
@@ -357,7 +350,7 @@ class _Alternating:
         return type(self)(self.base, self.degree + other.degree, out)
 
     def is_zero_tensor(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coeffs.values())
+        return all(is_zero(c) for c in self.coeffs.values())
 
     def __str__(self) -> str:
         if not self.coeffs:

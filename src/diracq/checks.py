@@ -37,8 +37,7 @@ from .dirac import (
     regular_distribution,
 )
 from .dsl import SUITES, Model
-from .expr import (ComplexExpr, Expr, ZERO, complex_is_zero, equality_config,
-                   is_zero, symbol)
+from .expr import ComplexExpr, Expr, ZERO, equality_config, is_zero, symbol
 from .hamiltonian import (
     ComplementH,
     admissible_vector_field,
@@ -496,7 +495,7 @@ def _hermitian(r, ctx):
             random_polynomial(rng, chart, 2, 2))) for _ in range(2))
         residuals = hermitian_check(atlas, r.complement(), f, s1, s2)
         for patch, value in residuals.items():
-            if not complex_is_zero(value):
+            if not is_zero(value):
                 return False, f"residual on {patch} for f={f}: {value}"
     return True
 
@@ -516,7 +515,7 @@ _PREQUANT = (
 
 def _q_probe(r, ctx):
     members = list(r.sp_members().values())
-    sections = q_bundle(r.polarization(), probe=False)
+    sections = q_bundle(r.polarization())
     ok, witness = projectability_probe(r.polarization(), sections, members)
     return ok, witness or f"rank {len(sections)}"
 
@@ -567,7 +566,7 @@ def _selfadjoint(r, ctx):
         for a, b in itertools.product(densities, repeat=2):
             density = selfadjoint_integrand(f, densities[a], densities[b],
                                             r.atlas(), r.complement())
-            if not complex_is_zero(density.coeff):
+            if not is_zero(density.coeff):
                 return False, f"nonzero integrand for f={f}, v1={a}, v2={b}"
     return True
 
@@ -674,6 +673,8 @@ def run_checks(model: Model, suites: list[str] | None = None,
                seed: int = 0, trials: int = 20) -> Report:
     """Run the requested suites; unrequested suites appear as skipped, and
     missing prerequisites skip a suite with the reason."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     requested = suites if suites is not None else list(model.checks)
     report = Report(model=model.name, seed=seed)
     resolver = Resolver(model)

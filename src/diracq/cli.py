@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return 2
     try:

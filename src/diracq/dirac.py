@@ -152,11 +152,12 @@ def courant_bracket(a: Section, b: Section) -> Section:
 class MembershipCertificate:
     """Coefficients expressing a section in the frame span, or an
     inconsistency witness (a generically nonzero residual expression) when
-    the linear system has no generic solution."""
+    the linear system has no generic solution; both are real or complex, as
+    the section is."""
 
     ok: bool
-    coefficients: tuple[Expr, ...] | None = None
-    witness: Expr | None = None
+    coefficients: tuple | None = None
+    witness: object | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -271,7 +272,7 @@ def membership(dirac: DiracStructure, section: Section) -> MembershipCertificate
                                 f"(rank {span.rank} < {dirac.dim})")
     result = linalg.solve(span, section.components)
     if not result.ok:
-        return MembershipCertificate(False, witness=as_expr(result.witness))
+        return MembershipCertificate(False, witness=result.witness)
     return MembershipCertificate(True, coefficients=tuple(result.solution))
 
 

@@ -58,10 +58,6 @@ class DslError(Exception):
 # sections whose coefficients are real or complex
 
 
-def _scalar(value) -> ComplexExpr:
-    return ComplexExpr.of(value)
-
-
 def _vector_to_multi(v: VectorField) -> KVector:
     return KVector(v.chart, 1, {(i,): c for i, c in enumerate(v.components)})
 
@@ -116,8 +112,8 @@ class _Ops:
         if not isinstance(a, ComplexExpr):
             raise err(f"cannot raise {_kind(a)} to a power")
         if n < 0:
-            return _Ops.div(_scalar(1), _Ops.power(a, -n, err), err)
-        out = _scalar(1)
+            return _Ops.div(ComplexExpr.of(1), _Ops.power(a, -n, err), err)
+        out = ComplexExpr.of(1)
         for _ in range(n):
             out = out * a
         return out
@@ -296,7 +292,7 @@ class _ExpressionParser:
     def atom(self):
         token = self.stream.next()
         if token.kind == "int":
-            return _scalar(int(token.text))
+            return ComplexExpr.of(int(token.text))
         if token.text == "(":
             value = self.expression()
             self.stream.expect(")")
@@ -315,7 +311,7 @@ class _ExpressionParser:
             if inner.im != ZERO:
                 raise self.err(f"{name} of a complex argument is not supported")
             head = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}[name]
-            return _scalar(atom(head, inner.re))
+            return ComplexExpr.of(atom(head, inner.re))
         model = self.model
         if name in model.scalars:
             return model.scalars[name]
@@ -327,11 +323,11 @@ class _ExpressionParser:
             return model.bivectors[name]
         chart = self.chart
         if name in chart.coord_names or name in chart.param_names:
-            return _scalar(Expr(symbol(name)))
+            return ComplexExpr.of(Expr(symbol(name)))
         if name == "i":
             return I
         if name == "pi":
-            return _scalar(PI)
+            return ComplexExpr.of(PI)
         if name.startswith("d_") and name[2:] in chart.coord_names:
             return chart.basis_vector(chart.coord_names.index(name[2:]))
         if name.startswith("d") and name[1:] in chart.coord_names:

@@ -42,8 +42,14 @@ derivative follows the log-derivative rule ``d(a e) = (da - 2 pi i a dw) e``.
 Two phases whose difference is an integer are the same phase, and a zero
 amplitude takes any phase.  A sum or a comparison of values whose phases
 differ by anything else expands both to the cos/sin form (``expand``); it is
-the only place a phase becomes atoms.  Equality of complex values compares
-amplitudes over the common phase, so on phased values it stays exact.
+the only place a phase becomes atoms.
+
+There is one scalar protocol: :func:`equal` and :func:`is_zero` take real or
+complex values alike, and mixed ``Expr``/``ComplexExpr`` arithmetic returns a
+``ComplexExpr``.  A comparison that involves a complex value aligns both
+sides to one phase and compares the amplitudes part by part, so on phased
+values it stays exact; a real value is a complex one with zero imaginary
+part and phase.
 
 Semantics are generic-point: two rational functions are equal when they agree
 off their pole sets, so ``x/x`` is ``1``.  Values are immutable and all
@@ -76,8 +82,6 @@ __all__ = [
     "rational",
     "integer",
     "as_expr",
-    "complex_equal",
-    "complex_is_zero",
     "PI",
     "ZERO",
     "ONE",
@@ -253,7 +257,9 @@ def _power(elem, n: int):
     return elem.field.raw_new(num, den)
 
 
-def _new_atom(head, arg: "Expr") -> "Expr":
+def _new_atom(head, arg: "Expr"):
+    """The value of ``head(arg)`` where sympy evaluates the atom into the
+    field; otherwise its generator tree, registered as an atom."""
     tree = head(arg.node)
     if not (tree is sp.E or (isinstance(tree, head)
                              and tree.args[0] == arg.node)):
@@ -262,19 +268,24 @@ def _new_atom(head, arg: "Expr") -> "Expr":
         except ExprError:                  # to a value outside the field
             tree = head(arg.node, evaluate=False)
     _ATOM_ARGS[tree] = (head, arg)
-    return _generator(tree)
+    return tree
 
 
 def atom(head, arg) -> "Expr":
     """``head(arg)`` for ``head`` one of ``sp.exp``, ``sp.sin``, ``sp.cos``."""
     arg = as_expr(arg)
     key = (head, arg.node)
-    found = _ATOMS.get(key)
-    if found is None:
-        found = _ATOMS[key] = _new_atom(head, arg)
-        if head in _PARTNER:
-            atom(_PARTNER[head], arg)
-    return found
+    if key not in _ATOMS:
+        found = {h: _new_atom(h, arg) for h in (head, _PARTNER.get(head))
+                 if h is not None and (h, arg.node) not in _ATOMS}
+        new = [tree for tree in found.values()
+               if not isinstance(tree, Expr) and tree not in _GENERATORS]
+        if new:
+            _grow(new)                      # sin(u) and cos(u) in one growth
+        for h, value in found.items():
+            _ATOMS[(h, arg.node)] = (value if isinstance(value, Expr)
+                                     else _GENERATORS[value])
+    return _ATOMS[key]
 
 
 def _convert(node: sp.Expr) -> "Expr":
@@ -715,9 +726,14 @@ def _has_atom(e: Expr) -> bool:
 
 
 def equal(e1, e2) -> bool:
-    """Semantic equality: equal field elements are equal; a difference free
-    of atom generators is nonzero; otherwise the probabilistic fallback
-    (exact rational sampling / high-precision evaluation) decides."""
+    """Semantic equality of real or complex scalars.  Complex values are
+    aligned to one phase (:func:`_align`) and compared part by part.  Real
+    values: equal field elements are equal; a difference free of atom
+    generators is nonzero; otherwise the probabilistic fallback (exact
+    rational sampling / high-precision evaluation) decides."""
+    if isinstance(e1, ComplexExpr) or isinstance(e2, ComplexExpr):
+        z1, z2 = _align(ComplexExpr.of(e1), ComplexExpr.of(e2))
+        return equal(z1.re, z2.re) and equal(z1.im, z2.im)
     lhs, rhs = as_expr(e1), as_expr(e2)
     if lhs == rhs:
         return True
@@ -849,12 +865,3 @@ class ComplexExpr:
 
 
 I = ComplexExpr(ZERO, ONE)
-
-
-def complex_equal(z1, z2) -> bool:
-    z1, z2 = _align(ComplexExpr.of(z1), ComplexExpr.of(z2))
-    return equal(z1.re, z2.re) and equal(z1.im, z2.im)
-
-
-def complex_is_zero(z) -> bool:
-    return complex_equal(z, ComplexExpr(ZERO, ZERO))

@@ -1,4 +1,4 @@
-"""Linear algebra over the exact expression field.
+"""Linear algebra over the exact scalars, real or complex.
 
 A generating set (the columns of ``A``) is factored once: fraction-free
 (Bareiss) forward elimination of ``[A | I]`` after clearing row denominators
@@ -7,32 +7,24 @@ kernel of that span is read from the factorization: a right-hand side ``b``
 costs ``T b`` plus back substitution over the field.  Rank and membership
 statements are generic-point: the recorded pivot entries (leading minors)
 vanish exactly on the degeneracy locus where the generic answer can fail.
+
+Entries may be real (``Expr``) or complex (``ComplexExpr``), mixed freely:
+elimination uses ``ZERO``, ``ONE`` and :func:`~diracq.expr.is_zero` for both,
+and mixed arithmetic is complex.  A span of complex sections is factored
+over the complex numbers by passing their components as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import sympy as sp  # noqa: F401  (the benchmark tracer counts sp.cancel here)
 
-from .expr import ComplexExpr, Expr, ZERO, ONE, complex_is_zero, is_zero
+from .expr import Expr, ZERO, ONE, is_zero
 
-__all__ = ["FieldOps", "EXPR_FIELD", "COMPLEX_FIELD", "Echelon", "echelon",
-           "SolveResult", "solve"]
-
-
-@dataclass(frozen=True)
-class FieldOps:
-    zero: object
-    one: object
-    is_zero: Callable
-
-
-EXPR_FIELD = FieldOps(ZERO, ONE, is_zero)
-COMPLEX_FIELD = FieldOps(ComplexExpr(ZERO, ZERO), ComplexExpr(ONE, ZERO),
-                         complex_is_zero)
+__all__ = ["Echelon", "echelon", "SolveResult", "solve"]
 
 
 def _clear_row(row: list) -> list:
@@ -54,7 +46,6 @@ class Echelon:
     pivots: list[tuple[int, int]]
     ncols: int
     degeneracy: list                # pivot entries
-    field_ops: FieldOps
 
     @property
     def rank(self) -> int:
@@ -68,10 +59,9 @@ class Echelon:
     def _back_substitute(self, x: list, targets: Sequence) -> list:
         """Complete ``x``, whose free columns are already set, to a solution
         of ``U x = targets`` (one target per pivot row)."""
-        ops = self.field_ops
         for (row, col), acc in zip(reversed(self.pivots), reversed(targets)):
             for j in range(col + 1, self.ncols):
-                if not ops.is_zero(x[j]):
+                if not is_zero(x[j]):
                     acc = acc - self.rows[row][j] * x[j]
             x[col] = acc / self.rows[row][col]
         return x
@@ -79,12 +69,11 @@ class Echelon:
     @cached_property
     def kernel(self) -> tuple[tuple, ...]:
         """Basis of the generic kernel, one vector per free column."""
-        ops = self.field_ops
         basis = []
         for free in self.free_columns:
-            x = [ops.zero] * self.ncols
-            x[free] = ops.one
-            self._back_substitute(x, [ops.zero] * self.rank)
+            x = [ZERO] * self.ncols
+            x[free] = ONE
+            self._back_substitute(x, [ZERO] * self.rank)
             basis.append(tuple(x))
         return tuple(basis)
 
@@ -95,8 +84,7 @@ class Echelon:
         return [row[self.ncols:] for row in self.rows[self.rank:]]
 
 
-def echelon(columns: Sequence[Sequence], height: int,
-            field_ops: FieldOps = EXPR_FIELD) -> Echelon:
+def echelon(columns: Sequence[Sequence], height: int) -> Echelon:
     """Factor the span of ``columns`` (each of length ``height``) by
     fraction-free forward elimination of ``[A | I]``.
 
@@ -105,20 +93,19 @@ def echelon(columns: Sequence[Sequence], height: int,
     """
     ncols = len(columns)
     rows = [[col[i] for col in columns]
-            + [field_ops.one if j == i else field_ops.zero
-               for j in range(height)]
+            + [ONE if j == i else ZERO for j in range(height)]
             for i in range(height)]
     if all(isinstance(e, Expr) for row in rows for e in row):
         rows = [_clear_row(row) for row in rows]
     width = ncols + height
     pivots: list[tuple[int, int]] = []
     degeneracy = []
-    prev = field_ops.one
+    prev = ONE
     r = 0
     for col in range(ncols):
         pivot_row = None
         for i in range(r, height):
-            if not field_ops.is_zero(rows[i][col]):
+            if not is_zero(rows[i][col]):
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -131,11 +118,11 @@ def echelon(columns: Sequence[Sequence], height: int,
             head = rows[i][col]
             for j in range(col, width):
                 rows[i][j] = (piv * rows[i][j] - head * rows[r][j]) / prev
-            rows[i][col] = field_ops.zero
+            rows[i][col] = ZERO
         pivots.append((r, col))
         prev = piv
         r += 1
-    return Echelon(rows, pivots, ncols, degeneracy, field_ops)
+    return Echelon(rows, pivots, ncols, degeneracy)
 
 
 @dataclass
@@ -152,18 +139,16 @@ def solve(ech: Echelon, rhs: Sequence) -> SolveResult:
     """Particular solution of ``A x = rhs`` for the factored ``A``, with free
     variables set to zero; an inconsistency witness (a nonzero entry of
     ``T rhs`` below the pivot rows) otherwise."""
-    ops = ech.field_ops
-
     def transformed(row: int):
-        acc = ops.zero
+        acc = ZERO
         for t, b in zip(ech.rows[row][ech.ncols:], rhs):
             acc = acc + t * b
         return acc
 
     for i in range(ech.rank, len(ech.rows)):
         residual = transformed(i)
-        if not ops.is_zero(residual):
+        if not is_zero(residual):
             return SolveResult(None, residual)
     targets = [transformed(row) for row, _ in ech.pivots]
-    return SolveResult(ech._back_substitute([ops.zero] * ech.ncols, targets),
+    return SolveResult(ech._back_substitute([ZERO] * ech.ncols, targets),
                        None)

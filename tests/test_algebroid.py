@@ -101,21 +101,20 @@ class TestDiracPresentation:
 class TestDDPair:
     def test_function_gives_anchor_derivative(self, standard_dirac, r2):
         q = Expr(r2.coords[0])
-        out = d_D_pair(r2.scalar_form(q), KVector(r2, 0, {}), standard_dirac,
-                       cross_check=True)
+        out = d_D_pair(r2.scalar_form(q), KVector(r2, 0, {}), standard_dirac)
         assert equal(out.coeff((0,)), 1)
         assert is_zero(out.coeff((1,)))
 
     def test_multivector_branch(self, standard_dirac, r2):
         rng = rng_for(19, "pair")
         q = random_kvector(rng, r2, 1)
-        out = d_D_pair(KForm(r2, 1, {}), q, standard_dirac, cross_check=True)
+        out = d_D_pair(KForm(r2, 1, {}), q, standard_dirac)
         assert out is not None
 
     def test_p_dq_value(self, standard_dirac, r2):
         p = Expr(r2.coords[1])
         phi = r2.basis_covector(0).scale(p)
-        out = d_D_pair(phi, KVector(r2, 1, {}), standard_dirac, cross_check=True)
+        out = d_D_pair(phi, KVector(r2, 1, {}), standard_dirac)
         assert equal(out.coeff((0, 1)), -1)
 
     def test_agrees_with_direct_formula_randomly(self, standard_dirac,
@@ -126,7 +125,7 @@ class TestDDPair:
             for degree in (0, 1):
                 phi = random_kform(rng, chart, degree)
                 q = random_kvector(rng, chart, degree)
-                d_D_pair(phi, q, dirac, cross_check=True)  # raises on mismatch
+                d_D_pair(phi, q, dirac)  # raises on mismatch
 
 
 class TestCurvature:

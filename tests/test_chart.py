@@ -25,7 +25,6 @@ from diracq.expr import (
     ExprError,
     ZERO,
     as_expr,
-    complex_is_zero,
     equal,
     is_zero,
 )
@@ -82,7 +81,7 @@ class TestExteriorDerivative:
         q, p = (Expr(s) for s in r2.coords)
         x = VectorField(r2, (p, as_expr(2)))
         assert is_zero(x.apply(3))
-        assert complex_is_zero(x.apply(ComplexExpr(as_expr(1), as_expr(-2))))
+        assert is_zero(x.apply(ComplexExpr(as_expr(1), as_expr(-2))))
         constant = VectorField(r2, (as_expr(1), as_expr(Fraction(-3, 2))))
         assert is_zero(constant.divergence())
         assert calls == []
@@ -233,13 +232,13 @@ class TestApply:
         for _ in range(3):
             f = random_polynomial(rng, r3, 3, 2)
             for field in self.fields(r3):
-                assert complex_is_zero(field.apply(f) - self.full_sum(field, f))
+                assert is_zero(field.apply(f) - self.full_sum(field, f))
 
     def test_phased_function(self, r3):
         x, y, z = (Expr(s) for s in r3.coords)
         f = ComplexExpr(x * z, y, x * y)
         for field in self.fields(r3):
-            assert complex_is_zero(field.apply(f) - self.full_sum(field, f))
+            assert is_zero(field.apply(f) - self.full_sum(field, f))
 
     def test_zero_components_are_not_differentiated_along(self, r3,
                                                           monkeypatch):

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracq.checks import run_checks
 from diracq.cli import main
@@ -144,12 +145,14 @@ def test_rational_negatives_match_the_oracle():
         assert not any(c.status == "error" for c in report.checks), op["name"]
 
 
-def test_generated_rational_round_matches_the_oracle():
-    """One seeded round of the benchmark's rational Dirac structures, each
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), round_index=st.integers(0, 9))
+def test_generated_rational_round_matches_the_oracle(seed, round_index):
+    """Generated rounds of the benchmark's rational Dirac structures, each
     judged against the truth the oracle derives without diracq."""
     families = perfbench_module("families")
     oracle = perfbench_module("oracle")
-    for op in families.rational_round(2, 0):
+    for op in families.rational_round(seed, round_index):
         model = parse_model(op["text"], name=op["name"])
         report = run_checks(model, suites=op["suites"], seed=7, trials=2)
         checks = report.to_dict()["checks"]
@@ -285,6 +288,21 @@ def test_corpus_reports_survive_field_growth(capsys):
 
 def test_missing_file_exit_code():
     assert main(["check", "/nonexistent/model.dq"]) == 2
+
+
+def test_undecodable_file_exit_code(tmp_path, capsys):
+    model = tmp_path / "latin1.dq"
+    model.write_bytes("chart M dim 2 coords q p\n# caf\xe9\n".encode("latin-1"))
+    assert main(["check", str(model)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_nonpositive_trials_exit_code(capsys, trials):
+    code, out = run_cli(capsys, "check", str(MODELS / "standard_r2.dq"),
+                        "--suite", "all", "--trials", trials)
+    assert code == 2
+    assert out == ""
 
 
 def test_suite_flag_overrides(capsys):

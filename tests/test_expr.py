@@ -19,7 +19,6 @@ from diracq.expr import (
     ZERO,
     SingularPointError,
     as_expr,
-    complex_equal,
     differentiate,
     equal,
     evaluate,
@@ -270,10 +269,10 @@ class TestComplexExpr:
     def test_division_round_trip(self):
         z = ComplexExpr(ex("x"), as_expr(3))
         w = ComplexExpr(as_expr(1), ex("y"))
-        assert complex_equal((z / w) * w, z)
+        assert equal((z / w) * w, z)
 
     def test_i_squares_to_minus_one(self):
-        assert complex_equal(I * I, -1)
+        assert equal(I * I, -1)
 
 
 class TestPhase:
@@ -295,7 +294,7 @@ class TestPhase:
         assert equal((z / w).phase, ex("x*y - y"))
         assert equal((1 / w).phase, ex("-y"))
         assert (z.conj() * z).phase == ZERO
-        assert complex_equal((z / w) * w, z)
+        assert equal((z / w) * w, z)
 
     def test_diff_follows_the_log_derivative_rule(self):
         z = ComplexExpr(ex("x"), ex("y"), ex("x**2*y"))
@@ -307,7 +306,7 @@ class TestPhase:
         assert equal(d.im, -2 * PI * dw * ex("x"))
         # the same derivative as that of the cos/sin form
         expanded = z.expand()
-        assert complex_equal(d.expand(), ComplexExpr(expanded.re.diff(x),
+        assert equal(d.expand(), ComplexExpr(expanded.re.diff(x),
                                                      expanded.im.diff(x)))
 
     def test_phases_that_differ_by_an_integer_are_equal(self, monkeypatch):
@@ -316,11 +315,11 @@ class TestPhase:
                             lambda *a, **k: calls.append(a))
         z1 = ComplexExpr(ex("x"), ONE, ex("x*y"))
         z2 = ComplexExpr(ex("x"), ONE, ex("x*y + 2"))
-        assert complex_equal(z1, z2)
+        assert equal(z1, z2)
         total = z1 + z2
         assert total.phase == z1.phase and equal(total.re, 2 * ex("x"))
         assert ComplexExpr(ONE, ZERO, as_expr(-3)) == ComplexExpr.of(1)
-        assert not complex_equal(z1, ComplexExpr(ex("x"), ex("2"), ex("x*y")))
+        assert not equal(z1, ComplexExpr(ex("x"), ex("2"), ex("x*y")))
         assert calls == []
 
     def test_literal_zero_takes_any_phase(self):
@@ -337,9 +336,44 @@ class TestPhase:
         a1, a2 = sp.pi * x, 2 * sp.pi * x / 3
         expected = ComplexExpr(Expr(sp.cos(a1) + y * sp.cos(a2)),
                                Expr(-sp.sin(a1) - y * sp.sin(a2)))
-        assert complex_equal(total, expected)
+        assert equal(total, expected)
         # a constant phase difference of 1/2 is the sign -1
-        assert complex_equal(ComplexExpr(ONE, ZERO, as_expr(1) / 2), -1)
+        assert equal(ComplexExpr(ONE, ZERO, as_expr(1) / 2), -1)
+
+
+class TestOneProtocol:
+    """``equal`` and ``is_zero`` take real and complex values alike."""
+
+    def test_mixed_real_and_complex_arguments(self):
+        assert equal(ComplexExpr.of(ex("x")), ex("x"))
+        assert equal(ex("x"), ComplexExpr(ex("x"), ZERO))
+        assert not equal(ex("x"), ComplexExpr(ex("x"), ONE))
+        assert not equal(ComplexExpr(ex("x"), ONE), ex("x"))
+        assert is_zero(ComplexExpr(ZERO, ZERO))
+        assert not is_zero(I)
+
+    def test_phases_that_differ_by_an_integer(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(expr_module, "_probabilistic_equal",
+                            lambda *a, **k: calls.append(a))
+        z1 = ComplexExpr(ex("x"), ONE, ex("x*y"))
+        z2 = ComplexExpr(ex("x"), ONE, ex("x*y - 3"))
+        assert is_zero(z1 - z2) and equal(z2, z1)
+        # an integer phase is the phase 0, so the value compares with reals
+        assert equal(ComplexExpr(ex("y"), ZERO, as_expr(2)), ex("y"))
+        assert equal(ex("y"), ComplexExpr(ex("y"), ZERO, as_expr(-1)))
+        assert calls == []
+
+    def test_zero_amplitude_with_any_phase(self):
+        for phase in (ex("y"), ex("x*y/3"), as_expr(1) / 2):
+            zero = ComplexExpr(ZERO, ZERO, phase)
+            assert is_zero(zero)
+            assert equal(zero, ZERO) and equal(0, zero)
+            assert equal(zero + ex("x"), ex("x"))
+
+    def test_half_turn_plus_one_is_zero(self):
+        assert is_zero(ComplexExpr(ONE, ZERO, as_expr(1) / 2) + 1)
+        assert not is_zero(ComplexExpr(ONE, ZERO, as_expr(1) / 2) - 1)
 
 
 def test_random_rational_respects_bound():

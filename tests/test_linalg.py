@@ -76,7 +76,7 @@ def test_complex_solve():
     one = ComplexExpr.of(1)
     columns = [[one, i], [i, one]]
     rhs = [ComplexExpr.of(2), i * 2]
-    span = linalg.echelon(columns, 2, linalg.COMPLEX_FIELD)
+    span = linalg.echelon(columns, 2)
     result = linalg.solve(span, rhs)
     assert result.ok
     for b_index, b in enumerate(rhs):
@@ -85,6 +85,30 @@ def test_complex_solve():
             acc = acc + col[b_index] * value
         diff = acc - b
         assert is_zero(diff.re) and is_zero(diff.im)
+
+
+def test_mixed_columns_match_wrapped_columns():
+    """Real and complex entries mix in one elimination; the result is the
+    one for the same columns with every entry made complex."""
+    i = ComplexExpr(as_expr(0), as_expr(1))
+    phased = ComplexExpr(E(1), E(0), Expr(x) / 3)
+    a = [E(1), i, Expr(x), phased]
+    b = [i * Expr(x), E(2), phased, E(0)]
+    c = [ai + bi * Expr(k) for ai, bi in zip(a, b)]      # c = a + k b
+    d = [E(0), Expr(x) * i, E(1), E(0)]
+    mixed = [a, b, c, d]
+    wrapped = [[ComplexExpr.of(e) for e in col] for col in mixed]
+    one, other = linalg.echelon(mixed, 4), linalg.echelon(wrapped, 4)
+    assert one.rank == other.rank == 3
+    assert one.pivots == other.pivots
+    assert len(one.kernel) == len(other.kernel) == 1
+    for u, v in zip(one.kernel, other.kernel):
+        assert all(equal(p, q) for p, q in zip(u, v))
+        assert all(is_zero(e) for e in apply(mixed, u))
+    rhs = [e * 2 - f for e, f in zip(a, d)]
+    for ech in (one, other):
+        solution = linalg.solve(ech, rhs).solution
+        assert all(equal(e, f) for e, f in zip(apply(mixed, solution), rhs))
 
 
 def test_cokernel_annihilates_the_span():

@@ -25,7 +25,6 @@ from diracq.expr import (
     Expr,
     SingularPointError,
     as_expr,
-    complex_is_zero,
     equal,
     is_zero,
 )
@@ -151,11 +150,11 @@ class TestSPMembership:
 
 class TestQBundle:
     def test_holomorphic_intersection_trivial(self, holomorphic_polarization):
-        assert q_bundle(holomorphic_polarization, probe=False) == []
+        assert q_bundle(holomorphic_polarization) == []
 
     def test_real_polarization_recovers_itself(self, horizontal_polarization,
                                                standard_dirac):
-        sections = q_bundle(horizontal_polarization, probe=False)
+        sections = q_bundle(horizontal_polarization)
         assert len(sections) == 1
         from diracq.dirac import membership
         assert membership(standard_dirac, sections[0]).ok
@@ -172,7 +171,7 @@ class TestQBundle:
         pol = Polarization(dirac, complement, (e1, e3 + e4.scale(I)))
         report = polarization_check(pol)
         assert report.isotropy_ok and report.involutive_ok
-        sections = q_bundle(pol, probe=False)
+        sections = q_bundle(pol)
         assert len(sections) == 1
         from diracq.dirac import membership
         cert = membership(dirac, sections[0])
@@ -208,7 +207,7 @@ class TestDeltaConnection:
             lhs = delta_connection(psi, scaled, std_atlas).combined("U")
             rhs = ComplexExpr.of(u) * delta_connection(psi, v, std_atlas).combined("U") \
                 + psi.X.apply(u) * v.combined("U")
-            assert complex_is_zero(lhs - rhs)
+            assert is_zero(lhs - rhs)
 
 
 class TestFhat:
@@ -217,7 +216,7 @@ class TestFhat:
         v = half_density_section(std_atlas, 1)
         out = fhat_halfdensity(as_expr(2), std_atlas, std_complement, v)
         expected = ComplexExpr(as_expr(0), Expr(-4 * sp.pi))
-        assert complex_is_zero(out.combined("U") - expected)
+        assert is_zero(out.combined("U") - expected)
 
     def test_position_function(self, std_atlas, std_complement, r2):
         import sympy as sp
@@ -225,7 +224,7 @@ class TestFhat:
         v = half_density_section(std_atlas, 1)
         out = fhat_halfdensity(q, std_atlas, std_complement, v)
         expected = ComplexExpr(as_expr(0), Expr(-2 * sp.pi * r2.coords[0]))
-        assert complex_is_zero(out.combined("U") - expected)
+        assert is_zero(out.combined("U") - expected)
 
     def test_commutator_matches_bracket(self, std_atlas, std_complement,
                                         standard_dirac, r2):
@@ -243,7 +242,7 @@ class TestFhat:
         rhs = fhat_halfdensity(fg, std_atlas, std_complement, v)
         residual = {pp: lhs_qp.combined(pp) - lhs_pq.combined(pp) - rhs.combined(pp)
                     for pp in std_atlas.patches}
-        assert all(complex_is_zero(z) for z in residual.values())
+        assert all(is_zero(z) for z in residual.values())
 
 
 class TestLemma51:
@@ -283,7 +282,7 @@ class TestSelfAdjoint:
                                                          as_expr(1)))
         density = selfadjoint_integrand(as_expr(3), v1, v2, std_atlas,
                                         std_complement)
-        assert complex_is_zero(density.coeff)
+        assert is_zero(density.coeff)
 
     def test_polynomial_sections(self, std_atlas, std_complement, r2):
         rng = rng_for(51, "sa")
@@ -296,7 +295,7 @@ class TestSelfAdjoint:
                 std_atlas, ComplexExpr(random_polynomial(rng, r2, 2, 2),
                                        random_polynomial(rng, r2, 2, 2)))
             density = selfadjoint_integrand(q, v1, v2, std_atlas, std_complement)
-            assert complex_is_zero(density.coeff)
+            assert is_zero(density.coeff)
 
     def test_imaginary_sigma_breaks_it(self, standard_dirac, std_complement, r2):
         pres = dirac_presentation(standard_dirac)
@@ -307,7 +306,7 @@ class TestSelfAdjoint:
         v1 = half_density_section(atlas, ComplexExpr.of(q))
         v2 = half_density_section(atlas, ComplexExpr.of(p))
         density = selfadjoint_integrand(p, v1, v2, atlas, std_complement)
-        assert not complex_is_zero(density.coeff)
+        assert not is_zero(density.coeff)
 
 
 class TestHZeroProbe:
@@ -397,7 +396,47 @@ def test_complex_courant_expands_bilinearly(standard_dirac, r2):
         expected = ComplexExpr(
             pairing_minus(a1, b1) - pairing_minus(a2, b2),
             pairing_minus(a1, b2) + pairing_minus(a2, b1))
-        assert complex_is_zero(pairing - expected)
+        assert is_zero(pairing - expected)
+
+
+def _split_coefficients(dirac, psi):
+    """The frame coefficients of ``psi`` by two real solves, one for its
+    real part and one for its imaginary part."""
+    parts = []
+    for part in (psi.map_coeffs(real_part), psi.map_coeffs(imag_part)):
+        if part.is_zero_section():
+            parts.append((as_expr(0),) * dirac.dim)
+            continue
+        cert = quantize.membership(dirac, part)
+        assert cert.ok
+        parts.append(cert.coefficients)
+    return tuple(ComplexExpr(a, b) for a, b in zip(*parts))
+
+
+@pytest.mark.parametrize("dirac_name", ["standard_dirac", "presymplectic_r4"])
+def test_complex_coefficients_match_the_real_imaginary_split(request,
+                                                             dirac_name):
+    dirac = request.getfixturevalue(dirac_name)
+    chart = dirac.chart
+    x = [Expr(c) for c in chart.coords]
+    scalars = [ComplexExpr(x[0], x[-1]), as_expr(3) * x[1],
+               ComplexExpr(as_expr(1), as_expr(0), x[0] / 2), I,
+               ComplexExpr(x[1], as_expr(-1), x[0] * x[1])]
+    zeros = [as_expr(0)] * (dirac.dim - 1)
+    cases = [(zero_section(chart), [as_expr(0)] + zeros),
+             (dirac.frame[0], [as_expr(1)] + zeros)]
+    for shift in range(3):
+        chosen = (scalars[shift:] + scalars[:shift])[:dirac.dim]
+        psi = zero_section(chart)
+        for e, c in zip(dirac.frame, chosen):
+            psi = psi + e.scale(c)
+        cases.append((psi, chosen))
+    for psi, chosen in cases:
+        coeffs = quantize.dirac_complex_coefficients(dirac, psi)
+        reference = _split_coefficients(dirac, psi)
+        assert len(coeffs) == len(reference) == dirac.dim
+        assert all(equal(a, b) for a, b in zip(coeffs, reference))
+        assert all(equal(a, c) for a, c in zip(coeffs, chosen))
 
 
 def test_zero_parts_need_no_membership_solve(monkeypatch):
