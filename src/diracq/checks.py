@@ -590,7 +590,7 @@ def _quadrature(r, ctx):
     unit = AlphaDensity(chart, Fraction(1), ComplexExpr.of(1))
     box = {name: (Fraction(0), Fraction(1)) for name in chart.coord_names}
     value = integrate_density(unit, box)
-    return abs(float(value) - 1.0) < 1e-8, f"volume {value}"
+    return value == 1, f"volume {float(value)}"
 
 
 _QUANTIZE = (

@@ -834,6 +834,8 @@ class ComplexExpr:
 
     def __truediv__(self, other) -> "ComplexExpr":
         other = ComplexExpr.of(other)
+        if other.im == ZERO and other.phase == ZERO:
+            return ComplexExpr(self.re / other.re, self.im / other.re, self.phase)
         norm = other.re * other.re + other.im * other.im
         num = self * other.conj()
         return ComplexExpr(num.re / norm, num.im / norm, num.phase)

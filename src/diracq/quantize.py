@@ -20,7 +20,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import mpmath
 import sympy as sp
 
 from . import linalg
@@ -362,20 +361,22 @@ def hzero_invariance_probe(pol: Polarization, atlas: BundleAtlas,
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# exact integration
 
-
-# relative size below which the imaginary part of an integral is dropped
-_REL_TOL = 1e-8
+_NOT_POLYNOMIAL = "the integrand is not polynomial in the coordinates"
 
 
 def integrate_density(kappa: AlphaDensity,
                       box: Mapping[str, tuple[Fraction, Fraction]]):
-    """Numerically integrate a 1-density over a rational coordinate box.
+    """Integrate a 1-density over a rational coordinate box, exactly.
 
-    The coefficient is scanned for poles on a coarse exact grid first; the
-    quadrature itself is adaptive high-precision.  Identities are expected to
-    be certified symbolically before integration; this is a smoke check.
+    The coefficient must be polynomial in the coordinates: each coordinate
+    is integrated in turn in the scalar field
+    (:meth:`~diracq.expr.Expr.integral_from_zero`) between its endpoints.
+    The value is a ``Fraction`` when it is a rational real number and a
+    :class:`ComplexExpr` otherwise.  A coefficient with a coordinate in a
+    denominator is scanned for poles on a coarse exact grid: a pole raises
+    :class:`SingularPointError`, anything else :class:`QuantizeError`.
     """
     if kappa.alpha != 1:
         raise QuantizeError("only 1-densities integrate over the chart")
@@ -383,36 +384,33 @@ def integrate_density(kappa: AlphaDensity,
     if set(box) != set(chart.coord_names):
         raise QuantizeError("the box must cover exactly the chart coordinates")
     coeff = kappa.coeff.expand()
-    free = {str(s) for s in coeff.re.free_symbols | coeff.im.free_symbols}
+    parts = (coeff.re, coeff.im)
+    free = {str(s) for part in parts for s in part.free_symbols}
     extra = free - set(chart.coord_names)
     if extra:
         raise QuantizeError(f"unbound parameters in the integrand: {sorted(extra)}")
-    grid_steps = 4
-    axes = [box[name] for name in chart.coord_names]
-    for corner in itertools.product(range(grid_steps + 1), repeat=chart.dim):
-        values = {}
-        for (lo, hi), step, name in zip(axes, corner, chart.coord_names):
-            lo, hi = Fraction(lo), Fraction(hi)
-            values[name] = lo + (hi - lo) * Fraction(step, grid_steps)
-        point = Point(chart.name, values)
-        try:
-            evaluate(coeff.re, point)
-            evaluate(coeff.im, point)
-        except SingularPointError as err:
-            raise SingularPointError(
-                f"singularity inside the integration box at {values}") from err
-    syms = [symbol(n) for n in chart.coord_names]
-    f_re = sp.lambdify(syms, coeff.re.node, "mpmath")
-    f_im = sp.lambdify(syms, coeff.im.node, "mpmath")
-    intervals = [[_frac_to_mpf(lo), _frac_to_mpf(hi)] for lo, hi in axes]
-    with mpmath.workdps(30):
-        real = mpmath.quad(f_re, *intervals)
-        imag = mpmath.quad(f_im, *intervals)
-    if abs(imag) > _REL_TOL * max(1.0, abs(real)):
-        return mpmath.mpc(real, imag)
-    return real
-
-
-def _frac_to_mpf(value) -> mpmath.mpf:
-    value = Fraction(value)
-    return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
+    axes = [tuple(map(Fraction, box[name])) for name in chart.coord_names]
+    if any(part.as_numer_denom()[1].free_symbols for part in parts):
+        grid_steps = 4
+        for corner in itertools.product(range(grid_steps + 1), repeat=chart.dim):
+            values = {name: lo + (hi - lo) * Fraction(step, grid_steps)
+                      for (lo, hi), step, name in zip(axes, corner, chart.coord_names)}
+            try:
+                for part in parts:
+                    evaluate(part, Point(chart.name, values))
+            except SingularPointError as err:
+                raise SingularPointError(
+                    f"singularity inside the integration box at {values}") from err
+        raise QuantizeError(_NOT_POLYNOMIAL)
+    try:
+        for name, (lo, hi) in zip(chart.coord_names, axes):
+            sym = symbol(name)
+            antiderivatives = [part.integral_from_zero(sym) for part in parts]
+            parts = [f.subs({sym: sp.Rational(hi)}) - f.subs({sym: sp.Rational(lo)})
+                     for f in antiderivatives]
+    except ExprError as err:      # an atom argument involves a coordinate
+        raise QuantizeError(_NOT_POLYNOMIAL) from err
+    re, im = parts
+    if im == ZERO and re.is_rational:
+        return Fraction(int(re.node.p), int(re.node.q))
+    return ComplexExpr(re, im)

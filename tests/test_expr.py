@@ -296,6 +296,15 @@ class TestPhase:
         assert (z.conj() * z).phase == ZERO
         assert equal((z / w) * w, z)
 
+    def test_real_divisor_matches_the_conjugate_formula(self):
+        d = ex("x**2 + y + 1")
+        for z in (ComplexExpr(ex("x*y"), ex("x - y"), ex("x*y")),
+                  ComplexExpr(ex("x*y"), ex("x - y"))):
+            num, norm = z * ComplexExpr.of(d).conj(), d * d
+            expected = ComplexExpr(num.re / norm, num.im / norm, num.phase)
+            assert z / d == expected
+            assert z / ComplexExpr.of(d) == expected
+
     def test_diff_follows_the_log_derivative_rule(self):
         z = ComplexExpr(ex("x"), ex("y"), ex("x**2*y"))
         d = z.diff(x)

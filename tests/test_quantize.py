@@ -21,6 +21,8 @@ from diracq.dirac import Section, courant_bracket, pairing_minus, zero_section
 from diracq.dsl import parse_model
 from diracq.expr import (
     I,
+    ONE,
+    ZERO,
     ComplexExpr,
     Expr,
     SingularPointError,
@@ -340,7 +342,19 @@ class TestIntegrateDensity:
         kappa = AlphaDensity(chart, Fraction(1),
                              ComplexExpr.of(Expr(chart.coords[0])))
         value = integrate_density(kappa, {"x": (0, 1)})
-        assert abs(value - mpmath.mpf(1) / 2) < 1e-8
+        assert value == Fraction(1, 2)
+
+    def test_polynomial_is_exact(self, r2):
+        q, p = (Expr(c) for c in r2.coords)
+        kappa = AlphaDensity(r2, Fraction(1), ComplexExpr.of(p * q ** 2 + 3 * p - q))
+        value = integrate_density(kappa, {"q": (0, 1), "p": (0, 1)})
+        assert value == Fraction(7, 6)
+
+    def test_complex_value(self):
+        chart = Chart("L", ("x",))
+        kappa = AlphaDensity(chart, Fraction(1), I * Expr(chart.coords[0]))
+        value = integrate_density(kappa, {"x": (0, 1)})
+        assert isinstance(value, ComplexExpr) and value == I / 2
 
     def test_divergence_form_matches_boundary(self):
         chart = Chart("L", ("x",))
@@ -358,6 +372,17 @@ class TestIntegrateDensity:
                              ComplexExpr.of(1 / Expr(chart.coords[0])))
         with pytest.raises(SingularPointError):
             integrate_density(kappa, {"x": (-1, 1)})
+
+    def test_non_polynomial_rejected(self, r2):
+        chart = Chart("L", ("x",))
+        x = Expr(chart.coords[0])
+        kappa = AlphaDensity(chart, Fraction(1), ComplexExpr.of(1 / (1 + x ** 2)))
+        with pytest.raises(QuantizeError, match="not polynomial"):
+            integrate_density(kappa, {"x": (0, 1)})
+        phased = AlphaDensity(r2, Fraction(1),
+                              ComplexExpr(ONE, ZERO, Expr(r2.coords[0])))
+        with pytest.raises(QuantizeError, match="not polynomial"):
+            integrate_density(phased, {"q": (0, 1), "p": (0, 1)})
 
     def test_alpha_must_be_one(self, r2):
         kappa = AlphaDensity(r2, Fraction(1, 2), ComplexExpr.of(1))
@@ -437,6 +462,19 @@ def test_complex_coefficients_match_the_real_imaginary_split(request,
         assert len(coeffs) == len(reference) == dirac.dim
         assert all(equal(a, b) for a, b in zip(coeffs, reference))
         assert all(equal(a, c) for a, c in zip(coeffs, chosen))
+
+
+def test_quadrature_check_makes_no_float_quadrature(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("mpmath.quad called")
+
+    monkeypatch.setattr(mpmath, "quad", refused)
+    text = (Path(__file__).resolve().parent.parent / "models"
+            / "standard_r2.dq").read_text()
+    report = run_checks(parse_model(text, "standard_r2"),
+                        suites=["quantize"], seed=7)
+    row, = (c for c in report.checks if c.name == "quantize/quadrature")
+    assert (row.status, row.witness) == ("pass", "volume 1.0")
 
 
 def test_zero_parts_need_no_membership_solve(monkeypatch):
