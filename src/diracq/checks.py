@@ -676,6 +676,9 @@ def run_checks(model: Model, suites: list[str] | None = None,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     requested = suites if suites is not None else list(model.checks)
+    for suite in requested:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}")
     report = Report(model=model.name, seed=seed)
     resolver = Resolver(model)
     ctx = _Context(seed=seed, trials=trials)

@@ -414,6 +414,8 @@ def parse_model(text: str, name: str = "model") -> Model:
                 _parse_statement(keyword, stream, model)
         except ExprError as err:  # the tensor arithmetic of the statement
             raise stream.error(str(err)) from err
+        except RecursionError as err:
+            raise stream.error("expression nested too deeply") from err
     if model is None:
         raise DslError("empty model: no chart declared", 1, 1)
     return model

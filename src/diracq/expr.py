@@ -1,26 +1,30 @@
 """Exact symbolic scalars.
 
-An :class:`Expr` is an element of one sparse fraction field over the integers
-(``sympy.polys.fields.FracField`` over ``ZZ``).  Its generators are every
-coordinate and parameter symbol seen so far, the constant ``pi``, and one
-generator per transcendental atom ``exp(u)``, ``sin(u)`` or ``cos(u)``.
-Arithmetic, differentiation and equality run in the field; a sympy tree is
-built only on demand (``Expr.node``: printing, parsing, ``lambdify`` and the
-sampled fallback of :func:`equal`).
+An :class:`Expr` is a reduced element of a sparse fraction field over the
+integers (``sympy.polys.fields.FracField`` over ``ZZ``) whose generators are
+exactly the generators the value involves: coordinate and parameter symbols,
+the constant ``pi``, and one generator per transcendental atom ``exp(u)``,
+``sin(u)`` or ``cos(u)``.  Arithmetic, differentiation and equality run in
+these fields; a sympy tree is built only on demand (``Expr.node``: printing,
+parsing, ``lambdify`` and the sampled fallback of :func:`equal`).
 
-The generator registry:
+The fields and their generators:
 
-* There is one module-level field and it only grows: a new symbol or atom
-  makes a larger field whose generators stay sorted by a fixed key, so the
-  canonical form of a value does not depend on the order in which generators
-  were met.  An element moves into the grown field the first time it is
-  used and keeps the moved copy.
+* There is one field per sorted tuple of generators, kept in a registry.
+  Generators are sorted by a fixed key, so the canonical form of a value does
+  not depend on the order in which generators were met, and a constant lives
+  in the field with no generators.  A binary operation embeds its operands in
+  the field of the union of their generators, and the reduced result moves to
+  the field of the generators it still involves, so ``(x + y) - y`` is ``x``
+  in the field of ``x``.  A rational constant scales the numerator and
+  denominator of the other operand directly.  Values never change after they
+  are built, and meeting a new generator changes no existing field.
 * An atom is registered under its head and the canonical tree of its
   argument, so ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where
   sympy evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
   ``cos(2*pi/3) = -1/2``) the value is that evaluation; ``sp.E`` is the atom
-  ``exp(1)``.  ``sin(u)`` and ``cos(u)`` are registered together.  Atoms are
-  opaque: ``sin(x)**2 + cos(x)**2`` is *not* the generator ``1``.
+  ``exp(1)``.  Atoms are opaque: ``sin(x)**2 + cos(x)**2`` is *not* the
+  generator ``1``.
 
 The derivative is a derivation of the field: ``d/dx`` is the partial
 derivative in ``x`` plus, over the atom generators ``g``, ``dF/dg * dg/dx``
@@ -102,7 +106,6 @@ Scalar = Union["Expr", "ComplexExpr", int, Fraction]
 _EVAL_DIGITS = 30
 
 _ATOM_HEADS = (sp.exp, sp.sin, sp.cos)
-_PARTNER = {sp.sin: sp.cos, sp.cos: sp.sin}
 _INFINITIES = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
@@ -132,7 +135,7 @@ def symbol(name: str) -> sp.Symbol:
 
 
 # ---------------------------------------------------------------------------
-# the field and its generator registry
+# the fields and their generators
 
 
 def _generator_key(tree: sp.Expr):
@@ -144,22 +147,22 @@ def _generator_key(tree: sp.Expr):
     return key
 
 
-_FIELD = FracField((sp.pi,), ZZ)
-_POSITION: dict = {sp.pi: 0}        # generator tree -> position in _FIELD
+_FIELDS: dict = {}                  # sorted generator tuple -> its field
 _GENERATORS: dict = {}              # generator tree -> its Expr
 _ATOM_ARGS: dict = {}               # atom generator tree -> (head, argument)
 _ATOMS: dict = {}                   # (head, argument tree) -> head(argument)
 _KEYS: dict = {}                    # generator tree -> its sort key
 
 
-def _grow(trees) -> None:
-    """Add generators; the others keep their relative order."""
-    global _FIELD, _POSITION
-    gens = sorted(set(_FIELD.symbols).union(trees), key=_generator_key)
-    _FIELD = FracField(tuple(gens), ZZ)
-    _POSITION = {tree: i for i, tree in enumerate(gens)}
-    for tree in trees:
-        _GENERATORS[tree] = _wrap(_FIELD.gens[_POSITION[tree]])
+def _field(gens: tuple) -> FracField:
+    """The field of the generators ``gens``, sorted by :func:`_generator_key`."""
+    field = _FIELDS.get(gens)
+    if field is None:
+        field = _FIELDS[gens] = FracField(gens, ZZ)
+    return field
+
+
+_CONSTANTS = _field(())
 
 
 def _spread(poly, positions, ring):
@@ -174,55 +177,64 @@ def _spread(poly, positions, ring):
     return ring.dtype(out)
 
 
-def _lift(elem):
-    """``elem`` moved from an older field into the current one.  Inserting
-    generators keeps the order of the old ones, so the reduced form and the
-    sign of the denominator's leading coefficient carry over unchanged."""
-    positions = [_POSITION[tree] for tree in elem.field.symbols]
-    return _FIELD.raw_new(_spread(elem.numer, positions, _FIELD.ring),
-                          _spread(elem.denom, positions, _FIELD.ring))
+def _embed(elem, field):
+    """``elem`` in ``field``, whose generators include those of ``elem``."""
+    positions = [field.symbols.index(tree) for tree in elem.field.symbols]
+    return (_spread(elem.numer, positions, field.ring),
+            _spread(elem.denom, positions, field.ring))
 
 
-def _involved(num, den) -> list[int]:
-    """Positions of the generators that ``num`` or ``den`` involves."""
-    return [i for i, col in enumerate(zip(*num, *den)) if any(col)]
+def _common(a, b):
+    """The field of the union of the generators of ``a`` and ``b``, and the
+    numerators and denominators of both in it."""
+    if a.field is b.field:
+        return a.field, a.numer, a.denom, b.numer, b.denom
+    field = _field(tuple(sorted({*a.field.symbols, *b.field.symbols},
+                                key=_generator_key)))
+    return (field, *_embed(a, field), *_embed(b, field))
 
 
 def _generator(tree: sp.Expr) -> "Expr":
-    if tree not in _GENERATORS:
-        _grow([tree])
-    return _GENERATORS[tree]
+    value = _GENERATORS.get(tree)
+    if value is None:
+        value = _GENERATORS[tree] = _wrap(_field((tree,)).gens[0])
+    return value
 
 
-def _ground(n: int):
-    return _FIELD.raw_new(_FIELD.ring.ground_new(n))
+def _constant(p: int, q: int = 1):
+    ring = _CONSTANTS.ring
+    return _CONSTANTS.raw_new(ring.ground_new(p), ring.ground_new(q))
 
 
 def _reduced(field, num, den):
     """``num / den`` in lowest terms with a positive leading coefficient
-    below.  The gcd runs in the ring of the generators the two polynomials
-    involve, not in the whole field, whose other generators would each cost
-    sympy's heuristic gcd one more level of recursion."""
+    below, in the field of exactly the generators it involves."""
     if not den:
         raise _zero_division()
     if not num:
-        return field.zero
-    if den.is_one:
-        return field.raw_new(num)
-    if len(num) == 1 or len(den) == 1:
-        return field.raw_new(*num.cancel(den))
-    used = _involved(num, den)
-    if len(used) == field.ngens:
-        return field.raw_new(*num.cancel(den))
-    ring = field.ring.clone(symbols=tuple(field.symbols[i] for i in used))
+        return _CONSTANTS.zero
+    if not den.is_one:
+        num, den = num.cancel(den)
+    used = [i for i, col in enumerate(zip(*num, *den)) if any(col)]
+    if len(used) < field.ngens:
+        field = _field(tuple(field.symbols[i] for i in used))
+        num, den = (field.ring.dtype({tuple(monom[i] for i in used): coeff
+                                      for monom, coeff in poly.items()})
+                    for poly in (num, den))
+    return field.raw_new(num, den)
 
-    def down(poly):
-        return ring.dtype({tuple(monom[i] for i in used): coeff
-                           for monom, coeff in poly.items()})
 
-    num, den = down(num).cancel(down(den))
-    return field.raw_new(_spread(num, used, field.ring),
-                         _spread(den, used, field.ring))
+def _scaled(field, num, den):
+    """``num / den`` for a reduced element scaled by, or added to, a nonzero
+    rational: only an integer content can cancel, and no generator drops."""
+    if not num:
+        return _CONSTANTS.zero
+    g = math.gcd(num.content(), den.content())
+    if g != 1:
+        num, den = num.quo_ground(g), den.quo_ground(g)
+    if den.LC < 0:
+        num, den = -num, -den
+    return field.raw_new(num, den)
 
 
 def _add(a, b):
@@ -230,24 +242,41 @@ def _add(a, b):
         return a
     if not a:
         return b
-    if a.denom == b.denom:
-        return _reduced(a.field, a.numer + b.numer, a.denom)
-    return _reduced(a.field, a.numer * b.denom + b.numer * a.denom,
-                    a.denom * b.denom)
+    if a.field.ngens and not b.field.ngens:
+        a, b = b, a                             # the constant first
+    if not a.field.ngens and b.field.ngens:     # a constant plus b
+        p, q = a.numer.LC, a.denom.LC
+        return _scaled(b.field, b.numer * q + b.denom * p, b.denom * q)
+    field, an, ad, bn, bd = _common(a, b)
+    if ad == bd:
+        return _reduced(field, an + bn, ad)
+    return _reduced(field, an * bd + bn * ad, ad * bd)
 
 
 def _mul(a, b):
-    return _reduced(a.field, a.numer * b.numer, a.denom * b.denom)
+    if not a or not b:
+        return _CONSTANTS.zero
+    if a.field.ngens and not b.field.ngens:
+        a, b = b, a                             # the constant first
+    if not a.field.ngens and b.field.ngens:     # a constant times b
+        return _scaled(b.field, b.numer * a.numer.LC, b.denom * a.denom.LC)
+    field, an, ad, bn, bd = _common(a, b)
+    return _reduced(field, an * bn, ad * bd)
 
 
 def _div(a, b):
-    return _reduced(a.field, a.numer * b.denom, a.denom * b.numer)
+    if not b:
+        raise _zero_division()
+    # the inverse's denominator may be negative; the product fixes the sign
+    return _mul(a, b.field.raw_new(b.denom, b.numer))
 
 
 def _power(elem, n: int):
     """``elem ** n`` in reduced form (sympy's negative power keeps the sign
     of the old numerator in the denominator)."""
-    if n >= 0:
+    if n == 0:
+        return _CONSTANTS.one
+    if n > 0:
         return elem ** n
     if not elem:
         raise _zero_division()
@@ -257,9 +286,9 @@ def _power(elem, n: int):
     return elem.field.raw_new(num, den)
 
 
-def _new_atom(head, arg: "Expr"):
+def _new_atom(head, arg: "Expr") -> "Expr":
     """The value of ``head(arg)`` where sympy evaluates the atom into the
-    field; otherwise its generator tree, registered as an atom."""
+    field; otherwise its generator, registered as an atom."""
     tree = head(arg.node)
     if not (tree is sp.E or (isinstance(tree, head)
                              and tree.args[0] == arg.node)):
@@ -268,7 +297,7 @@ def _new_atom(head, arg: "Expr"):
         except ExprError:                  # to a value outside the field
             tree = head(arg.node, evaluate=False)
     _ATOM_ARGS[tree] = (head, arg)
-    return tree
+    return _generator(tree)
 
 
 def atom(head, arg) -> "Expr":
@@ -276,22 +305,13 @@ def atom(head, arg) -> "Expr":
     arg = as_expr(arg)
     key = (head, arg.node)
     if key not in _ATOMS:
-        found = {h: _new_atom(h, arg) for h in (head, _PARTNER.get(head))
-                 if h is not None and (h, arg.node) not in _ATOMS}
-        new = [tree for tree in found.values()
-               if not isinstance(tree, Expr) and tree not in _GENERATORS]
-        if new:
-            _grow(new)                      # sin(u) and cos(u) in one growth
-        for h, value in found.items():
-            _ATOMS[(h, arg.node)] = (value if isinstance(value, Expr)
-                                     else _GENERATORS[value])
+        _ATOMS[key] = _new_atom(head, arg)
     return _ATOMS[key]
 
 
 def _convert(node: sp.Expr) -> "Expr":
     if node.is_Rational:
-        return _wrap(_FIELD.raw_new(_FIELD.ring.ground_new(int(node.p)),
-                                    _FIELD.ring.ground_new(int(node.q))))
+        return _wrap(_constant(int(node.p), int(node.q)))
     if node.is_Symbol or node is sp.pi:
         return _generator(node)
     if node.is_Add:
@@ -315,32 +335,24 @@ def _convert(node: sp.Expr) -> "Expr":
     raise ExprError(f"cannot interpret {node} as an exact scalar")
 
 
-def _from_tree(node: sp.Expr) -> "Expr":
-    new = [s for s in node.free_symbols if s not in _GENERATORS]
-    if new:
-        _grow(new)                          # one growth for all new symbols
-    return _convert(node)
-
-
 def _element(value):
-    """``value`` as an element of the current field."""
+    """``value`` as a reduced field element."""
     if isinstance(value, Expr):
         return value.elem
     if isinstance(value, bool):
         raise ExprError("booleans are not scalars")
     if isinstance(value, int):
-        return _ground(value)
+        return _constant(value)
     if isinstance(value, Fraction):
-        return _FIELD.raw_new(_FIELD.ring.ground_new(value.numerator),
-                              _FIELD.ring.ground_new(value.denominator))
+        return _constant(value.numerator, value.denominator)
     if isinstance(value, sp.Expr):
-        return _from_tree(value).elem
+        return _convert(value).elem
     raise ExprError(f"cannot interpret {value!r} as an exact scalar")
 
 
 def _wrap(elem) -> "Expr":
     out = object.__new__(Expr)
-    out._elem, out._node, out._support = elem, None, None
+    out.elem, out._node = elem, None
     return out
 
 
@@ -362,13 +374,13 @@ def _at(poly, i: int, value: int):
     return poly.ring.dtype({m: c for m, c in out.items() if c})
 
 
-def _partial(elem, i: int):
+def _partial(elem, i: int) -> "Expr":
     """The partial derivative of ``elem`` in its ``i``-th generator."""
     num, den = elem.numer, elem.denom
     dnum, dden = _derivative(num, i), _derivative(den, i)
     if not dden:
-        return _reduced(elem.field, dnum, den)
-    return _reduced(elem.field, dnum * den - num * dden, den * den)
+        return _wrap(_reduced(elem.field, dnum, den))
+    return _wrap(_reduced(elem.field, dnum * den - num * dden, den * den))
 
 
 def _atom_derivative(tree: sp.Expr, sym: sp.Symbol) -> "Expr":
@@ -385,24 +397,15 @@ def _atom_derivative(tree: sp.Expr, sym: sp.Symbol) -> "Expr":
 
 
 class Expr:
-    """Immutable exact scalar, an element of the module's field: built from
-    a sympy tree, an ``int``, a ``Fraction`` or another ``Expr``;
-    arithmetic via the usual operators."""
+    """Immutable exact scalar, a reduced element of the field of the
+    generators it involves: built from a sympy tree, an ``int``, a
+    ``Fraction`` or another ``Expr``; arithmetic via the usual operators."""
 
-    __slots__ = ("_elem", "_node", "_support")
+    __slots__ = ("elem", "_node")
 
     def __init__(self, value):
-        self._elem = _element(value)
+        self.elem = _element(value)
         self._node = None
-        self._support = None
-
-    @property
-    def elem(self):
-        """The field element, moved into the current field on first use."""
-        elem = self._elem
-        if elem.field is not _FIELD:
-            elem = self._elem = _lift(elem)
-        return elem
 
     @property
     def node(self) -> sp.Expr:
@@ -414,67 +417,56 @@ class Expr:
     @property
     def support(self) -> frozenset:
         """The generator trees the value involves."""
-        if self._support is None:
-            elem = self.elem
-            self._support = frozenset(elem.field.symbols[i] for i in
-                                      _involved(elem.numer, elem.denom))
-        return self._support
+        return frozenset(self.elem.field.symbols)
 
     @property
     def is_rational(self) -> bool:
         """A rational number: every derivative of it is 0."""
-        elem = self.elem
-        return elem.numer.is_ground and elem.denom.is_ground
+        return not self.elem.field.ngens
 
     @property
     def is_integer(self) -> bool:
-        elem = self.elem
-        return elem.numer.is_ground and elem.denom.is_one
+        return not self.elem.field.ngens and self.elem.denom.is_one
 
     def as_numer_denom(self) -> tuple["Expr", "Expr"]:
         """The reduced numerator and denominator; the denominator's leading
         coefficient is positive."""
         elem = self.elem
-        return (_wrap(elem.field.raw_new(elem.numer)),
-                _wrap(elem.field.raw_new(elem.denom)))
+        one = elem.field.ring.one
+        return (_wrap(_reduced(elem.field, elem.numer, one)),
+                _wrap(_reduced(elem.field, elem.denom, one)))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        other = _element(other)
-        return _wrap(_add(self.elem, other))
+        return _wrap(_add(self.elem, _element(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        other = _element(other)
-        return _wrap(_add(self.elem, -other))
+        return _wrap(_add(self.elem, -_element(other)))
 
     def __rsub__(self, other) -> "Expr":
-        other = _element(other)
-        return _wrap(_add(other, -self.elem))
+        return _wrap(_add(_element(other), -self.elem))
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        other = _element(other)
-        return _wrap(_mul(self.elem, other))
+        return _wrap(_mul(self.elem, _element(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        other = _element(other)
-        return _wrap(_div(self.elem, other))
+        return _wrap(_div(self.elem, _element(other)))
 
     def __rtruediv__(self, other) -> "Expr":
-        other = _element(other)
-        return _wrap(_div(other, self.elem))
+        return _wrap(_div(_element(other), self.elem))
 
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int):
@@ -488,57 +480,54 @@ class Expr:
         if not isinstance(other, Expr):
             return NotImplemented
         a, b = self.elem, other.elem
-        return a.numer == b.numer and a.denom == b.denom
+        return (a.field is b.field and a.numer == b.numer
+                and a.denom == b.denom)
 
     def __hash__(self) -> int:
-        # the tree, not the field element, so growth leaves it unchanged
-        return hash(self.node)
+        return hash(self.elem)
 
     # -- calculus -----------------------------------------------------------
 
     def diff(self, sym: sp.Symbol) -> "Expr":
-        support = self.support
-        chains = [(tree, _atom_derivative(tree, sym)) for tree in support
-                  if tree in _ATOM_ARGS]
-        chains = [(tree, d) for tree, d in chains if d != ZERO]
-        if sym not in support and not chains:
-            return ZERO
-        elem = self.elem              # after any growth the chain rule made
-        out = _partial(elem, _POSITION[sym]) if sym in support else None
-        for tree, d in chains:
-            term = _mul(_partial(elem, _POSITION[tree]), d.elem)
-            out = term if out is None else _add(out, term)
-        return _wrap(out)
+        elem = self.elem
+        out = ZERO
+        for i, tree in enumerate(elem.field.symbols):
+            if tree == sym:
+                out = out + _partial(elem, i)
+            elif tree in _ATOM_ARGS:
+                d = _atom_derivative(tree, sym)
+                if d != ZERO:
+                    out = out + _partial(elem, i) * d
+        return out
 
     def subs(self, mapping: Mapping[sp.Symbol, sp.Expr]) -> "Expr":
         """Substitution; in the field when every value is an integer and no
         atom argument involves a substituted symbol, through the tree
         otherwise."""
-        support = self.support
+        gens = self.elem.field.symbols
         integers = all(isinstance(v, int) or getattr(v, "is_Integer", False)
                        for v in mapping.values())
         if not integers or any(not tree.free_symbols.isdisjoint(mapping)
-                               for tree in support if tree in _ATOM_ARGS):
+                               for tree in gens if tree in _ATOM_ARGS):
             return Expr(self.node.subs(mapping, simultaneous=True))
-        elem = self.elem
-        num, den = elem.numer, elem.denom
+        num, den = self.elem.numer, self.elem.denom
         for sym, value in mapping.items():
-            if sym in support:
-                i = _POSITION[sym]
+            if sym in gens:
+                i = gens.index(sym)
                 num, den = _at(num, i, int(value)), _at(den, i, int(value))
-        return _wrap(_reduced(elem.field, num, den))
+        return _wrap(_reduced(self.elem.field, num, den))
 
     def integral_from_zero(self, sym: sp.Symbol) -> "Expr":
         """The antiderivative in ``sym`` that vanishes at ``sym = 0``, for a
         numerator polynomial in ``sym`` over a denominator free of it."""
-        support = self.support
-        if any(sym in tree.free_symbols for tree in support
+        elem = self.elem
+        gens = elem.field.symbols
+        if any(sym in tree.free_symbols for tree in gens
                if tree in _ATOM_ARGS):
             raise ExprError(f"an atom argument involves {sym}")
-        if sym not in support:
+        if sym not in gens:
             return self * Expr(sym)
-        elem = self.elem
-        i = _POSITION[sym]
+        i = gens.index(sym)
         if any(monom[i] for monom in elem.denom):
             raise ExprError(f"the denominator involves {sym}")
         scale = math.lcm(*(monom[i] + 1 for monom in elem.numer))
@@ -550,11 +539,13 @@ class Expr:
 
     @property
     def free_symbols(self) -> frozenset:
-        return frozenset(self.node.free_symbols)
+        """The symbols of the value and of its atoms' arguments."""
+        return frozenset().union(*(tree.free_symbols
+                                   for tree in self.elem.field.symbols))
 
     def is_rational_fragment(self) -> bool:
         """True when no transcendental atom or constant (pi, e) occurs."""
-        return all(tree.is_Symbol for tree in self.support)
+        return all(tree.is_Symbol for tree in self.elem.field.symbols)
 
     def __str__(self) -> str:
         return sp.sstr(self.node)
@@ -563,9 +554,9 @@ class Expr:
         return f"Expr({sp.sstr(self.node)})"
 
 
-ZERO = _wrap(_ground(0))
-ONE = _wrap(_ground(1))
-PI = _GENERATORS[sp.pi] = _wrap(_FIELD.gens[0])
+ZERO = _wrap(_CONSTANTS.zero)
+ONE = _wrap(_CONSTANTS.one)
+PI = _generator(sp.pi)
 
 
 def rational(p: int, q: int = 1) -> Expr:
@@ -722,7 +713,7 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
 
 
 def _has_atom(e: Expr) -> bool:
-    return any(tree in _ATOM_ARGS for tree in e.support)
+    return any(tree in _ATOM_ARGS for tree in e.elem.field.symbols)
 
 
 def equal(e1, e2) -> bool:

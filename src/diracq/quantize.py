@@ -412,5 +412,5 @@ def integrate_density(kappa: AlphaDensity,
         raise QuantizeError(_NOT_POLYNOMIAL) from err
     re, im = parts
     if im == ZERO and re.is_rational:
-        return Fraction(int(re.node.p), int(re.node.q))
+        return Fraction(re.elem.numer.LC, re.elem.denom.LC)
     return ComplexExpr(re, im)

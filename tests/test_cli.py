@@ -274,9 +274,27 @@ def test_zero_denominator_exit_code(tmp_path, capsys, scalar, where):
     assert where in err and "division by the zero expression" in err
 
 
+@pytest.mark.parametrize("scalar", ["(" * 3000 + "q" + ")" * 3000,
+                                    "-" * 3000 + "q"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_scalar_exit_code(tmp_path, capsys, scalar):
+    model = tmp_path / "deep.dq"
+    model.write_text(f"chart M dim 2 coords q p\nscalar f = {scalar}\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "expression nested too deeply" in err
+
+
+def test_unknown_suite_is_rejected():
+    model = parse_model((MODELS / "standard_r2.dq").read_text())
+    with pytest.raises(ValueError, match="unknown suite 'poison'"):
+        run_checks(model, suites=["dirac", "poison"])
+
+
 def test_corpus_reports_survive_field_growth(capsys):
-    """The scalar field only grows: running the corpus forward and then in
-    reverse in one process still gives every golden report byte for byte."""
+    """Values met by earlier models do not change later reports: running
+    the corpus forward and then in reverse in one process still gives every
+    golden report byte for byte."""
     paths = sorted(MODELS.glob("*.dq"))
     for order in (paths, paths[::-1]):
         for path in order:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from diracq.checks import run_checks
+from diracq.dsl import parse_model
 from diracq.expr import (
     ComplexExpr,
     Expr,
@@ -19,12 +22,14 @@ from diracq.expr import (
     ZERO,
     SingularPointError,
     as_expr,
+    atom,
     differentiate,
     equal,
     evaluate,
     is_zero,
     normalize,
     random_rational,
+    rational,
     symbol,
 )
 import diracq.expr as expr_module
@@ -32,6 +37,8 @@ from diracq.expr import _ATOM_HEADS, _probabilistic_equal
 from diracq.randgen import random_mixed_expr, random_rational_expr
 
 from helpers import fd_matches
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 x, y = symbol("x"), symbol("y")
 ex = lambda node: Expr(sp.sympify(node, locals={"x": x, "y": y}))
@@ -383,6 +390,53 @@ class TestOneProtocol:
     def test_half_turn_plus_one_is_zero(self):
         assert is_zero(ComplexExpr(ONE, ZERO, as_expr(1) / 2) + 1)
         assert not is_zero(ComplexExpr(ONE, ZERO, as_expr(1) / 2) - 1)
+
+
+class TestFieldOfItsGenerators:
+    """A value is a reduced element of the field of exactly the generators
+    it involves."""
+
+    def test_cancelled_generator_leaves_the_field(self):
+        e = (ex("x") + ex("y")) - ex("y")
+        assert e == ex("x") and hash(e) == hash(ex("x"))
+        assert e.support == {x}
+        assert e.elem.field.symbols == (x,)
+
+    def test_constants_are_rational(self):
+        for one in (ex("x") / ex("x"), ex("x") ** 0):
+            assert one.is_rational and one.elem.field.symbols == ()
+        assert (ex("x") / ex("x")) == ONE and hash(ex("x") ** 0) == hash(ONE)
+
+    def test_numerator_involves_only_its_generators(self):
+        num, den = (ex("x") / ex("y")).as_numer_denom()
+        assert num == ex("x") and num.elem.field.symbols == (x,)
+        assert den == ex("y") and den.elem.field.symbols == (y,)
+
+    def test_hashing_and_symbol_queries_build_no_tree(self, monkeypatch):
+        values = [ex("x") * ex("y") + 3, ex("x") / (ex("y") + 1), PI * 2,
+                  Expr(sp.exp(x)) - 1, rational(2, 3)]
+
+        def no_tree(self):
+            raise AssertionError("a sympy tree was built")
+
+        monkeypatch.setattr(Expr, "node", property(no_tree))
+        assert len({*values, *values}) == len(values)
+        assert hash(values[0]) == hash(3 + ex("y") * ex("x"))
+        assert [v.free_symbols for v in values] == [{x, y}, {x, y}, set(),
+                                                    {x}, set()]
+
+    def test_unrelated_generators_leave_values_alone(self):
+        model = parse_model((MODELS / "cech_three_patch.dq").read_text())
+        suites = ["prequant", "quantize"]
+        existing = ex("x") * ex("y") / (ex("x") + 1)
+        field = existing.elem.field
+        before = run_checks(model, suites=suites, seed=7).to_json()
+        for i in range(150):
+            atom(sp.exp, Expr(symbol(f"unrelated_{i}")))
+            atom(sp.sin, Expr(symbol(f"unrelated_{i}")) / (i + 2))
+        assert existing.elem.field is field
+        after = run_checks(model, suites=suites, seed=7).to_json()
+        assert after == before
 
 
 def test_random_rational_respects_bound():
