@@ -17,8 +17,9 @@ The fields and their generators:
   the field of the union of their generators, and the reduced result moves to
   the field of the generators it still involves, so ``(x + y) - y`` is ``x``
   in the field of ``x``.  A rational constant scales the numerator and
-  denominator of the other operand directly.  Values never change after they
-  are built, and meeting a new generator changes no existing field.
+  denominator of the other operand directly.  A value keeps its element
+  (only its tree is cached on demand), and meeting a new generator changes
+  no existing field.
 * An atom is registered under its head and the canonical tree of its
   argument, so ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where
   sympy evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
