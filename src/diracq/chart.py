@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -78,7 +79,7 @@ class Chart:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    @property
+    @cached_property
     def coords(self) -> tuple[sp.Symbol, ...]:
         return tuple(symbol(n) for n in self.coord_names)
 

@@ -179,9 +179,17 @@ class DiracReport:
     dim_cotangent_kernel: int
     dim_admissible_covectors: int
     dim_tangent_kernel: int
-    degeneracy_locus: tuple[str, ...]
+    # the pivot entries of the stacked frame
+    degeneracy: tuple
     # frame coefficients of [[e_i, e_j]] (i < j), solved for by D3
     structure: dict[tuple[int, int], tuple[Expr, ...]]
+
+    @property
+    def degeneracy_locus(self) -> tuple[str, ...]:
+        """The non-constant pivots, printed and sorted: their zero set is
+        where the generic rank can drop."""
+        return tuple(sorted({str(p) for p in self.degeneracy
+                             if as_expr(p).free_symbols}))
 
     @property
     def passed(self) -> bool:
@@ -295,8 +303,6 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
 
     d2_rank = dirac.stacked.rank
     d2_ok = d2_rank == n
-    degeneracy = tuple(sorted({str(p) for p in dirac.stacked.degeneracy
-                               if as_expr(p).free_symbols}))
 
     d3_ok, d3_witness = True, None
     structure = {}
@@ -316,10 +322,15 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
         d3_ok, d3_witness = False, "rank deficient frame"
 
     lemma_ok, lemma_witness = True, None
+    lie = {}                            # (i, j) -> L_{X_i} xi_j, built once
+
+    def term(i, j, k):
+        if (i, j) not in lie:
+            lie[(i, j)] = lie_derivative_form(frame[i].X, frame[j].xi)
+        return lie[(i, j)].evaluate([frame[k].X])
+
     for i, j, k in itertools.product(range(n), repeat=3):
-        total = (lie_derivative_form(frame[i].X, frame[j].xi).evaluate([frame[k].X])
-                 + lie_derivative_form(frame[j].X, frame[k].xi).evaluate([frame[i].X])
-                 + lie_derivative_form(frame[k].X, frame[i].xi).evaluate([frame[j].X]))
+        total = term(i, j, k) + term(j, k, i) + term(k, i, j)
         if not is_zero(total):
             lemma_ok = False
             lemma_witness = f"triple (e{i+1},e{j+1},e{k+1}) residual {total}"
@@ -356,7 +367,7 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
         dim_cotangent_kernel=dim_cot_kernel,
         dim_admissible_covectors=rho_cotm_rank,
         dim_tangent_kernel=dim_tan_kernel,
-        degeneracy_locus=degeneracy,
+        degeneracy=tuple(dirac.stacked.degeneracy),
         structure=structure,
     )
 

@@ -239,8 +239,19 @@ class _ExpressionParser:
     def err(self, message: str) -> DslError:
         return self.stream.error(message)
 
-    # precedence: + -  <  /\  <  * /  <  unary -  <  ^
     def expression(self):
+        """One expression.  An expression nested deeper than the
+        interpreter's stack is reported at its first token, a column that
+        does not depend on the recursion limit."""
+        start = self.stream.index
+        try:
+            return self.sum()
+        except RecursionError:
+            self.stream.index = start
+            raise self.err("expression nested too deeply") from None
+
+    # precedence: + -  <  /\  <  * /  <  unary -  <  ^
+    def sum(self):
         value = self.wedge_term()
         while True:
             if self.stream.accept("+"):
@@ -294,7 +305,7 @@ class _ExpressionParser:
         if token.kind == "int":
             return ComplexExpr.of(int(token.text))
         if token.text == "(":
-            value = self.expression()
+            value = self.sum()
             self.stream.expect(")")
             return value
         if token.kind != "ident":
@@ -304,7 +315,7 @@ class _ExpressionParser:
     def resolve(self, token: Token):
         name = token.text
         if name in ("exp", "sin", "cos") and self.stream.accept("("):
-            inner = self.expression()
+            inner = self.sum()
             self.stream.expect(")")
             if not isinstance(inner, ComplexExpr):
                 raise self.err(f"{name} expects a scalar argument")
@@ -414,8 +425,6 @@ def parse_model(text: str, name: str = "model") -> Model:
                 _parse_statement(keyword, stream, model)
         except ExprError as err:  # the tensor arithmetic of the statement
             raise stream.error(str(err)) from err
-        except RecursionError as err:
-            raise stream.error("expression nested too deeply") from err
     if model is None:
         raise DslError("empty model: no chart declared", 1, 1)
     return model

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from diracq.chart import Chart, KForm, KVector, VectorField
+import diracq.dirac as dirac_module
+from diracq.chart import Chart, KForm, KVector, VectorField, lie_derivative_form
 from diracq.checks import run_checks
 from diracq.dirac import (
     AdmissibleRangeError,
@@ -241,6 +244,54 @@ class TestVerify:
         assert kernel.status == "fail"
         assert "dim D^T*M=0" in kernel.witness
         assert "dim D^TM=1" in kernel.witness
+
+    def test_integrability_builds_each_lie_derivative_once(
+            self, presymplectic_r4, monkeypatch):
+        calls = []
+
+        def counted(X, xi):
+            calls.append((X, xi))
+            return lie_derivative_form(X, xi)
+
+        monkeypatch.setattr(dirac_module, "lie_derivative_form", counted)
+        n = presymplectic_r4.dim
+        assert presymplectic_r4.verify().lemma_ok
+        # n^2 for the identity, one per D3 bracket
+        assert len(calls) == n * n + n * (n - 1) // 2
+
+    def test_integrability_witness_is_the_first_failing_triple(self):
+        chart = Chart("R3", ("x1", "x2", "x3"))
+        frame = graph_presymplectic(KForm(chart, 2, {(1, 2): Expr(
+            chart.coords[0])})).frame
+        dirac = DiracStructure(chart, frame)
+        first = None
+        for i, j, k in itertools.product(range(3), repeat=3):
+            total = sum((lie_derivative_form(frame[a].X, frame[b].xi)
+                         .evaluate([frame[c].X])
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),
+                        ZERO)
+            if not is_zero(total):
+                first = f"triple (e{i+1},e{j+1},e{k+1}) residual {total}"
+                break
+        report = dirac.verify()
+        assert first is not None and not report.lemma_ok
+        assert report.lemma_witness == first
+
+    def test_degeneracy_locus_is_printed_only_when_read(self, monkeypatch):
+        chart = Chart("M", ("q", "p"))
+        q, p = (Expr(c) for c in chart.coords)
+        dirac = graph_poisson(KVector(chart, 2, {(0, 1): q * p + 1}))
+        node = Expr.node
+
+        def no_tree(self):
+            raise AssertionError("a sympy tree was built")
+
+        monkeypatch.setattr(Expr, "node", property(no_tree))
+        report = dirac.verify()
+        monkeypatch.setattr(Expr, "node", node)
+        assert report.passed
+        assert report.degeneracy_locus == ("-p**2*q**2 - 2*p*q - 1",
+                                           "-p*q - 1")
 
 
 class TestMembership:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,23 @@ class TestRoundTrip:
         reparsed = parse_model(printed)
         assert reparsed == model
         assert format_model(reparsed) == printed
+
+
+@pytest.mark.parametrize("limit", [600, 2000])
+@pytest.mark.parametrize("scalar", ["(" * 3000 + "q" + ")" * 3000,
+                                    "-" * 3000 + "q"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_reported_where_it_starts(scalar, limit):
+    """The column of "nested too deeply" does not depend on the
+    interpreter's recursion limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(DslError, match="nested too deeply") as err:
+            parse_model(f"chart M dim 2 coords q p\nscalar f = {scalar}\n")
+    finally:
+        sys.setrecursionlimit(old)
+    assert (err.value.line, err.value.column) == (2, 12)
 
 
 # tokens of the DSL, and a little of what is not

@@ -261,6 +261,16 @@ class TestInvariants:
             checked += 1
 
 
+def test_rational_sampling_resamples_at_poles(monkeypatch):
+    monkeypatch.setattr(expr_module, "_BOUND", 1)       # x in {-1, 0, 1}
+    assert not _probabilistic_equal(ex("1/x").node, ex("2/x").node,
+                                    trials=20, seed=7, tolerance=1e-9)
+    everywhere = ex("1/(x**3 - x)")                     # poles at -1, 0, 1
+    with pytest.raises(SingularPointError):
+        _probabilistic_equal(everywhere.node, (2 * everywhere).node,
+                             trials=20, seed=7, tolerance=1e-9)
+
+
 class TestComplexExpr:
     def test_double_conjugation(self):
         z = ComplexExpr(ex("x"), ex("y"))
@@ -437,6 +447,100 @@ class TestFieldOfItsGenerators:
         assert existing.elem.field is field
         after = run_checks(model, suites=suites, seed=7).to_json()
         assert after == before
+
+
+z = symbol("z")
+exz = lambda node: Expr(sp.sympify(node, locals={"x": x, "y": y, "z": z}))
+
+OPERATIONS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _full_cancel(op, a, b):
+    """``a op b`` for field elements the slow way: both embedded in the
+    field of the union of their generators, combined there, and reduced by
+    one full ``cancel``."""
+    union = expr_module._field(tuple(sorted(
+        {*a.field.symbols, *b.field.symbols}, key=expr_module._generator_key)))
+    an, ad, bn, bd = (poly.set_ring(union.ring)
+                      for poly in (a.numer, a.denom, b.numer, b.denom))
+    num, den = {"+": (an * bd + bn * ad, ad * bd),
+                "-": (an * bd - bn * ad, ad * bd),
+                "*": (an * bn, ad * bd),
+                "/": (an * bd, ad * bn)}[op]
+    return expr_module._reduced(union, num, den)
+
+
+def _same_element(got, want) -> bool:
+    return (got.field is want.field and got.numer == want.numer
+            and got.denom == want.denom and hash(got) == hash(want))
+
+
+class TestFastPaths:
+    """The arithmetic's shortcuts give exactly the canonical element that a
+    full cancel in the union field gives: same field, numerator,
+    denominator and hash."""
+
+    @staticmethod
+    def _value(rng):
+        names = rng.choice([["x", "y"], ["y", "z"], ["x"], ["z"]])
+        kind = rng.random()
+        if kind < 0.15:
+            return rational(rng.randint(-3, 3), rng.randint(1, 3))
+        if kind < 0.3:
+            return random_mixed_expr(rng, names, depth=2)
+        return random_rational_expr(rng, names, depth=rng.randint(1, 3))
+
+    def test_operations_match_the_full_cancel_on_generated_pairs(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            a, b = self._value(rng), self._value(rng)
+            for op, apply in OPERATIONS.items():
+                if op == "/" and b == ZERO:
+                    continue
+                want = _full_cancel(op, a.elem, b.elem)
+                assert _same_element(apply(a, b).elem, want), (op, a, b)
+
+    @pytest.mark.parametrize("op, lhs, rhs", [
+        ("/", "5", "-62"),
+        ("/", "x + y", "-2"),
+        ("/", "x/(y + 1)", "-3/4"),
+        ("/", "x", "1 - y"),
+        ("/", "2", "-x**2 + y"),
+        ("/", "(x + 1)/y", "-x*y + z"),
+        ("-", "(1 + x*y)/y", "x"),
+        ("-", "x + y", "y"),
+        ("+", "x/3 + 1/2", "-x/3"),
+        ("*", "2/3", "-3/4"),
+        ("+", "2/3", "1/3"),
+        ("*", "2", "x/(2*y + 4)"),
+        ("*", "x + z", "y - x"),
+        ("*", "x/(y + 1)", "(y + 1)/z"),
+        ("*", "(x + 1)/y", "y/(x + 1)"),
+        ("+", "x/(y + 1)", "z/(y + 1)"),
+    ])
+    def test_named_cases_then_unit_operations(self, op, lhs, rhs):
+        a, b = exz(lhs), exz(rhs)
+        got = OPERATIONS[op](a, b)
+        assert _same_element(got.elem, _full_cancel(op, a.elem, b.elem))
+        for again in (1 * got, got * 1, got + 0, 0 + got, got / 1):
+            assert _same_element(again.elem, got.elem)
+
+    def test_generator_cancelling_sums_leave_the_field(self):
+        assert (exz("(1 + x*y)/y") - exz("x")).elem.field.symbols == (y,)
+        assert (exz("x + y") - exz("y")).elem.field.symbols == (x,)
+
+    @pytest.mark.parametrize("base", ["x + y", "(x + 1)/(y - 2)",
+                                      "x - y**2 + 3"])
+    def test_powers_hash_like_equal_products(self, base):
+        e = exz(base)
+        for n in (2, 3, -2):
+            product = e
+            for _ in range(abs(n) - 1):
+                product = product * e
+            if n < 0:
+                product = 1 / product
+            assert e ** n == product and hash(e ** n) == hash(product)
 
 
 def test_random_rational_respects_bound():
