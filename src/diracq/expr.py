@@ -26,11 +26,11 @@ The fields and their generators:
   of two polynomials is the ring product, and no generator drops from it; a
   sum with a polynomial is ``(n + p*d)/d``, coprime because ``n/d`` is
   (Henrici, J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1), though a generator
-  can still cancel; a polynomial times a fraction cancels only
-  ``gcd(p, d)``; a rational constant meets the other operand through
-  integer gcds alone, and ``1 * x`` is ``x``.  A sum or product of two
-  fractions takes one full ``cancel``, which measured faster than the
-  Henrici sum or the cross-cancelled product.
+  can still cancel; a rational constant meets the other operand through
+  integer gcds alone, and ``1 * x`` is ``x``.  Any other product, and a sum
+  of two fractions, takes one full ``cancel``: the Henrici sum, the
+  cross-cancelled product and a polynomial-times-fraction rule measured no
+  faster.
 * An atom is registered under its head and the canonical tree of its
   argument, so ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where
   sympy evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
@@ -341,16 +341,10 @@ def _mul(a, b):
     if not a.field.ngens:
         return _mul_constant(a.numer[()], a.denom[()], b)
     field, an, ad, bn, bd = _common(a, b)
-    if _is_one(bd):
-        an, ad, bn, bd = bn, bd, an, ad         # a polynomial first
-    if not _is_one(ad):
-        return _reduced(field, an * bn, ad * bd)
-    if _is_one(bd):
+    if _is_one(ad) and _is_one(bd):
         # the ring product: degrees add, so every generator stays
         return field.raw_new(an * bn, ad)
-    # bn/bd is reduced, so only gcd(an, bd) can cancel
-    _, an, bd = an.cofactors(bd)
-    return _own_field(field, *_positive_below(an * bn, bd))
+    return _reduced(field, an * bn, ad * bd)
 
 
 def _div(a, b):
@@ -710,15 +704,14 @@ def evaluate(e: Expr, point: Point):
         names = ", ".join(sorted(str(s) for s in missing))
         raise UnknownSymbolError(names)
     try:
+        if e.is_rational_fragment():
+            return _rational_value(e.node, {
+                symbol(name): Fraction(v) for name, v in point.values.items()})
         ex = e.node.subs(subs, simultaneous=True)
     except ZeroDivisionError as err:  # sympy raises on 0**-1 directly
         raise SingularPointError(f"singular at point {point.values}") from err
     if ex.has(*_INFINITIES):
         raise SingularPointError(f"singular at point {point.values}")
-    if e.is_rational_fragment():
-        if not ex.is_Rational:
-            raise ExprError(f"expected a rational value, got {ex}")
-        return Fraction(int(ex.p), int(ex.q))
     val = ex.evalf(_EVAL_DIGITS)
     if not val.is_number or val.has(*_INFINITIES):
         raise SingularPointError(f"singular at point {point.values}")
@@ -757,9 +750,18 @@ def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
     return Fraction(num, den)
 
 
+def _is_rational_tree(tree: sp.Expr) -> bool:
+    """True when ``tree`` is built from rationals and symbols by sums,
+    products and integer powers: the trees :func:`_rational_value`
+    evaluates.  ``pi``, ``E`` and the atoms are not."""
+    return all(node.is_Rational or node.is_Symbol or node.is_Add
+               or node.is_Mul or (node.is_Pow and node.exp.is_Integer)
+               for node in sp.preorder_traversal(tree))
+
+
 def _rational_value(tree: sp.Expr, point: Mapping) -> Fraction:
     """``tree``, a rational function, at ``point`` (symbol -> ``Fraction``);
-    a pole raises ``ZeroDivisionError``."""
+    the one exact evaluator of trees.  A pole raises ``ZeroDivisionError``."""
     if tree.is_Rational:
         return Fraction(int(tree.p), int(tree.q))
     if tree.is_Symbol:
@@ -800,7 +802,7 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
     diff = lhs - rhs
     symbols = sorted(diff.free_symbols, key=str)
     rng = random.Random(seed)
-    rational_only = not diff.has(*_ATOM_HEADS) and not diff.has(sp.pi)
+    rational_only = _is_rational_tree(diff)
     for _ in range(trials):
         for _attempt in range(_RETRIES + 1):
             point = {s: random_rational(rng) for s in symbols}

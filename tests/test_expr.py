@@ -102,6 +102,13 @@ class TestEqual:
         assert equal(two_pi * ex("x") - ex("x") * 2 * Expr(sp.pi), 0)
         assert not equal(Expr(sp.pi), as_expr(Fraction(355, 113)))
 
+    def test_e_is_not_sampled_as_a_rational_function(self):
+        e = Expr(sp.exp(1))
+        assert not equal(e, 2)
+        assert not is_zero(e * ex("x") - ex("x"))
+        assert not _probabilistic_equal(sp.E, sp.Integer(2), trials=20,
+                                        seed=7, tolerance=1e-9)
+
 
 SAMPLED = "sampled"
 
@@ -205,6 +212,15 @@ class TestEvaluate:
     def test_pole_is_singular(self):
         with pytest.raises(SingularPointError):
             evaluate(1 / ex("x"), Point("M", {"x": Fraction(0)}))
+
+    def test_exact_rational_function(self):
+        value = evaluate(1 / ex("x") + ex("y") ** -2,
+                         Point("M", {"x": 2, "y": Fraction(-1, 3)}))
+        assert value == Fraction(19, 2) and isinstance(value, Fraction)
+
+    def test_common_zero_of_numerator_and_denominator_is_singular(self):
+        with pytest.raises(SingularPointError):
+            evaluate(ex("x/y"), Point("M", {"x": Fraction(0), "y": Fraction(0)}))
 
     def test_transcendental_constant(self):
         value = evaluate(Expr(sp.exp(1)), Point("M", {}))
