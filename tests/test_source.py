@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,8 +12,8 @@ import pytest
 
 from helpers import perfbench_module
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "diracq").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "diracq").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -73,3 +76,31 @@ def test_private_definitions_are_used():
     unused = sorted(f"{defined[name]}: {name}" for name in defined
                     if name not in used)
     assert unused == []
+
+
+def _fresh_interpreter(script: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("before, enabled", [("", "True"),
+                                             ("gc.disable()", "False")],
+                         ids=["collector-on", "collector-off"])
+def test_import_freezes_the_heap_and_keeps_the_collector_state(before,
+                                                               enabled):
+    """``import diracq`` moves the heap it built to the permanent
+    generation and leaves the collector on or off as the caller had it."""
+    out = _fresh_interpreter(f"import gc\n{before}\nimport diracq\n"
+                             "print(gc.get_freeze_count() > 0, gc.isenabled())")
+    assert out == f"True {enabled}"
+
+
+def test_failed_import_restores_the_collector():
+    out = _fresh_interpreter("import gc, sys\n"
+                             "sys.modules['diracq.chart'] = None\n"
+                             "try:\n    import diracq\n"
+                             "except ImportError:\n"
+                             "    print(gc.isenabled(), gc.get_freeze_count())")
+    assert out == "True 0"
