@@ -370,32 +370,43 @@ def _require_real(z: ComplexExpr, stream) -> Expr:
     return z.re
 
 
+def _two_form(name: str, form: KForm) -> str | None:
+    if form.degree != 2:
+        return f"{name!r} has degree {form.degree}, not 2"
+    return None
+
+
 # the model table each Dirac constructor's arguments name, what they are,
-# and whether it takes exactly one
-_DIRAC_ARGS = {"graph_presymplectic": ("forms", "form", True),
-               "graph_poisson": ("bivectors", "bivector", True),
-               "regular_distribution": ("vectors", "vector", False),
-               "frame": ("sections", "section", False)}
+# whether it takes exactly one, and what a declared argument must satisfy
+# (a complaint, or None); the frame's length is checked against the chart
+_DIRAC_ARGS = {"graph_presymplectic": ("forms", "form", True, _two_form),
+               "graph_poisson": ("bivectors", "bivector", True, None),
+               "regular_distribution": ("vectors", "vector", False, None),
+               "frame": ("sections", "section", False, None)}
 
 
-def _declared_name(stream: _Stream, table, what: str) -> str:
-    """One name, which an earlier statement declared as a ``what``."""
+def _declared_name(stream: _Stream, table, what: str, check=None) -> str:
+    """One name, which an earlier statement declared as a ``what``;
+    ``check(name, value)`` returns a complaint about its value, or None."""
     token = stream.peek()
     name = stream.expect_ident()
     if name not in table:
-        raise DslError(f"{name!r} is not a declared {what}", stream.line,
-                       token.column)
+        problem = f"{name!r} is not a declared {what}"
+    else:
+        problem = check and check(name, table[name])
+    if problem:
+        raise DslError(problem, stream.line, token.column)
     return name
 
 
 def _declared_names(stream: _Stream, table: dict, what: str,
-                    single: bool = False) -> tuple[str, ...]:
+                    single: bool = False, check=None) -> tuple[str, ...]:
     """``(a, b, ...)``: one or more names (exactly one when ``single``),
-    each a declared ``what``."""
+    each a declared ``what`` that passes ``check``."""
     stream.expect("(")
     names = []
     while True:
-        names.append(_declared_name(stream, table, what))
+        names.append(_declared_name(stream, table, what, check))
         if not stream.accept(","):
             break
         if single:
@@ -491,12 +502,19 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
     elif keyword == "dirac":
         name = stream.expect_ident()
         stream.expect("=")
+        kind_token = stream.peek()
         kind = stream.expect_ident()
         if kind not in _DIRAC_ARGS:
             raise stream.error(f"unknown Dirac constructor {kind!r}")
-        table, what, single = _DIRAC_ARGS[kind]
-        model.dirac_decl = (name, kind, _declared_names(
-            stream, getattr(model, table), what, single))
+        table, what, single, check = _DIRAC_ARGS[kind]
+        args = _declared_names(stream, getattr(model, table), what, single,
+                               check)
+        dim = model.chart.dim
+        if kind == "frame" and len(args) != dim:
+            raise DslError(f"a Dirac frame on {model.chart.name} needs {dim} "
+                           f"sections, got {len(args)}", stream.line,
+                           kind_token.column)
+        model.dirac_decl = (name, kind, args)
     elif keyword == "complement":
         name = stream.expect_ident()
         stream.expect("=")

@@ -244,6 +244,22 @@ def test_undeclared_structure_name_exit_code(tmp_path, capsys):
     assert "line 3:31:" in err and "'omegb' is not a declared form" in err
 
 
+@pytest.mark.parametrize("decl, where, message", [
+    ("form omega = dq\ndirac D = graph_presymplectic(omega)", "line 3:31:",
+     "'omega' has degree 1, not 2"),
+    ("section s1 = (d_q, dp)\nsection s2 = (d_p, -dq)\n"
+     "section s3 = (0*d_q, 0*dq)\ndirac D = frame(s1, s2, s3)", "line 5:11:",
+     "a Dirac frame on M needs 2 sections, got 3"),
+], ids=["one-form-graph", "frame-length"])
+def test_malformed_dirac_constructor_exit_code(tmp_path, capsys, decl, where,
+                                               message):
+    model = tmp_path / "constructor.dq"
+    model.write_text(f"chart M dim 2 coords q p\n{decl}\n")
+    assert main(["check", str(model), "--suite", "all"]) == 2
+    err = capsys.readouterr().err
+    assert where in err and message in err
+
+
 def test_undeclared_patch_exit_code(tmp_path, capsys):
     model = tmp_path / "patches.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"

@@ -143,6 +143,10 @@ class TestParse:
      "complement H = sections(zz)", "zz", "'zz' is not a declared section"),
     ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega, omega)",
      "omega)", "expected one form"),
+    ("form omega = dq\ndirac D = graph_presymplectic(omega)",
+     "omega)", "'omega' has degree 1, not 2"),
+    ("section s = (d_q, dp)\ndirac D = frame(s)",
+     "frame", "a Dirac frame on M needs 2 sections, got 1"),
     ("patch U1\npatch U2\ncochain U1 U9 = 0", "U9",
      "'U9' is not a declared patch"),
     ("cochain U1 U2 = q\npatch U1\npatch U2", "U1",
