@@ -153,7 +153,7 @@ def _systems(draw):
     return columns, ys, free_rhs
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(_systems())
 def test_one_factorization_solves_many(system):
     columns, ys, free_rhs = system
