@@ -67,7 +67,6 @@ class AlgebroidPresentation:
     anchors: tuple[VectorField, ...]
     structure: Mapping[tuple[int, int], tuple[Expr, ...]]
     labels: tuple[str, ...]
-    sections: tuple[Section, ...] | None = None
     pullback_base: "AlgebroidPresentation | None" = None
     t_index: int | None = None
 
@@ -255,7 +254,6 @@ def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
         tuple(e.X for e in frame),
         dirac.verify().structure,
         labels=tuple(f"e{i+1}" for i in range(dirac.dim)),
-        sections=frame,
     )
     pres.validate()
     dirac._presentation = pres

@@ -5,8 +5,10 @@ integers (``sympy.polys.fields.FracField`` over ``ZZ``) whose generators are
 exactly the generators the value involves: coordinate and parameter symbols,
 the constant ``pi``, and one generator per transcendental atom ``exp(u)``,
 ``sin(u)`` or ``cos(u)``.  Arithmetic, differentiation and equality run in
-these fields; a sympy tree is built only on demand (``Expr.node``: printing,
-parsing, ``lambdify`` and the sampled fallback of :func:`equal`).
+these fields, and so does substitution of rational values (``Expr.subs``); a
+sympy tree is built only on demand (``Expr.node``: printing, parsing, and
+evaluation at a point by the one evaluator of trees that :func:`evaluate` and
+the sampled fallback of :func:`equal` share).
 
 The fields and their generators:
 
@@ -450,12 +452,13 @@ def _derivative(poly, i: int):
     return poly.ring.dtype(out)
 
 
-def _at(poly, i: int, value: int):
-    """``poly`` with its ``i``-th generator set to ``value``."""
+def _at(poly, i: int, p: int, q: int, d: int):
+    """``q**d`` times ``poly`` with its ``i``-th generator set to ``p/q``,
+    for ``d`` at least the degree of ``poly`` in that generator."""
     out: dict = {}
     for monom, coeff in poly.items():
         key = monom[:i] + (0,) + monom[i + 1:]
-        out[key] = out.get(key, 0) + coeff * value ** monom[i]
+        out[key] = out.get(key, 0) + coeff * p ** monom[i] * q ** (d - monom[i])
     return poly.ring.dtype({m: c for m, c in out.items() if c})
 
 
@@ -586,21 +589,22 @@ class Expr:
                     out = out + _partial(elem, i) * d
         return out
 
-    def subs(self, mapping: Mapping[sp.Symbol, sp.Expr]) -> "Expr":
-        """Substitution; in the field when every value is an integer and no
-        atom argument involves a substituted symbol, through the tree
-        otherwise."""
+    def subs(self, mapping: Mapping[sp.Symbol, int | Fraction]) -> "Expr":
+        """Rational values for symbols, substituted in the field: ``x = p/q``
+        scales the numerator and the denominator by ``q`` to the degree of
+        ``x``.  An atom argument that involves a substituted symbol is an
+        :class:`ExprError`."""
         gens = self.elem.field.symbols
-        integers = all(isinstance(v, int) or getattr(v, "is_Integer", False)
-                       for v in mapping.values())
-        if not integers or any(not tree.free_symbols.isdisjoint(mapping)
-                               for tree in gens if tree in _ATOM_ARGS):
-            return Expr(self.node.subs(mapping, simultaneous=True))
+        if any(not tree.free_symbols.isdisjoint(mapping)
+               for tree in gens if tree in _ATOM_ARGS):
+            raise ExprError("an atom argument involves a substituted symbol")
         num, den = self.elem.numer, self.elem.denom
         for sym, value in mapping.items():
             if sym in gens:
-                i = gens.index(sym)
-                num, den = _at(num, i, int(value)), _at(den, i, int(value))
+                i, value = gens.index(sym), Fraction(value)
+                d = max(monom[i] for poly in (num, den) for monom in poly)
+                num, den = (_at(poly, i, value.numerator, value.denominator, d)
+                            for poly in (num, den))
         return _wrap(_reduced(self.elem.field, num, den))
 
     def integral_from_zero(self, sym: sp.Symbol) -> "Expr":
@@ -628,10 +632,6 @@ class Expr:
         """The symbols of the value and of its atoms' arguments."""
         return frozenset().union(*(tree.free_symbols
                                    for tree in self.elem.field.symbols))
-
-    def is_rational_fragment(self) -> bool:
-        """True when no transcendental atom or constant (pi, e) occurs."""
-        return all(tree.is_Symbol for tree in self.elem.field.symbols)
 
     def __str__(self) -> str:
         return sp.sstr(self.node)
@@ -681,41 +681,55 @@ class Point:
     chart: str
     values: Mapping[str, Fraction]
 
-    def substitution(self) -> dict:
-        return {
-            symbol(name): sp.Rational(v.numerator, v.denominator)
-            for name, v in self.values.items()
-        }
+
+def _rational_value(tree: sp.Expr, point: Mapping) -> Fraction:
+    """``tree``, a rational function, at ``point`` (symbol -> ``Fraction``).
+    A pole raises ``ZeroDivisionError``, and a tree that is not a rational
+    function :class:`ExprError`."""
+    if tree.is_Rational:
+        return Fraction(int(tree.p), int(tree.q))
+    if tree.is_Symbol:
+        return point[tree]
+    if tree.is_Add:
+        return sum(_rational_value(arg, point) for arg in tree.args)
+    if tree.is_Mul:
+        return math.prod(_rational_value(arg, point) for arg in tree.args)
+    if tree.is_Pow and tree.exp.is_Integer:
+        return _rational_value(tree.base, point) ** int(tree.exp)
+    raise ExprError(f"cannot evaluate {tree} exactly")
 
 
-def _to_mpf(value: sp.Expr) -> mpmath.mpf:
+def _tree_value(tree: sp.Expr, point: Mapping):
+    """``tree`` at ``point`` (symbol -> ``Fraction``): an exact ``Fraction``
+    for a rational function, else an ``mpmath.mpf`` through sympy's
+    ``evalf``.  ``point`` gives every symbol of ``tree``; a pole raises
+    ``ZeroDivisionError``."""
+    try:
+        return _rational_value(tree, point)
+    except ExprError:
+        pass
+    value = tree.subs({s: sp.Rational(v.numerator, v.denominator)
+                       for s, v in point.items()},
+                      simultaneous=True).evalf(_EVAL_DIGITS)
+    if value.has(*_INFINITIES):
+        raise ZeroDivisionError(f"{tree} has a pole at the point")
     with mpmath.workdps(_EVAL_DIGITS):
-        f = sp.Float(value, _EVAL_DIGITS)
-        return mpmath.mpf(f._mpf_)
+        return mpmath.mpf(sp.Float(value, _EVAL_DIGITS)._mpf_)
 
 
 def evaluate(e: Expr, point: Point):
     """Exact :class:`Fraction` on the rational fragment, high-precision
     ``mpmath.mpf`` otherwise.  Poles raise :class:`SingularPointError`."""
     e = as_expr(e)
-    subs = point.substitution()
-    missing = {s for s in e.free_symbols if s not in subs}
+    values = {symbol(name): Fraction(v) for name, v in point.values.items()}
+    missing = e.free_symbols - values.keys()
     if missing:
         names = ", ".join(sorted(str(s) for s in missing))
         raise UnknownSymbolError(names)
     try:
-        if e.is_rational_fragment():
-            return _rational_value(e.node, {
-                symbol(name): Fraction(v) for name, v in point.values.items()})
-        ex = e.node.subs(subs, simultaneous=True)
-    except ZeroDivisionError as err:  # sympy raises on 0**-1 directly
+        return _tree_value(e.node, values)
+    except ZeroDivisionError as err:
         raise SingularPointError(f"singular at point {point.values}") from err
-    if ex.has(*_INFINITIES):
-        raise SingularPointError(f"singular at point {point.values}")
-    val = ex.evalf(_EVAL_DIGITS)
-    if not val.is_number or val.has(*_INFINITIES):
-        raise SingularPointError(f"singular at point {point.values}")
-    return _to_mpf(val)
 
 
 # -- probabilistic equality --------------------------------------------------
@@ -750,84 +764,40 @@ def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
     return Fraction(num, den)
 
 
-def _is_rational_tree(tree: sp.Expr) -> bool:
-    """True when ``tree`` is built from rationals and symbols by sums,
-    products and integer powers: the trees :func:`_rational_value`
-    evaluates.  ``pi``, ``E`` and the atoms are not."""
-    return all(node.is_Rational or node.is_Symbol or node.is_Add
-               or node.is_Mul or (node.is_Pow and node.exp.is_Integer)
-               for node in sp.preorder_traversal(tree))
-
-
-def _rational_value(tree: sp.Expr, point: Mapping) -> Fraction:
-    """``tree``, a rational function, at ``point`` (symbol -> ``Fraction``);
-    the one exact evaluator of trees.  A pole raises ``ZeroDivisionError``."""
-    if tree.is_Rational:
-        return Fraction(int(tree.p), int(tree.q))
-    if tree.is_Symbol:
-        return point[tree]
-    if tree.is_Add:
-        return sum(_rational_value(arg, point) for arg in tree.args)
-    if tree.is_Mul:
-        return math.prod(_rational_value(arg, point) for arg in tree.args)
-    if tree.is_Pow and tree.exp.is_Integer:
-        return _rational_value(tree.base, point) ** int(tree.exp)
-    raise ExprError(f"cannot evaluate {tree} exactly")
-
-
-def _tree_values(trees, point: Mapping) -> list:
-    """The ``trees`` at ``point`` through sympy; a pole raises
-    ``ZeroDivisionError``."""
-    subs = {s: sp.Rational(v.numerator, v.denominator)
-            for s, v in point.items()}
-    values = [tree.subs(subs, simultaneous=True) for tree in trees]
-    if any(v.has(*_INFINITIES) for v in values):
-        raise ZeroDivisionError("a sample point on a pole")
-    return values
-
-
 def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
                          tolerance: float) -> bool:
     """Compare two scalars, the trees of ``Expr`` values, at ``trials``
-    random rational points.
+    random rational points of the symbols of their difference.
 
-    The rational fragment is decided exactly, by evaluating the difference
-    in ``Fraction``; otherwise the comparison is high-precision floating
-    point with a relative tolerance.  Sample points on a pole are resampled
-    a bounded number of times.  In the rational fragment a pole of either
-    side is a pole of the difference: the terms the difference drops are
-    polynomial, or are the whole of both sides, which leaves no symbol to
-    sample.
+    A difference that is a rational function is decided exactly, in
+    ``Fraction``; otherwise the comparison is high-precision floating point
+    with a tolerance relative to the larger side, where a side with a
+    symbol the difference lost is left out.  Sample points on a pole are
+    resampled a bounded number of times.  In the rational case a pole of
+    either side is a pole of the difference: the terms the difference drops
+    are polynomial, or are the whole of both sides, which leaves no symbol
+    to sample.
     """
     diff = lhs - rhs
     symbols = sorted(diff.free_symbols, key=str)
+    sides = [side for side in (lhs, rhs)
+             if side.free_symbols <= diff.free_symbols]
     rng = random.Random(seed)
-    rational_only = _is_rational_tree(diff)
     for _ in range(trials):
         for _attempt in range(_RETRIES + 1):
             point = {s: random_rational(rng) for s in symbols}
             try:
-                values = ([_rational_value(diff, point)] if rational_only
-                          else _tree_values((diff, lhs, rhs), point))
+                value = _tree_value(diff, point)
+                bound = 0 if isinstance(value, Fraction) else tolerance * max(
+                    [1.0, *(abs(float(_tree_value(side, point)))
+                            for side in sides)])
             except ZeroDivisionError:
                 continue
             break
         else:
             raise SingularPointError(
                 "could not find a pole-free sample point for equality testing")
-        value, *sides = values
-        if rational_only:
-            if value != 0:
-                return False
-            continue
-        approx = value.evalf(_EVAL_DIGITS)
-        if not approx.is_number:
-            raise ExprError(f"cannot evaluate {diff} numerically")
-        scale = max(
-            1.0,
-            *(abs(float(v.evalf(_EVAL_DIGITS))) for v in sides if v.is_number),
-        )
-        if abs(float(approx)) > tolerance * scale:
+        if abs(value) > bound:
             return False
     return True
 
@@ -966,7 +936,7 @@ class ComplexExpr:
             re, im = re + k * self.im, im - k * self.re
         return ComplexExpr(re, im, self.phase)
 
-    def subs(self, mapping: Mapping[sp.Symbol, sp.Expr]) -> "ComplexExpr":
+    def subs(self, mapping: Mapping[sp.Symbol, int | Fraction]) -> "ComplexExpr":
         return ComplexExpr(self.re.subs(mapping), self.im.subs(mapping),
                            self.phase.subs(mapping))
 

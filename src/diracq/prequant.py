@@ -80,7 +80,6 @@ class BundleAtlas:
     transitions: Mapping[tuple[str, str], ComplexExpr]
     sigma: Mapping[str, AForm]
     hermitian: bool = False
-    cochain: Mapping[tuple[str, str], Expr] | None = None
     _validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -382,6 +381,6 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
     for (j, k), w in cochain.items():
         transitions[(j, k)] = transition_exp(w)
     atlas = BundleAtlas(dirac, tuple(patches), transitions, dict(sigma),
-                        hermitian=True, cochain=dict(cochain))
+                        hermitian=True)
     atlas.validate()
     return atlas

@@ -20,8 +20,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import sympy as sp
-
 from . import linalg
 from .chart import (
     AlphaDensity,
@@ -53,6 +51,7 @@ from .prequant import (
     BundleAtlas,
     LineSection,
     TWO_PI_I,
+    covariant_scalar,
     line_section_from_patch,
     prequant_condition,
     prequant_operator,
@@ -273,14 +272,12 @@ def delta_connection(psi: Section, v: HalfDensitySection,
     """``delta_psi (s (x) kappa) = (nabla_psi s) (x) kappa
     + s (x) L_{rho(psi)} kappa`` on each patch."""
     coeffs = dirac_complex_coefficients(atlas.dirac, psi)
-    half = as_expr(1) / 2
+    half = ComplexExpr.of(as_expr(1) / 2)
     out = {}
     for patch in atlas.patches:
         w = v.combined(patch)
-        sigma_val = atlas.sigma[patch].evaluate_coefficients(coeffs)
-        value = psi.X.apply(w) + TWO_PI_I * (ComplexExpr.of(sigma_val) * w) \
-            + ComplexExpr.of(half) * (psi.X.divergence() * w)
-        out[patch] = value
+        out[patch] = covariant_scalar(atlas, patch, psi.X, coeffs, w) \
+            + half * (psi.X.divergence() * w)
     return _from_combined(atlas, out)
 
 
@@ -406,7 +403,7 @@ def integrate_density(kappa: AlphaDensity,
         for name, (lo, hi) in zip(chart.coord_names, axes):
             sym = symbol(name)
             antiderivatives = [part.integral_from_zero(sym) for part in parts]
-            parts = [f.subs({sym: sp.Rational(hi)}) - f.subs({sym: sp.Rational(lo)})
+            parts = [f.subs({sym: hi}) - f.subs({sym: lo})
                      for f in antiderivatives]
     except ExprError as err:      # an atom argument involves a coordinate
         raise QuantizeError(_NOT_POLYNOMIAL) from err

@@ -56,20 +56,22 @@ def random_vector_field(rng: random.Random, chart: Chart,
         for _ in range(chart.dim)))
 
 
+def _random_alternating(cls, rng: random.Random, chart: Chart, degree: int,
+                        poly_degree: int):
+    """A ``KForm`` or ``KVector`` with random polynomial coefficients."""
+    return cls(chart, degree, {
+        key: random_polynomial(rng, chart, degree=poly_degree, terms=2)
+        for key in itertools.combinations(range(chart.dim), degree)})
+
+
 def random_kform(rng: random.Random, chart: Chart, degree: int,
                  poly_degree: int = 2) -> KForm:
-    coeffs = {}
-    for key in itertools.combinations(range(chart.dim), degree):
-        coeffs[key] = random_polynomial(rng, chart, degree=poly_degree, terms=2)
-    return KForm(chart, degree, coeffs)
+    return _random_alternating(KForm, rng, chart, degree, poly_degree)
 
 
 def random_kvector(rng: random.Random, chart: Chart, degree: int,
                    poly_degree: int = 2) -> KVector:
-    coeffs = {}
-    for key in itertools.combinations(range(chart.dim), degree):
-        coeffs[key] = random_polynomial(rng, chart, degree=poly_degree, terms=2)
-    return KVector(chart, degree, coeffs)
+    return _random_alternating(KVector, rng, chart, degree, poly_degree)
 
 
 def random_rational_expr(rng: random.Random, names: list[str],

@@ -109,6 +109,15 @@ class TestEqual:
         assert not _probabilistic_equal(sp.E, sp.Integer(2), trials=20,
                                         seed=7, tolerance=1e-9)
 
+    def test_symbol_the_difference_loses_is_left_out_of_the_scale(self):
+        # only x is sampled: y stays free in both sides, which therefore
+        # give no magnitude to the tolerance
+        lhs = y + sp.sin(x) ** 2 + sp.cos(x) ** 2
+        assert _probabilistic_equal(lhs, y + 1, trials=20, seed=7,
+                                    tolerance=1e-9)
+        assert not _probabilistic_equal(lhs, y + 2, trials=20, seed=7,
+                                        tolerance=1e-9)
+
 
 SAMPLED = "sampled"
 
@@ -230,6 +239,48 @@ class TestEvaluate:
     def test_missing_symbol(self):
         with pytest.raises(ExprError):
             evaluate(ex("x"), Point("M", {}))
+
+
+class TestSubs:
+    """Substitution stays in the field: once the values are built, no sympy
+    tree is."""
+
+    @pytest.fixture
+    def no_tree(self, monkeypatch):
+        def build(self):
+            raise AssertionError("a sympy tree was built")
+
+        return lambda: monkeypatch.setattr(Expr, "node", property(build))
+
+    def test_rational_value_is_exact(self, no_tree):
+        value = (Expr(x) ** 2 + Expr(y)) / (Expr(x) - 1)
+        no_tree()
+        assert value.subs({x: Fraction(1, 2)}) == -2 * Expr(y) - rational(1, 2)
+        assert value.subs({x: Fraction(-2, 3), y: 3}) == rational(-31, 15)
+
+    def test_integer_value(self, no_tree):
+        value = Expr(x) ** 3 / (Expr(y) + 2)
+        no_tree()
+        assert value.subs({x: -2}) == -8 / (Expr(y) + 2)
+
+    def test_unsubstituted_atoms_stay(self, no_tree):
+        value, exp_y = Expr(x) * atom(sp.exp, Expr(y)), atom(sp.exp, Expr(y))
+        no_tree()
+        assert value.subs({x: Fraction(3, 4)}) == rational(3, 4) * exp_y
+
+    def test_pole_is_an_error(self, no_tree):
+        value = 1 / (2 * Expr(x) - 1)
+        no_tree()
+        with pytest.raises(ExprError):
+            value.subs({x: Fraction(1, 2)})
+
+    def test_atom_argument_involving_the_symbol_is_an_error(self, no_tree):
+        value = Expr(y) + atom(sp.sin, Expr(x) * Expr(y))
+        no_tree()
+        with pytest.raises(ExprError, match="atom argument"):
+            value.subs({x: 0})
+        with pytest.raises(ExprError, match="atom argument"):
+            value.subs({y: Fraction(1, 2)})
 
 
 @st.composite

@@ -350,6 +350,17 @@ class TestIntegrateDensity:
         value = integrate_density(kappa, {"q": (0, 1), "p": (0, 1)})
         assert value == Fraction(7, 6)
 
+    def test_rational_endpoints_build_no_tree(self, monkeypatch):
+        def build(self):
+            raise AssertionError("a sympy tree was built")
+
+        chart = Chart("L", ("x",))
+        kappa = AlphaDensity(chart, Fraction(1),
+                             ComplexExpr.of(Expr(chart.coords[0]) ** 2))
+        monkeypatch.setattr(Expr, "node", property(build))
+        value = integrate_density(kappa, {"x": (Fraction(1, 3), Fraction(1, 2))})
+        assert value == Fraction(19, 648) and isinstance(value, Fraction)
+
     def test_complex_value(self):
         chart = Chart("L", ("x",))
         kappa = AlphaDensity(chart, Fraction(1), I * Expr(chart.coords[0]))
