@@ -143,8 +143,7 @@ class AForm(_Alternating):
             raise AlgebroidError("coefficient evaluation needs degree 1")
         out = ZERO
         for i, c in enumerate(coeffs):
-            if _nonzero(c):
-                out = out + c * self.coeff((i,))
+            out = out + c * self.coeff((i,))
         return out
 
     is_zero_form = _Alternating.is_zero_tensor
@@ -192,8 +191,7 @@ def d_A(theta: AForm | object, algebroid: AlgebroidPresentation | None = None) -
     def bracket_term(a: int, b: int, rest: tuple[int, ...]):
         term = ZERO
         for m, c in enumerate(A.bracket_coefficients(a, b)):
-            if _nonzero(c):
-                term = term + c * theta.coeff_signed((m,) + rest)
+            term = term + c * theta.coeff_signed((m,) + rest)
         return term
 
     return AForm(A, theta.degree + 1, _koszul(
@@ -365,9 +363,7 @@ def _covariant(conn: AConnection, index: int, comps: list) -> list:
     for j in range(m):
         value = A.anchors[index].apply(comps[j])
         for k in range(m):
-            theta_val = conn.theta[j][k].coeff((index,))
-            if _nonzero(theta_val) and _nonzero(comps[k]):
-                value = value + theta_val * comps[k]
+            value = value + conn.theta[j][k].coeff((index,)) * comps[k]
         out.append(value)
     return out
 

@@ -313,10 +313,7 @@ def _mul_constant(p: int, q: int, b):
 
 
 def _add(a, b):
-    if not b:
-        return a
-    if not a:
-        return b
+    """``a + b`` for nonzero ``a`` and ``b``."""
     if not b.field.ngens:
         a, b = b, a                             # a constant first
     if not a.field.ngens:
@@ -336,8 +333,7 @@ def _add(a, b):
 
 
 def _mul(a, b):
-    if not a or not b:
-        return _CONSTANTS.zero
+    """``a * b`` for nonzero ``a`` and ``b``."""
     if not b.field.ngens:
         a, b = b, a                             # a constant first
     if not a.field.ngens:
@@ -352,6 +348,8 @@ def _mul(a, b):
 def _div(a, b):
     if not b:
         raise _zero_division()
+    if not a:
+        return a
     num, den = _positive_below(b.denom, b.numer)
     return _mul(a, b.field.raw_new(num, den))
 
@@ -487,7 +485,9 @@ def _atom_derivative(tree: sp.Expr, sym: sp.Symbol) -> "Expr":
 class Expr:
     """Immutable exact scalar, a reduced element of the field of the
     generators it involves: built from a sympy tree, an ``int``, a
-    ``Fraction`` or another ``Expr``; arithmetic via the usual operators."""
+    ``Fraction`` or another ``Expr``; arithmetic via the usual operators.
+    A zero operand costs nothing: ``+``, ``-``, ``*`` and unary ``-``
+    return the other operand as it is, its negation or the zero."""
 
     __slots__ = ("elem", "_node")
 
@@ -527,24 +527,32 @@ class Expr:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        if isinstance(other, ComplexExpr):
-            return NotImplemented
-        return _wrap(_add(self.elem, _element(other)))
+        if not isinstance(other, Expr):
+            if isinstance(other, ComplexExpr):
+                return NotImplemented
+            other = Expr(other)
+        if not (self.elem.numer and other.elem.numer):
+            return other if other.elem.numer else self
+        return _wrap(_add(self.elem, other.elem))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return _wrap(_add(self.elem, -_element(other)))
+        return self + -as_expr(other)
 
     def __rsub__(self, other) -> "Expr":
-        return _wrap(_add(_element(other), -self.elem))
+        return as_expr(other) - self
 
     def __mul__(self, other) -> "Expr":
-        if isinstance(other, ComplexExpr):
-            return NotImplemented
-        return _wrap(_mul(self.elem, _element(other)))
+        if not isinstance(other, Expr):
+            if isinstance(other, ComplexExpr):
+                return NotImplemented
+            other = Expr(other)
+        if not (self.elem.numer and other.elem.numer):
+            return other if self.elem.numer else self
+        return _wrap(_mul(self.elem, other.elem))
 
     __rmul__ = __mul__
 
@@ -562,7 +570,7 @@ class Expr:
         return _wrap(_power(self.elem, exponent))
 
     def __neg__(self) -> "Expr":
-        return _wrap(-self.elem)
+        return _wrap(-self.elem) if self.elem.numer else self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
@@ -832,12 +840,6 @@ def is_zero(e) -> bool:
 # complex scalars
 
 
-def _phase_sum(a: Expr, b: Expr) -> Expr:
-    if a == ZERO:
-        return b
-    return a if b == ZERO else a + b
-
-
 def _zero_amplitude(z: "ComplexExpr") -> bool:
     return z.re == ZERO and z.im == ZERO
 
@@ -859,7 +861,8 @@ def _align(z1: "ComplexExpr", z2: "ComplexExpr"):
 @dataclass(frozen=True)
 class ComplexExpr:
     """Complex scalar ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
-    amplitude pair and a real phase taken mod Z, zero unless given."""
+    amplitude pair and a real phase taken mod Z, zero unless given.  A
+    product with a factor of zero imaginary part takes two real products."""
 
     re: Expr
     im: Expr
@@ -905,11 +908,13 @@ class ComplexExpr:
         if not isinstance(other, ComplexExpr):
             other = as_expr(other)
             return ComplexExpr(self.re * other, self.im * other, self.phase)
-        return ComplexExpr(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            _phase_sum(self.phase, other.phase),
-        )
+        phase = self.phase + other.phase
+        if not self.im.elem.numer:
+            return ComplexExpr(self.re * other.re, self.re * other.im, phase)
+        if not other.im.elem.numer:
+            return ComplexExpr(self.re * other.re, self.im * other.re, phase)
+        return ComplexExpr(self.re * other.re - self.im * other.im,
+                           self.re * other.im + self.im * other.re, phase)
 
     __rmul__ = __mul__
 

@@ -256,12 +256,8 @@ def lambda_Dform(dirac: DiracStructure) -> AForm:
     equal to the pull-back of the presymplectic 2-cocycle on frame pairs."""
     pres = dirac_presentation(dirac)
     n = dirac.dim
-    coeffs = {}
-    for i, j in itertools.combinations(range(n), 2):
-        value = pairing_minus(dirac.frame[i], dirac.frame[j])
-        if value != ZERO:
-            coeffs[(i, j)] = value
-    lam = AForm(pres, 2, coeffs)
+    lam = AForm(pres, 2, {(i, j): pairing_minus(dirac.frame[i], dirac.frame[j])
+                          for i, j in itertools.combinations(range(n), 2)})
     if not d_A(lam).is_zero_form():
         raise VerificationError("the skew pairing is not d_D-closed")
     omega = omega_on_frame(dirac)

@@ -610,6 +610,79 @@ class TestFastPaths:
             assert e ** n == product and hash(e ** n) == hash(product)
 
 
+def _zero_forms():
+    """Every form a zero operand takes, the last one not the ``ZERO``
+    object."""
+    built = exz("x") - exz("x")
+    assert built is not ZERO
+    return [0, Fraction(0), ZERO, sp.S.Zero, built]
+
+
+class TestZeroOperands:
+    """A zero operand costs nothing: ``+``, ``-``, ``*`` and unary ``-``
+    return the other operand, its negation or the zero, without entering
+    the field arithmetic, and land on the full cancel's element."""
+
+    def test_every_zero_form_on_both_sides_matches_the_full_cancel(self):
+        rng = random.Random(67)
+        for _ in range(80):
+            a = TestFastPaths._value(rng)
+            for zero in _zero_forms():
+                z = as_expr(zero).elem
+                for op in ("+", "-", "*"):
+                    apply = OPERATIONS[op]
+                    for got, want in ((apply(a, zero), _full_cancel(op, a.elem, z)),
+                                      (apply(zero, a), _full_cancel(op, z, a.elem))):
+                        assert isinstance(got, Expr), (op, a, zero)
+                        assert _same_element(got.elem, want), (op, a, zero)
+            assert _same_element((-a).elem, _full_cancel("-", ZERO.elem, a.elem))
+            assert _same_element((-(a - a)).elem, ZERO.elem)
+
+    def test_adding_zero_returns_the_operand_itself(self):
+        e = exz("x/(y + 1)")
+        for zero in _zero_forms():
+            assert e + zero is e and zero + e is e and e - zero is e
+        assert -ZERO is ZERO and ZERO * e is ZERO
+
+    def test_zero_operands_skip_the_field_arithmetic(self, monkeypatch):
+        def never(a, b):
+            raise AssertionError("field arithmetic ran on a zero operand")
+
+        e, zeros = exz("x*y - 2"), _zero_forms()
+        monkeypatch.setattr(expr_module, "_add", never)
+        monkeypatch.setattr(expr_module, "_mul", never)
+        for zero in zeros:
+            assert e + zero == e and zero + e == e
+            assert e - zero == e and zero - e == -e
+            assert e * zero == ZERO and zero * e == ZERO
+        assert -ZERO == ZERO
+
+    @staticmethod
+    def _complex(rng):
+        names = rng.choice([["x", "y"], ["y", "z"], ["x"]])
+        parts = [random_rational_expr(rng, names, depth=rng.randint(1, 2))
+                 for _ in range(2)]
+        phase = rng.choice([ZERO, rational(1, 3), rational(-5, 2),
+                            random_rational_expr(rng, names, depth=1)])
+        return ComplexExpr(*parts, phase)
+
+    def test_products_with_a_real_amplitude_match_the_four_products(self):
+        rng = random.Random(73)
+        for i in range(120):
+            z1, z2 = self._complex(rng), self._complex(rng)
+            if i % 3 != 1:
+                z1 = ComplexExpr(z1.re, ZERO, z1.phase)
+            if i % 3 != 0:
+                z2 = ComplexExpr(z2.re, ZERO, z2.phase)
+            want = ComplexExpr(z1.re * z2.re - z1.im * z2.im,
+                               z1.re * z2.im + z1.im * z2.re,
+                               z1.phase + z2.phase)
+            got = z1 * z2
+            assert got == want and equal(got, want), (z1, z2)
+            assert z1 * z2.re == ComplexExpr(z1.re * z2.re, z1.im * z2.re,
+                                             z1.phase)
+
+
 def test_random_rational_respects_bound():
     rng = random.Random(1)
     for _ in range(100):
