@@ -538,9 +538,15 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Expr":
-        if isinstance(other, ComplexExpr):
-            return NotImplemented
-        return self + -as_expr(other)
+        if not isinstance(other, Expr):
+            if isinstance(other, ComplexExpr):
+                return NotImplemented
+            other = Expr(other)
+        if not other.elem.numer:
+            return self
+        if not self.elem.numer:
+            return -other
+        return _wrap(_add(self.elem, -other.elem))
 
     def __rsub__(self, other) -> "Expr":
         return as_expr(other) - self
@@ -861,8 +867,9 @@ def _align(z1: "ComplexExpr", z2: "ComplexExpr"):
 @dataclass(frozen=True)
 class ComplexExpr:
     """Complex scalar ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
-    amplitude pair and a real phase taken mod Z, zero unless given.  A
-    product with a factor of zero imaginary part takes two real products."""
+    amplitude pair and a real phase taken mod Z, zero unless given.  Its
+    parts follow the ``Expr`` zero rule, so a zero part costs nothing: a
+    product with a factor of zero imaginary part makes two real products."""
 
     re: Expr
     im: Expr
@@ -908,13 +915,9 @@ class ComplexExpr:
         if not isinstance(other, ComplexExpr):
             other = as_expr(other)
             return ComplexExpr(self.re * other, self.im * other, self.phase)
-        phase = self.phase + other.phase
-        if not self.im.elem.numer:
-            return ComplexExpr(self.re * other.re, self.re * other.im, phase)
-        if not other.im.elem.numer:
-            return ComplexExpr(self.re * other.re, self.im * other.re, phase)
         return ComplexExpr(self.re * other.re - self.im * other.im,
-                           self.re * other.im + self.im * other.re, phase)
+                           self.re * other.im + self.im * other.re,
+                           self.phase + other.phase)
 
     __rmul__ = __mul__
 
