@@ -542,10 +542,8 @@ class Expr:
             if isinstance(other, ComplexExpr):
                 return NotImplemented
             other = Expr(other)
-        if not other.elem.numer:
-            return self
-        if not self.elem.numer:
-            return -other
+        if not (self.elem.numer and other.elem.numer):
+            return -other if other.elem.numer else self
         return _wrap(_add(self.elem, -other.elem))
 
     def __rsub__(self, other) -> "Expr":
