@@ -199,8 +199,12 @@ class DiracReport:
 
 class DiracStructure:
     """A frame of n sections presented as spanning D, plus cached
-    verification state (computed once, idempotently) and the memo of
-    ``hamiltonian.admissible_vector_field`` (``f`` -> its result)."""
+    verification state (computed once, idempotently) and two memos that
+    live as long as the structure: ``admissible``, the results of
+    ``hamiltonian.admissible_vector_field`` (``f`` -> its result), and
+    ``lambda_form``, the skew pairing as a D-2-form once
+    ``prequant.lambda_Dform`` has built and checked it (``None`` before, and
+    after a failed check)."""
 
     def __init__(self, chart: Chart, frame: Sequence[Section]):
         if len(frame) != chart.dim:
@@ -213,6 +217,7 @@ class DiracStructure:
         self.frame = tuple(frame)
         self._report: DiracReport | None = None
         self.admissible: dict = {}
+        self.lambda_form = None
 
     @property
     def dim(self) -> int:
@@ -329,7 +334,12 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
             lie[(i, j)] = lie_derivative_form(frame[i].X, frame[j].xi)
         return lie[(i, j)].evaluate([frame[k].X])
 
+    # the three rotations of a triple share one cyclic sum: only the least
+    # is visited, and it comes first in product order, so the first failing
+    # triple is the same as over all n^3
     for i, j, k in itertools.product(range(n), repeat=3):
+        if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+            continue
         total = term(i, j, k) + term(j, k, i) + term(k, i, j)
         if not is_zero(total):
             lemma_ok = False

@@ -236,8 +236,11 @@ def _generator(tree: sp.Expr) -> "Expr":
 
 
 def _constant(p: int, q: int = 1):
-    ring = _CONSTANTS.ring
-    return _CONSTANTS.raw_new(ring.ground_new(p), ring.ground_new(q))
+    """The constant ``p / q`` for coprime ``p`` and ``q > 0``: its two ring
+    elements are built directly, and a zero numerator is the empty one."""
+    new, integer = _CONSTANTS.ring.dtype, ZZ.dtype
+    return _CONSTANTS.raw_new(new({(): integer(p)} if p else {}),
+                              new({(): integer(q)}))
 
 
 def _rational(p: int, q: int):
@@ -862,21 +865,31 @@ def _align(z1: "ComplexExpr", z2: "ComplexExpr"):
     return z1.expand(), z2.expand()
 
 
-@dataclass(frozen=True)
 class ComplexExpr:
     """Complex scalar ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
     amplitude pair and a real phase taken mod Z, zero unless given.  Its
     parts follow the ``Expr`` zero rule, so a zero part costs nothing: a
-    product with a factor of zero imaginary part makes two real products."""
+    product with a factor of zero imaginary part makes two real products.
+    A value is never changed after it is built; equality and the hash are
+    those of the triple ``(re, im, phase)``."""
 
-    re: Expr
-    im: Expr
-    phase: Expr = ZERO
+    __slots__ = ("re", "im", "phase")
 
-    def __post_init__(self):
+    def __init__(self, re: Expr, im: Expr, phase: Expr = ZERO):
+        self.re, self.im = re, im
         # exp(-2 pi i n) = 1 for an integer n
-        if self.phase is not ZERO and self.phase.is_integer:
-            object.__setattr__(self, "phase", ZERO)
+        self.phase = ZERO if phase is not ZERO and phase.is_integer else phase
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im, self.phase) == (other.re, other.im, other.phase)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.phase))
+
+    def __repr__(self) -> str:
+        return f"ComplexExpr(re={self.re!r}, im={self.im!r}, phase={self.phase!r})"
 
     @staticmethod
     def of(value) -> "ComplexExpr":

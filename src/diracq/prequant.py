@@ -73,6 +73,18 @@ class BundleAtlas:
     the cover geometry.  Validation checks the cocycle identity on declared
     triples and the logarithmic-derivative compatibility of the connection
     1-sections on declared overlaps.
+
+    The atlas owns two memos that live as long as it does; only a call that
+    returns fills them, so a raise is computed again on the next call:
+
+    - ``condition``: the result of :func:`prequant_condition`, a failing one
+      too;
+    - ``operators``: the :class:`PatchOperator` of ``fhat_f`` under
+      ``(complement, f)`` and of ``delta_psi`` under the section ``psi``,
+      each with the images it has computed.
+
+    Two atlases never share an operator or an image, even over one structure
+    and one complement.  The memos take the atlas as fixed once built.
     """
 
     dirac: DiracStructure
@@ -81,6 +93,10 @@ class BundleAtlas:
     sigma: Mapping[str, AForm]
     hermitian: bool = False
     _validated: bool = field(default=False, repr=False)
+    condition: PrequantResult | None = field(
+        default=None, init=False, repr=False, compare=False)
+    operators: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not self.patches:
@@ -172,9 +188,6 @@ class LineSection:
     def __getitem__(self, patch: str) -> ComplexExpr:
         return self.coeffs[patch]
 
-    def map_coeffs(self, fn) -> "LineSection":
-        return LineSection(self.atlas, {p: fn(p, z) for p, z in self.coeffs.items()})
-
     def __add__(self, other: "LineSection") -> "LineSection":
         return LineSection(self.atlas, {p: self.coeffs[p] + other.coeffs[p]
                                         for p in self.coeffs})
@@ -253,7 +266,10 @@ def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
 
 def lambda_Dform(dirac: DiracStructure) -> AForm:
     """The skew pairing restricted to D as a D-2-form; closed under d_D and
-    equal to the pull-back of the presymplectic 2-cocycle on frame pairs."""
+    equal to the pull-back of the presymplectic 2-cocycle on frame pairs.
+    Memoized on the structure once both checks pass."""
+    if dirac.lambda_form is not None:
+        return dirac.lambda_form
     pres = dirac_presentation(dirac)
     n = dirac.dim
     lam = AForm(pres, 2, {(i, j): pairing_minus(dirac.frame[i], dirac.frame[j])
@@ -265,6 +281,7 @@ def lambda_Dform(dirac: DiracStructure) -> AForm:
         if not is_zero(lam.coeff((i, j)) - omega[(i, j)]):
             raise VerificationError(
                 "skew pairing disagrees with the presymplectic 2-cocycle")
+    dirac.lambda_form = lam
     return lam
 
 
@@ -279,11 +296,11 @@ class PrequantResult:
 
 def prequant_condition(atlas: BundleAtlas) -> PrequantResult:
     """Rank-1 prequantization test ``tau = Lambda`` on frame pairs; the
-    residual D-2-form is returned when it fails."""
-    tau = curvature_2section(atlas)
-    lam = lambda_Dform(atlas.dirac)
-    residual = tau - lam
-    return PrequantResult(residual.is_zero_form(), residual)
+    residual D-2-form is returned when it fails.  Memoized on the atlas."""
+    if atlas.condition is None:
+        residual = curvature_2section(atlas) - lambda_Dform(atlas.dirac)
+        atlas.condition = PrequantResult(residual.is_zero_form(), residual)
+    return atlas.condition
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +316,54 @@ def covariant_scalar(atlas: BundleAtlas, patch: str, rho, frame_coeffs,
     return ComplexExpr.of(rho.apply(z)) + TWO_PI_I * (sigma_val * z)
 
 
+class PatchOperator:
+    """The first-order operator ``z -> rho(z) + m_j z`` on the coefficient of
+    patch ``j``: a vector field ``rho`` and one multiplier per patch (in
+    patch order), built once and kept in ``BundleAtlas.operators``.
+
+    ``images`` maps coefficients in patch order to their images, and
+    ``halfdensity_images`` maps a half-density section's line coefficients
+    and density factor to the cross-checked image of ``fhat_halfdensity``
+    (empty for a ``delta_psi``)."""
+
+    __slots__ = ("rho", "multipliers", "images", "halfdensity_images")
+
+    def __init__(self, rho, multipliers: dict):
+        self.rho, self.multipliers = rho, multipliers
+        self.images: dict = {}
+        self.halfdensity_images: dict = {}
+
+    def image(self, coeffs: tuple) -> dict:
+        """``{patch: rho(z) + m_patch z}`` for the coefficients ``coeffs``."""
+        out = self.images.get(coeffs)
+        if out is None:
+            out = self.images[coeffs] = {
+                patch: ComplexExpr.of(self.rho.apply(z)) + m * z
+                for (patch, m), z in zip(self.multipliers.items(), coeffs)}
+        return out
+
+
+def fhat_operator(atlas: BundleAtlas, complement: ComplementH,
+                  f: Expr) -> PatchOperator:
+    """``fhat_f = -H_f + m_j`` with ``m_j = -2 pi i (sigma_j(H_f, df) + f)``,
+    built once per atlas, complement and ``f``."""
+    key = (complement, f)
+    op = atlas.operators.get(key)
+    if op is None:
+        h_f, coeffs = hamiltonian_H(atlas.dirac, complement, f)
+        op = atlas.operators[key] = PatchOperator(-h_f, {
+            patch: -TWO_PI_I * (atlas.sigma[patch].evaluate_coefficients(coeffs) + f)
+            for patch in atlas.patches})
+    return op
+
+
 def prequant_operator(f, atlas: BundleAtlas, complement: ComplementH,
                       section: LineSection) -> LineSection:
-    """``fhat s = -nabla_{(H_f, df)} s - 2 pi i f s`` patch by patch."""
+    """``fhat s = -nabla_{(H_f, df)} s - 2 pi i f s`` patch by patch, a
+    section of ``atlas``; the image is memoized on the atlas."""
     atlas.validate()
-    f = as_expr(f)
-    h_f, coeffs = hamiltonian_H(atlas.dirac, complement, f)
-
-    def act(patch: str, z: ComplexExpr) -> ComplexExpr:
-        nabla = covariant_scalar(atlas, patch, h_f, coeffs, z)
-        return -nabla - TWO_PI_I * (ComplexExpr.of(f) * z)
-
-    return section.map_coeffs(act)
+    op = fhat_operator(atlas, complement, as_expr(f))
+    return LineSection(atlas, op.image(tuple(section[p] for p in atlas.patches)))
 
 
 def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,

@@ -50,8 +50,9 @@ from .hamiltonian import ComplementH, differential, hamiltonian_H
 from .prequant import (
     BundleAtlas,
     LineSection,
+    PatchOperator,
     TWO_PI_I,
-    covariant_scalar,
+    fhat_operator,
     line_section_from_patch,
     prequant_condition,
     prequant_operator,
@@ -267,26 +268,40 @@ def _from_combined(atlas: BundleAtlas, coeffs: Mapping[str, ComplexExpr]) -> Hal
     return HalfDensitySection(line, kappa)
 
 
+def _delta_operator(atlas: BundleAtlas, psi: Section) -> PatchOperator:
+    """``delta_psi = rho(psi) + m_j`` with ``m_j = 2 pi i sigma_j(psi) + 1/2
+    div rho(psi)``: psi's frame coefficients are solved once per atlas."""
+    op = atlas.operators.get(psi)
+    if op is None:
+        coeffs = dirac_complex_coefficients(atlas.dirac, psi)
+        half_div = psi.X.divergence() / 2
+        op = atlas.operators[psi] = PatchOperator(psi.X, {
+            patch: TWO_PI_I * atlas.sigma[patch].evaluate_coefficients(coeffs)
+            + half_div for patch in atlas.patches})
+    return op
+
+
 def delta_connection(psi: Section, v: HalfDensitySection,
                      atlas: BundleAtlas) -> HalfDensitySection:
     """``delta_psi (s (x) kappa) = (nabla_psi s) (x) kappa
-    + s (x) L_{rho(psi)} kappa`` on each patch."""
-    coeffs = dirac_complex_coefficients(atlas.dirac, psi)
-    half = ComplexExpr.of(as_expr(1) / 2)
-    out = {}
-    for patch in atlas.patches:
-        w = v.combined(patch)
-        out[patch] = covariant_scalar(atlas, patch, psi.X, coeffs, w) \
-            + half * (psi.X.divergence() * w)
-    return _from_combined(atlas, out)
+    + s (x) L_{rho(psi)} kappa`` on each patch; the image is memoized on the
+    atlas."""
+    combined = tuple(v.combined(patch) for patch in atlas.patches)
+    return _from_combined(atlas, _delta_operator(atlas, psi).image(combined))
 
 
 def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
                      v: HalfDensitySection) -> HalfDensitySection:
     """``fhat (s (x) kappa) = (fhat s) (x) kappa - s (x) L_{H_f} kappa``,
-    verified against ``-delta_{(H_f, df)} - 2 pi i f``."""
+    verified against ``-delta_{(H_f, df)} - 2 pi i f``; the image is
+    memoized on the atlas once the two agree."""
     f = as_expr(f)
     dirac = atlas.dirac
+    images = fhat_operator(atlas, complement, f).halfdensity_images
+    key = (tuple(v.line[p] for p in atlas.patches), v.kappa)
+    route_a = images.get(key)
+    if route_a is not None:
+        return _from_combined(atlas, route_a)
     h_f, _ = hamiltonian_H(dirac, complement, f)
     fhat_line = prequant_operator(f, atlas, complement, v.line)
     l_kappa = lie_derivative_density(h_f, v.kappa)
@@ -299,6 +314,7 @@ def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
         if not is_zero(route_a[p] - route_b):
             raise QuantizeError(
                 "tensor-split operator disagrees with the delta-connection form")
+    images[key] = route_a
     return _from_combined(atlas, route_a)
 
 

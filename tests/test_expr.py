@@ -358,6 +358,24 @@ class TestComplexExpr:
     def test_i_squares_to_minus_one(self):
         assert equal(I * I, -1)
 
+    def test_value_semantics_of_the_triple(self):
+        z = ComplexExpr(ex("x"), ONE, as_expr(4))       # an integer phase is 0
+        assert z.phase is ZERO
+        assert z == ComplexExpr(ex("x"), ONE) and z != ComplexExpr(ex("x"), ZERO)
+        assert hash(z) == hash((ex("x"), ONE, ZERO))
+        assert z != (ex("x"), ONE, ZERO) and z != ex("x")
+        assert repr(ComplexExpr(ONE, ZERO, ex("y"))) \
+            == "ComplexExpr(re=Expr(1), im=Expr(0), phase=Expr(y))"
+        assert {z: 1}[ComplexExpr(ex("x"), ONE, ZERO)] == 1
+
+    def test_constants_are_reduced_ring_elements(self):
+        for value in (0, 5, -7, Fraction(-3, 4), 10**30):
+            e = as_expr(value)
+            assert e.elem.numer.ring is e.elem.denom.ring
+            assert Fraction(e.elem.numer[()] if value else 0,
+                            e.elem.denom[()]) == value
+        assert not as_expr(0).elem.numer and as_expr(0) == ZERO
+
 
 class TestPhase:
     """``ComplexExpr(re, im, w)`` is ``(re + i im) exp(-2 pi i w)``."""

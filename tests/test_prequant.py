@@ -13,12 +13,15 @@ from diracq.checks import run_checks
 from diracq.dirac import regular_distribution
 from diracq.dsl import SUITES, parse_model
 from diracq.expr import ComplexExpr, Expr, as_expr, equal, is_zero
-from diracq.hamiltonian import default_complement
+from diracq.hamiltonian import default_complement, hamiltonian_H
 from diracq.prequant import (
+    TWO_PI_I,
     AtlasError,
     BundleAtlas,
     IntegralityError,
+    LineSection,
     build_prequantization,
+    covariant_scalar,
     curvature_2section,
     dirac_chern_check,
     hermitian_check,
@@ -195,6 +198,69 @@ class TestPrequantOperator:
                 prequant_operator(q, atlas, std_complement, s))
         rhs = prequant_operator(fg, atlas, std_complement, s)
         assert not (lhs - rhs).is_zero_section()
+
+
+def _doubled(standard_dirac, r2):
+    """The standard structure with twice the momentum primitive: it fails
+    the prequantization condition."""
+    p = Expr(r2.coords[1])
+    sigma = rho_pullback_form(r2.basis_covector(0).scale(-2 * p),
+                              standard_dirac)
+    return BundleAtlas(standard_dirac, ("U",), {}, {"U": sigma},
+                       hermitian=True)
+
+
+class TestMemos:
+    def test_image_equals_a_fresh_computation(self, std_atlas, std_complement,
+                                              standard_dirac, r2):
+        q, p = (Expr(c) for c in r2.coords)
+        z = ComplexExpr(q * p + 1, q)
+        s = line_section_from_patch(std_atlas, "U", z)
+        first = prequant_operator(q, std_atlas, std_complement, s)
+        again = prequant_operator(q, std_atlas, std_complement, s)
+        assert again.coeffs == first.coeffs
+        h_q, coeffs = hamiltonian_H(standard_dirac, std_complement, q)
+        expected = -covariant_scalar(std_atlas, "U", h_q, coeffs, z) \
+            - TWO_PI_I * (ComplexExpr.of(q) * z)
+        assert is_zero(first["U"] - expected)
+        fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
+                            hermitian=True)
+        image = prequant_operator(q, fresh, std_complement,
+                                  line_section_from_patch(fresh, "U", z))
+        assert image.coeffs == first.coeffs
+        assert list(std_atlas.operators) == [(std_complement, q)]
+
+    def test_atlases_over_one_structure_share_nothing(
+            self, std_atlas, std_complement, standard_dirac, r2):
+        doubled = _doubled(standard_dirac, r2)
+        p = Expr(r2.coords[1])             # sigma(H_p, dp) is not zero
+        images = [prequant_operator(p, atlas, std_complement,
+                                    line_section_from_patch(atlas, "U", 1))
+                  for atlas in (std_atlas, doubled)]
+        assert not (images[0] - LineSection(std_atlas, images[1].coeffs)
+                    ).is_zero_section()
+        key = (std_complement, p)
+        assert std_atlas.operators[key] is not doubled.operators[key]
+        assert prequant_condition(std_atlas).ok
+        assert not prequant_condition(doubled).ok
+
+    def test_condition_and_skew_pairing_are_kept(self, standard_dirac, r2):
+        doubled = _doubled(standard_dirac, r2)
+        assert doubled.condition is None and standard_dirac.lambda_form is None
+        result = prequant_condition(doubled)
+        assert not result.ok and prequant_condition(doubled) is result
+        assert doubled.condition is result
+        assert lambda_Dform(standard_dirac) is standard_dirac.lambda_form
+
+    def test_a_failed_condition_is_raised_again(self, standard_dirac, r2):
+        atlas = BundleAtlas(standard_dirac, ("U", "V"),
+                            {("U", "V"): ComplexExpr.of(0)},
+                            {"U": _doubled(standard_dirac, r2).sigma["U"],
+                             "V": _doubled(standard_dirac, r2).sigma["U"]})
+        for _ in range(2):
+            with pytest.raises(AtlasError, match="zero expression"):
+                prequant_condition(atlas)
+        assert atlas.condition is None
 
 
 class TestHermitian:

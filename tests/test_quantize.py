@@ -31,7 +31,7 @@ from diracq.expr import (
     is_zero,
 )
 from diracq.hamiltonian import default_complement
-from diracq.prequant import BundleAtlas
+from diracq.prequant import TWO_PI_I, BundleAtlas
 from diracq.quantize import (
     Polarization,
     QuantizeError,
@@ -275,6 +275,83 @@ class TestLemma51:
         psi = standard_dirac.frame[0]
         with pytest.raises(QuantizeError, match="prequantization condition"):
             lemma51_residual(psi, Expr(r2.coords[0]), v, atlas, std_complement)
+
+
+class TestMemos:
+    def _doubled(self, standard_dirac, r2):
+        p = Expr(r2.coords[1])
+        sigma = rho_pullback_form(r2.basis_covector(0).scale(-2 * p),
+                                  standard_dirac)
+        return BundleAtlas(standard_dirac, ("U",), {}, {"U": sigma},
+                           hermitian=True)
+
+    def test_images_equal_a_fresh_computation(self, std_atlas, std_complement,
+                                              standard_dirac, r2):
+        q, p = (Expr(c) for c in r2.coords)
+        v = half_density_section(std_atlas, ComplexExpr(q * p, q + 1))
+        psi = standard_dirac.frame[1]
+        fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
+                            hermitian=True)
+        w = half_density_section(fresh, v.combined("U"))
+        for _ in range(2):
+            assert delta_connection(psi, v, std_atlas).combined("U") \
+                == delta_connection(psi, w, fresh).combined("U")
+            assert fhat_halfdensity(q, std_atlas, std_complement, v).combined("U") \
+                == fhat_halfdensity(q, fresh, std_complement, w).combined("U")
+        expected = ComplexExpr.of(psi.X.apply(v.combined("U"))) \
+            + TWO_PI_I * (std_atlas.sigma["U"].evaluate_coefficients((0, 1))
+                          * v.combined("U")) \
+            + psi.X.divergence() / 2 * v.combined("U")
+        assert is_zero(delta_connection(psi, v, std_atlas).combined("U")
+                       - expected)
+
+    def test_atlases_over_one_structure_share_nothing(
+            self, std_atlas, std_complement, standard_dirac, r2):
+        doubled = self._doubled(standard_dirac, r2)
+        p = Expr(r2.coords[1])             # sigma(H_p, dp) is not zero
+        psi = standard_dirac.frame[0]
+        ours, theirs = (
+            (delta_connection(psi, v, atlas).combined("U"),
+             fhat_halfdensity(p, atlas, std_complement, v).combined("U"))
+            for atlas, v in ((a, half_density_section(a, 1))
+                             for a in (std_atlas, doubled)))
+        assert not is_zero(ours[0] - theirs[0])
+        assert not is_zero(ours[1] - theirs[1])
+        assert std_atlas.operators[psi] is not doubled.operators[psi]
+
+    def test_lemma51_refusal_is_raised_again(self, std_complement,
+                                            standard_dirac, r2):
+        atlas = self._doubled(standard_dirac, r2)
+        v = half_density_section(atlas, 1)
+        for _ in range(2):
+            with pytest.raises(QuantizeError, match="prequantization condition"):
+                lemma51_residual(standard_dirac.frame[0], Expr(r2.coords[0]),
+                                 v, atlas, std_complement)
+
+    def test_failed_cross_check_is_never_stored(self, std_atlas, std_complement,
+                                                r2, monkeypatch):
+        q = Expr(r2.coords[0])
+        v = half_density_section(std_atlas, ComplexExpr.of(Expr(r2.coords[1])))
+        honest = quantize.lie_derivative_density
+        monkeypatch.setattr(quantize, "lie_derivative_density",
+                            lambda x, kappa: AlphaDensity(
+                                kappa.chart, kappa.alpha, ComplexExpr.of(1)))
+        for _ in range(2):
+            with pytest.raises(QuantizeError, match="tensor-split"):
+                fhat_halfdensity(q, std_atlas, std_complement, v)
+        calls = []
+
+        def counted(x, kappa):
+            calls.append(kappa)
+            return honest(x, kappa)
+
+        monkeypatch.setattr(quantize, "lie_derivative_density", counted)
+        for _ in range(2):
+            fhat_halfdensity(q, std_atlas, std_complement, v)
+        assert len(calls) == 1           # one cross-check for one input
+        fhat_halfdensity(q, std_atlas, std_complement,
+                         half_density_section(std_atlas, 1))
+        assert len(calls) == 2
 
 
 class TestSelfAdjoint:
