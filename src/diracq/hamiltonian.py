@@ -94,7 +94,9 @@ class ComplementH:
     ``f`` to ``hamiltonian_H``'s ``(field, frame_coeffs)``, and ``brackets``
     maps the ordered pair ``(f, g)`` to ``{f, g}``.  A
     ``NotAdmissibleError`` is never stored, and a pair's reverse is never
-    filled in from it.
+    filled in from it.  The operators ``fhat_f`` built from ``H_f`` are kept
+    on the line-bundle atlas, under the complement and ``f``
+    (``prequant.BundleAtlas.operators``), and live as long as that atlas.
     """
 
     def __init__(self, dirac: DiracStructure, sections: Sequence[Section]):
