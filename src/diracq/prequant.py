@@ -188,6 +188,9 @@ class LineSection:
     def __getitem__(self, patch: str) -> ComplexExpr:
         return self.coeffs[patch]
 
+    def map_coeffs(self, fn) -> "LineSection":
+        return LineSection(self.atlas, {p: fn(p, z) for p, z in self.coeffs.items()})
+
     def __add__(self, other: "LineSection") -> "LineSection":
         return LineSection(self.atlas, {p: self.coeffs[p] + other.coeffs[p]
                                         for p in self.coeffs})
