@@ -242,9 +242,8 @@ def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
     """The Lie algebroid of a verified Dirac structure, with the structure
     functions that (D3) solved for when it expressed the frame brackets back
     in the frame.  Cached on the structure."""
-    cached = getattr(dirac, "_presentation", None)
-    if cached is not None:
-        return cached
+    if dirac.presentation is not None:
+        return dirac.presentation
     dirac.require_verified()
     frame = dirac.frame
     pres = AlgebroidPresentation(
@@ -254,7 +253,7 @@ def dirac_presentation(dirac: DiracStructure) -> AlgebroidPresentation:
         labels=tuple(f"e{i+1}" for i in range(dirac.dim)),
     )
     pres.validate()
-    dirac._presentation = pres
+    dirac.presentation = pres
     return pres
 
 

@@ -66,7 +66,6 @@ from .quantize import (
     hzero_invariance_probe,
     integrate_density,
     lemma51_residual,
-    polarization_check,
     projectability_probe,
     q_bundle,
     selfadjoint_integrand,
@@ -274,9 +273,8 @@ class Resolver:
             raise SkipSuite("no polarization declared")
         return Polarization(self.dirac(), self.complement(), decl[1])
 
-    @_once
     def polarization_report(self):
-        return polarization_check(self.polarization())
+        return self.polarization().check()
 
     @_once
     def sp_members(self) -> dict[str, Expr]:

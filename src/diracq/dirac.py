@@ -199,12 +199,14 @@ class DiracReport:
 
 class DiracStructure:
     """A frame of n sections presented as spanning D, plus cached
-    verification state (computed once, idempotently) and two memos that
+    verification state (computed once, idempotently) and three memos that
     live as long as the structure: ``admissible``, the results of
-    ``hamiltonian.admissible_vector_field`` (``f`` -> its result), and
+    ``hamiltonian.admissible_vector_field`` (``f`` -> its result);
     ``lambda_form``, the skew pairing as a D-2-form once
     ``prequant.lambda_Dform`` has built and checked it (``None`` before, and
-    after a failed check)."""
+    after a failed check); and ``presentation``, the Lie algebroid of the
+    structure once ``algebroid.dirac_presentation`` has built and validated
+    it (``None`` before)."""
 
     def __init__(self, chart: Chart, frame: Sequence[Section]):
         if len(frame) != chart.dim:
@@ -218,6 +220,7 @@ class DiracStructure:
         self._report: DiracReport | None = None
         self.admissible: dict = {}
         self.lambda_form = None
+        self.presentation = None
 
     @property
     def dim(self) -> int:

@@ -80,8 +80,10 @@ class BundleAtlas:
     - ``condition``: the result of :func:`prequant_condition`, a failing one
       too;
     - ``operators``: the :class:`PatchOperator` of ``fhat_f`` under
-      ``(complement, f)`` and of ``delta_psi`` under the section ``psi``,
-      each with the images it has computed.
+      ``(complement, f)``, of ``delta_psi`` under the section ``psi``, and of
+      ``fhat_f`` on half-density coefficients under
+      ``("half-density", complement, f)``, each with the images it has
+      computed.
 
     Two atlases never share an operator or an image, even over one structure
     and one complement.  The memos take the atlas as fixed once built.
@@ -92,7 +94,8 @@ class BundleAtlas:
     transitions: Mapping[tuple[str, str], ComplexExpr]
     sigma: Mapping[str, AForm]
     hermitian: bool = False
-    _validated: bool = field(default=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False,
+                             compare=False)
     condition: PrequantResult | None = field(
         default=None, init=False, repr=False, compare=False)
     operators: dict = field(default_factory=dict, init=False, repr=False,
@@ -187,9 +190,6 @@ class LineSection:
 
     def __getitem__(self, patch: str) -> ComplexExpr:
         return self.coeffs[patch]
-
-    def map_coeffs(self, fn) -> "LineSection":
-        return LineSection(self.atlas, {p: fn(p, z) for p, z in self.coeffs.items()})
 
     def __add__(self, other: "LineSection") -> "LineSection":
         return LineSection(self.atlas, {p: self.coeffs[p] + other.coeffs[p]
@@ -310,34 +310,22 @@ def prequant_condition(atlas: BundleAtlas) -> PrequantResult:
 # the operator assigned to an admissible function
 
 
-def covariant_scalar(atlas: BundleAtlas, patch: str, rho, frame_coeffs,
-                     z: ComplexExpr) -> ComplexExpr:
-    """``nabla_psi`` on a patch coefficient, for a section psi of D given by
-    its anchor image and frame coefficients."""
-    z = ComplexExpr.of(z)
-    sigma_val = atlas.sigma[patch].evaluate_coefficients(frame_coeffs)
-    return ComplexExpr.of(rho.apply(z)) + TWO_PI_I * (sigma_val * z)
-
-
 class PatchOperator:
     """The first-order operator ``z -> rho(z) + m_j z`` on the coefficient of
     patch ``j``: a vector field ``rho`` and one multiplier per patch (in
-    patch order), built once and kept in ``BundleAtlas.operators``.
+    patch order), built by :func:`nabla_operator`.  ``images`` maps
+    coefficients in patch order to their images."""
 
-    ``images`` maps coefficients in patch order to their images, and
-    ``halfdensity_images`` maps a half-density section's line coefficients
-    and density factor to the cross-checked image of ``fhat_halfdensity``
-    (empty for a ``delta_psi``)."""
-
-    __slots__ = ("rho", "multipliers", "images", "halfdensity_images")
+    __slots__ = ("rho", "multipliers", "images")
 
     def __init__(self, rho, multipliers: dict):
         self.rho, self.multipliers = rho, multipliers
         self.images: dict = {}
-        self.halfdensity_images: dict = {}
 
-    def image(self, coeffs: tuple) -> dict:
-        """``{patch: rho(z) + m_patch z}`` for the coefficients ``coeffs``."""
+    def image(self, section: LineSection) -> dict:
+        """``{patch: rho(z) + m_patch z}`` for the coefficients ``z`` of
+        ``section``."""
+        coeffs = tuple(section[patch] for patch in self.multipliers)
         out = self.images.get(coeffs)
         if out is None:
             out = self.images[coeffs] = {
@@ -346,17 +334,27 @@ class PatchOperator:
         return out
 
 
+def nabla_operator(atlas: BundleAtlas, rho, frame_coeffs,
+                   shift=ZERO) -> PatchOperator:
+    """``nabla_psi + shift``, that is ``z -> rho(z) + (2 pi i sigma_j(psi) +
+    shift) z`` on patch ``j``, for a section psi of D given by its anchor
+    image ``rho`` and its frame coefficients.  Every quantum operator is
+    this with its own psi and shift."""
+    return PatchOperator(rho, {
+        patch: TWO_PI_I * atlas.sigma[patch].evaluate_coefficients(frame_coeffs)
+        + shift for patch in atlas.patches})
+
+
 def fhat_operator(atlas: BundleAtlas, complement: ComplementH,
                   f: Expr) -> PatchOperator:
-    """``fhat_f = -H_f + m_j`` with ``m_j = -2 pi i (sigma_j(H_f, df) + f)``,
+    """``fhat_f``: ``nabla`` along ``-(H_f, df)`` shifted by ``-2 pi i f``,
     built once per atlas, complement and ``f``."""
     key = (complement, f)
     op = atlas.operators.get(key)
     if op is None:
         h_f, coeffs = hamiltonian_H(atlas.dirac, complement, f)
-        op = atlas.operators[key] = PatchOperator(-h_f, {
-            patch: -TWO_PI_I * (atlas.sigma[patch].evaluate_coefficients(coeffs) + f)
-            for patch in atlas.patches})
+        op = atlas.operators[key] = nabla_operator(
+            atlas, -h_f, tuple(-c for c in coeffs), -TWO_PI_I * f)
     return op
 
 
@@ -366,24 +364,27 @@ def prequant_operator(f, atlas: BundleAtlas, complement: ComplementH,
     section of ``atlas``; the image is memoized on the atlas."""
     atlas.validate()
     op = fhat_operator(atlas, complement, as_expr(f))
-    return LineSection(atlas, op.image(tuple(section[p] for p in atlas.patches)))
+    return LineSection(atlas, op.image(section))
 
 
 def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
                     s1: LineSection, s2: LineSection) -> dict[str, ComplexExpr]:
-    """Residual of the Hermitian-connection identity per patch; zero for a
-    Hermitian atlas with real connection 1-sections."""
+    """Residual of the Hermitian-connection identity
+    ``H_f h(s1, s2) - h(nabla s1, s2) - h(s1, nabla s2)`` per patch, with
+    ``nabla = nabla_{(H_f, df)}``; zero for a Hermitian atlas with real
+    connection 1-sections."""
     atlas.validate()
     if not atlas.hermitian:
         raise AtlasError("no Hermitian metric attached")
-    f = as_expr(f)
-    h_f, coeffs = hamiltonian_H(atlas.dirac, complement, f)
+    h_f, coeffs = hamiltonian_H(atlas.dirac, complement, as_expr(f))
+    nabla = nabla_operator(atlas, h_f, coeffs)
+    n1, n2 = nabla.image(s1), nabla.image(s2)
     out = {}
     for patch in atlas.patches:
         z1, z2 = s1[patch], s2[patch]
         lhs = h_f.apply(atlas.hermitian_product(z1, z2))
-        rhs = atlas.hermitian_product(covariant_scalar(atlas, patch, h_f, coeffs, z1), z2) \
-            + atlas.hermitian_product(z1, covariant_scalar(atlas, patch, h_f, coeffs, z2))
+        rhs = atlas.hermitian_product(n1[patch], z2) \
+            + atlas.hermitian_product(z1, n2[patch])
         out[patch] = ComplexExpr.of(lhs) - rhs
     return out
 

@@ -15,7 +15,7 @@ probed on explicit candidate sections.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -52,10 +52,9 @@ from .prequant import (
     LineSection,
     PatchOperator,
     TWO_PI_I,
-    fhat_operator,
     line_section_from_patch,
+    nabla_operator,
     prequant_condition,
-    prequant_operator,
 )
 
 __all__ = [
@@ -120,7 +119,8 @@ class Polarization:
     dirac: DiracStructure
     complement: ComplementH
     frame: tuple[Section, ...]
-    _report: PolarizationReport | None = None
+    _report: PolarizationReport | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def span(self) -> linalg.Echelon:
@@ -232,14 +232,10 @@ def projectability_probe(pol: Polarization, q_sections: Sequence[Section],
 
 @dataclass(frozen=True)
 class HalfDensitySection:
-    """``s (x) kappa`` with a line section and a half-density factor."""
+    """``s (x) kappa_0``: a line section against the reference half-density
+    ``kappa_0``, whose coefficient is 1 on every patch."""
 
     line: LineSection
-    kappa: AlphaDensity
-
-    def __post_init__(self):
-        if self.kappa.alpha != Fraction(1, 2):
-            raise QuantizeError("the density factor must have exponent 1/2")
 
     @property
     def atlas(self) -> BundleAtlas:
@@ -247,75 +243,73 @@ class HalfDensitySection:
 
     def combined(self, patch: str) -> ComplexExpr:
         """Coefficient against the reference half-density on one patch."""
-        return self.line[patch] * self.kappa.coeff
+        return self.line[patch]
 
     def is_zero_hsection(self) -> bool:
-        return all(is_zero(self.combined(p))
-                   for p in self.atlas.patches)
+        return self.line.is_zero_section()
 
 
 def half_density_section(atlas: BundleAtlas, patch_coeff) -> HalfDensitySection:
     """The section with coefficient ``patch_coeff`` on the first patch
     against the reference half-density."""
-    line = line_section_from_patch(atlas, atlas.patches[0], patch_coeff)
-    return _from_combined(atlas, line.coeffs)
-
-
-def _from_combined(atlas: BundleAtlas, coeffs: Mapping[str, ComplexExpr]) -> HalfDensitySection:
-    chart = atlas.dirac.chart
-    line = LineSection(atlas, dict(coeffs))
-    kappa = AlphaDensity(chart, Fraction(1, 2), ComplexExpr.of(1))
-    return HalfDensitySection(line, kappa)
+    return HalfDensitySection(
+        line_section_from_patch(atlas, atlas.patches[0], patch_coeff))
 
 
 def _delta_operator(atlas: BundleAtlas, psi: Section) -> PatchOperator:
-    """``delta_psi = rho(psi) + m_j`` with ``m_j = 2 pi i sigma_j(psi) + 1/2
-    div rho(psi)``: psi's frame coefficients are solved once per atlas."""
+    """``delta_psi``: ``nabla_psi`` shifted by ``1/2 div rho(psi)``, with
+    psi's frame coefficients solved once per atlas."""
     op = atlas.operators.get(psi)
     if op is None:
-        coeffs = dirac_complex_coefficients(atlas.dirac, psi)
-        half_div = psi.X.divergence() / 2
-        op = atlas.operators[psi] = PatchOperator(psi.X, {
-            patch: TWO_PI_I * atlas.sigma[patch].evaluate_coefficients(coeffs)
-            + half_div for patch in atlas.patches})
+        op = atlas.operators[psi] = nabla_operator(
+            atlas, psi.X, dirac_complex_coefficients(atlas.dirac, psi),
+            psi.X.divergence() / 2)
     return op
 
 
 def delta_connection(psi: Section, v: HalfDensitySection,
                      atlas: BundleAtlas) -> HalfDensitySection:
-    """``delta_psi (s (x) kappa) = (nabla_psi s) (x) kappa
-    + s (x) L_{rho(psi)} kappa`` on each patch; the image is memoized on the
-    atlas."""
-    combined = tuple(v.combined(patch) for patch in atlas.patches)
-    return _from_combined(atlas, _delta_operator(atlas, psi).image(combined))
+    """``delta_psi (s (x) kappa_0) = (nabla_psi s) (x) kappa_0
+    + s (x) L_{rho(psi)} kappa_0`` on each patch; the image is memoized on
+    the atlas."""
+    image = _delta_operator(atlas, psi).image(v.line)
+    return HalfDensitySection(LineSection(atlas, image))
+
+
+def _fhat_halfdensity_operator(atlas: BundleAtlas, complement: ComplementH,
+                               f) -> PatchOperator:
+    """``fhat_f`` shifted by ``-L_{H_f} kappa_0 / kappa_0``, kept on the
+    atlas once its multipliers match those of ``-delta_{(H_f, df)} - 2 pi i
+    f`` on every patch.  Both act by the field ``-H_f``, so the two then
+    agree on every section; a mismatch is raised and nothing is kept."""
+    key = ("half-density", complement, f)
+    op = atlas.operators.get(key)
+    if op is None:
+        dirac = atlas.dirac
+        h_f, coeffs = hamiltonian_H(dirac, complement, f)
+        kappa_0 = AlphaDensity(dirac.chart, Fraction(1, 2), ComplexExpr.of(1))
+        transport = lie_derivative_density(h_f, kappa_0).coeff  # over kappa_0 = 1
+        op = nabla_operator(atlas, -h_f, tuple(-c for c in coeffs),
+                            -TWO_PI_I * f - transport)
+        delta = _delta_operator(atlas, Section(h_f, differential(dirac, f)))
+        for patch in atlas.patches:
+            if not is_zero(op.multipliers[patch] + delta.multipliers[patch]
+                           + TWO_PI_I * f):
+                raise QuantizeError("tensor-split operator disagrees with "
+                                    "the delta-connection form")
+        atlas.operators[key] = op
+    return op
 
 
 def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
                      v: HalfDensitySection) -> HalfDensitySection:
-    """``fhat (s (x) kappa) = (fhat s) (x) kappa - s (x) L_{H_f} kappa``,
-    verified against ``-delta_{(H_f, df)} - 2 pi i f``; the image is
-    memoized on the atlas once the two agree."""
-    f = as_expr(f)
-    dirac = atlas.dirac
-    images = fhat_operator(atlas, complement, f).halfdensity_images
-    key = (tuple(v.line[p] for p in atlas.patches), v.kappa)
-    route_a = images.get(key)
-    if route_a is not None:
-        return _from_combined(atlas, route_a)
-    h_f, _ = hamiltonian_H(dirac, complement, f)
-    fhat_line = prequant_operator(f, atlas, complement, v.line)
-    l_kappa = lie_derivative_density(h_f, v.kappa)
-    route_a = {p: fhat_line[p] * v.kappa.coeff - v.line[p] * l_kappa.coeff
-               for p in atlas.patches}
-    psi = Section(h_f, differential(dirac, f))
-    delta = delta_connection(psi, v, atlas)
-    for p in atlas.patches:
-        route_b = -delta.combined(p) - TWO_PI_I * (ComplexExpr.of(f) * v.combined(p))
-        if not is_zero(route_a[p] - route_b):
-            raise QuantizeError(
-                "tensor-split operator disagrees with the delta-connection form")
-    images[key] = route_a
-    return _from_combined(atlas, route_a)
+    """``fhat (s (x) kappa_0) = (fhat s) (x) kappa_0 - s (x) L_{H_f}
+    kappa_0``, built once per atlas, complement and ``f`` and verified
+    against ``-delta_{(H_f, df)} - 2 pi i f``; the image is memoized on the
+    atlas."""
+    atlas.validate()
+    image = _fhat_halfdensity_operator(atlas, complement, as_expr(f)).image(v.line)
+    return HalfDensitySection(LineSection(atlas, image))
 
 
 def lemma51_residual(psi: Section, f, v: HalfDensitySection,
@@ -335,7 +329,7 @@ def lemma51_residual(psi: Section, f, v: HalfDensitySection,
     correction = delta_connection(courant_bracket(psi, section_f), v, atlas)
     total = {p: lhs.combined(p) - rhs.combined(p) + correction.combined(p)
              for p in atlas.patches}
-    return _from_combined(atlas, total)
+    return HalfDensitySection(LineSection(atlas, total))
 
 
 def selfadjoint_integrand(f, v1: HalfDensitySection, v2: HalfDensitySection,

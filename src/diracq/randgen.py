@@ -31,15 +31,13 @@ def rng_for(seed: int, label: str) -> random.Random:
 
 
 def random_polynomial(rng: random.Random, chart: Chart, degree: int = 3,
-                      terms: int = 3, bound: int = 5,
-                      use_params: bool = False) -> Expr:
-    """Small random polynomial in the chart coordinates (and optionally the
-    parameters), integer coefficients, total degree bounded."""
-    symbols = [Expr(s) for s in
-               chart.coords + (chart.params if use_params else ())]
+                      terms: int = 3) -> Expr:
+    """Small random polynomial in the chart coordinates, nonzero integer
+    coefficients in ``[-5, 5]``, total degree bounded."""
+    symbols = [Expr(s) for s in chart.coords]
     out = ZERO
     for _ in range(terms):
-        coeff = rng.randint(-bound, bound)
+        coeff = rng.randint(-5, 5)
         if coeff == 0:
             coeff = 1
         monomial = as_expr(coeff)

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from diracq.chart import Chart, KForm, KVector
 from diracq.dirac import graph_presymplectic, graph_poisson
 from diracq.expr import Expr
+
+# ``pythonpath`` in pyproject.toml puts the source tree on this process's
+# path; the CLI processes that some tests start find it here.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

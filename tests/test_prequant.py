@@ -21,7 +21,6 @@ from diracq.prequant import (
     IntegralityError,
     LineSection,
     build_prequantization,
-    covariant_scalar,
     curvature_2section,
     dirac_chern_check,
     hermitian_check,
@@ -220,8 +219,9 @@ class TestMemos:
         again = prequant_operator(q, std_atlas, std_complement, s)
         assert again.coeffs == first.coeffs
         h_q, coeffs = hamiltonian_H(standard_dirac, std_complement, q)
-        expected = -covariant_scalar(std_atlas, "U", h_q, coeffs, z) \
-            - TWO_PI_I * (ComplexExpr.of(q) * z)
+        nabla = ComplexExpr.of(h_q.apply(z)) \
+            + TWO_PI_I * (std_atlas.sigma["U"].evaluate_coefficients(coeffs) * z)
+        expected = -nabla - TWO_PI_I * (ComplexExpr.of(q) * z)
         assert is_zero(first["U"] - expected)
         fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
                             hermitian=True)
@@ -251,6 +251,18 @@ class TestMemos:
         assert not result.ok and prequant_condition(doubled) is result
         assert doubled.condition is result
         assert lambda_Dform(standard_dirac) is standard_dirac.lambda_form
+
+    def test_validation_is_not_a_constructor_argument(self, std_atlas,
+                                                      standard_dirac):
+        with pytest.raises(TypeError):
+            BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
+                        hermitian=True, _validated=True)
+        fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
+                            hermitian=True)
+        assert std_atlas._validated and not fresh._validated
+        assert std_atlas == std_atlas and fresh == std_atlas
+        fresh.validate()
+        assert fresh == fresh and fresh == std_atlas
 
     def test_a_failed_condition_is_raised_again(self, standard_dirac, r2):
         atlas = BundleAtlas(standard_dirac, ("U", "V"),
@@ -286,6 +298,37 @@ class TestHermitian:
         s2 = line_section_from_patch(atlas, "U", ComplexExpr(q * p, as_expr(1)))
         residuals = hermitian_check(atlas, std_complement, p, s1, s2)
         assert not all(is_zero(v) for v in residuals.values())
+
+    @staticmethod
+    def _by_definition(atlas, complement, f, s1, s2):
+        """``H_f h(s1, s2) - h(nabla s1, s2) - h(s1, nabla s2)`` with
+        ``nabla = nabla_{(H_f, df)}``, written out patch by patch."""
+        h_f, coeffs = hamiltonian_H(atlas.dirac, complement, f)
+        out = {}
+        for patch in atlas.patches:
+            z1, z2 = s1[patch], s2[patch]
+            sigma = atlas.sigma[patch].evaluate_coefficients(coeffs)
+            n1, n2 = (ComplexExpr.of(h_f.apply(z)) + TWO_PI_I * (sigma * z)
+                      for z in (z1, z2))
+            out[patch] = ComplexExpr.of(h_f.apply(z1.conj() * z2)) \
+                - n1.conj() * z2 - z1.conj() * n2
+        return out
+
+    def test_residuals_equal_the_definition(self, std_atlas, standard_dirac,
+                                            std_complement, r2):
+        pres = dirac_presentation(standard_dirac)
+        q, p = (Expr(s) for s in r2.coords)
+        imaginary = BundleAtlas(standard_dirac, ("U",), {},
+                                {"U": AForm(pres, 1, {(0,): ComplexExpr(-p, q)})},
+                                hermitian=True)
+        for atlas in (std_atlas, imaginary):
+            s1 = line_section_from_patch(atlas, "U", ComplexExpr(q, p))
+            s2 = line_section_from_patch(atlas, "U", ComplexExpr(q * p, as_expr(1)))
+            for f in (p, q * p + q):
+                residuals = hermitian_check(atlas, std_complement, f, s1, s2)
+                expected = self._by_definition(atlas, std_complement, f, s1, s2)
+                assert set(residuals) == set(expected)
+                assert all(is_zero(residuals[k] - expected[k]) for k in expected)
 
     def test_same_section_constant_function(self, std_atlas, std_complement):
         s = line_section_from_patch(std_atlas, "U", ComplexExpr.of(2))

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from diracq import quantize
-from diracq.algebroid import AForm, dirac_presentation, rho_pullback_form
+from diracq.algebroid import AForm, d_A, dirac_presentation, rho_pullback_form
 from diracq.chart import (
     AlphaDensity,
     Chart,
@@ -30,8 +30,8 @@ from diracq.expr import (
     equal,
     is_zero,
 )
-from diracq.hamiltonian import default_complement
-from diracq.prequant import TWO_PI_I, BundleAtlas
+from diracq.hamiltonian import default_complement, differential, hamiltonian_H
+from diracq.prequant import TWO_PI_I, BundleAtlas, build_prequantization
 from diracq.quantize import (
     Polarization,
     QuantizeError,
@@ -106,6 +106,15 @@ class TestPolarizationCheck:
         report = polarization_check(holomorphic_polarization)
         assert report.isotropy_ok and report.involutive_ok
         assert report.q_rank == 0
+
+    def test_report_is_not_a_constructor_argument(self, horizontal_polarization):
+        pol = horizontal_polarization
+        with pytest.raises(TypeError):
+            Polarization(pol.dirac, pol.complement, pol.frame,
+                         _report=polarization_check(pol))
+        report = pol.check()
+        assert pol.check() is report
+        assert pol == Polarization(pol.dirac, pol.complement, pol.frame)
 
     def test_complex_lambda_bilinear(self, standard_dirac):
         e1, e2 = standard_dirac.frame
@@ -339,6 +348,7 @@ class TestMemos:
         for _ in range(2):
             with pytest.raises(QuantizeError, match="tensor-split"):
                 fhat_halfdensity(q, std_atlas, std_complement, v)
+        assert ("half-density", std_complement, q) not in std_atlas.operators
         calls = []
 
         def counted(x, kappa):
@@ -348,10 +358,41 @@ class TestMemos:
         monkeypatch.setattr(quantize, "lie_derivative_density", counted)
         for _ in range(2):
             fhat_halfdensity(q, std_atlas, std_complement, v)
-        assert len(calls) == 1           # one cross-check for one input
+        assert len(calls) == 1           # one cross-check for one operator
         fhat_halfdensity(q, std_atlas, std_complement,
                          half_density_section(std_atlas, 1))
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+    def test_halfdensity_operator_is_built_once_per_function(
+            self, standard_dirac, std_complement, r2):
+        pres = dirac_presentation(standard_dirac)
+        q, p = (Expr(c) for c in r2.coords)
+        base = rho_pullback_form(r2.basis_covector(0).scale(-p), standard_dirac)
+        atlas = build_prequantization(
+            standard_dirac, ["U1", "U2", "U3"],
+            {"U1": base, "U2": base - d_A(q, pres), "U3": base},
+            {("U1", "U2"): q, ("U2", "U3"): -q, ("U1", "U3"): as_expr(0)})
+        sections = [half_density_section(atlas, ComplexExpr(q * p, q + 1)),
+                    half_density_section(atlas, 1)]
+        for f in (q, p, q * p + p ** 2):
+            key = ("half-density", std_complement, f)
+            fhat_halfdensity(f, atlas, std_complement, sections[0])
+            op = atlas.operators[key]
+            fhat_halfdensity(f, atlas, std_complement, sections[1])
+            assert atlas.operators[key] is op and len(op.images) == 2
+            h_f, coeffs = hamiltonian_H(standard_dirac, std_complement, f)
+            assert op.rho == -h_f
+            delta = atlas.operators[Section(h_f, differential(standard_dirac, f))]
+            for patch in atlas.patches:
+                by_definition = -(TWO_PI_I * atlas.sigma[patch]
+                                  .evaluate_coefficients(coeffs)
+                                  + h_f.divergence() / 2) - TWO_PI_I * f
+                assert is_zero(op.multipliers[patch] - by_definition)
+                assert is_zero(op.multipliers[patch]
+                               - (-delta.multipliers[patch] - TWO_PI_I * f))
+        assert sum(k[0] == "half-density" for k in atlas.operators
+                   if isinstance(k, tuple)) == 3
 
 
 class TestSelfAdjoint:
