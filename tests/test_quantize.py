@@ -363,7 +363,6 @@ class TestMemos:
                          half_density_section(std_atlas, 1))
         assert len(calls) == 1
 
-
     def test_halfdensity_operator_is_built_once_per_function(
             self, standard_dirac, std_complement, r2):
         pres = dirac_presentation(standard_dirac)
