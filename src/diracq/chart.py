@@ -83,13 +83,6 @@ class Chart:
     def coords(self) -> tuple[sp.Symbol, ...]:
         return tuple(symbol(n) for n in self.coord_names)
 
-    @property
-    def params(self) -> tuple[sp.Symbol, ...]:
-        return tuple(symbol(n) for n in self.param_names)
-
-    def coordinate(self, i: int) -> sp.Symbol:
-        return self.coords[i]
-
     def diff(self, e: Expr, name: Union[str, sp.Symbol]) -> Expr:
         sym = symbol(name) if isinstance(name, str) else name
         if str(sym) not in self.coord_names:
@@ -435,7 +428,7 @@ def exterior_derivative(phi: KForm) -> KForm:
             if found is None:
                 continue
             merged, sign = found
-            term = c.diff(chart.coordinate(i))
+            term = c.diff(chart.coords[i])
             out[merged] = out.get(merged, ZERO) + (term if sign > 0 else -term)
     return KForm(chart, phi.degree + 1, out)
 

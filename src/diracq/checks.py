@@ -453,6 +453,18 @@ def _atlas_built(r, ctx):
     return (False, atlas) if isinstance(atlas, str) else (True, None)
 
 
+def _curvature_fails(check) -> Callable:
+    """A row that fails, with the error as its witness, when the atlas has
+    no curvature 2-section (it differs between patches, or it is not real
+    on a Hermitian atlas)."""
+    def row(r, ctx):
+        try:
+            return check(r, ctx)
+        except AtlasError as err:
+            return False, str(err)
+    return row
+
+
 def _condition(r, ctx):
     condition = prequant_condition(r.atlas())
     return condition.ok, None if condition.ok else "; ".join(
@@ -501,11 +513,11 @@ def _hermitian(r, ctx):
 _PREQUANT = (
     _needs("prequant", "atlas_or_failure"),
     Row("prequant/atlas", _atlas_built, ends=True),
-    Row("prequant/curvature-patch-independent",
-        lambda r, ctx: curvature_2section(r.atlas()) is not None),
+    Row("prequant/curvature-patch-independent", _curvature_fails(
+        lambda r, ctx: curvature_2section(r.atlas()) is not None)),
     Row("prequant/lambda-closed",
         lambda r, ctx: lambda_Dform(r.dirac()) is not None),
-    Row("prequant/condition", _condition),
+    Row("prequant/condition", _curvature_fails(_condition)),
     Row("prequant/commutator", _commutator),
     Row("prequant/hermitian-identity", _hermitian),
 )
@@ -551,7 +563,7 @@ def _lemma51(r, ctx):
         for psi in r.polarization().frame:
             for v in r.halfdensity_sections().values():
                 if not lemma51_residual(psi, f, v, r.atlas(),
-                                        r.complement()).is_zero_hsection():
+                                        r.complement()).is_zero_section():
                     return False, f"residual for f={f}"
     return True
 
@@ -594,7 +606,8 @@ def _quadrature(r, ctx):
 _QUANTIZE = (
     _needs("quantize", "atlas", "polarization", "halfdensity_sections",
            "complement"),
-    Row("quantize/prequantizable", _prequantizable, ends=True),
+    Row("quantize/prequantizable", _curvature_fails(_prequantizable),
+        ends=True),
     Row("quantize/lemma51", _some_member, ends=True),  # skips all four
     Row("quantize/lemma51", _lemma51),
     Row("quantize/selfadjoint-integrand", _selfadjoint),

@@ -82,11 +82,13 @@ class BundleAtlas:
     - ``operators``: the :class:`PatchOperator` of ``fhat_f`` under
       ``(complement, f)``, of ``delta_psi`` under the section ``psi``, and of
       ``fhat_f`` on half-density coefficients under
-      ``("half-density", complement, f)``, each with the images it has
-      computed.
+      ``("half-density", complement, f)``, each with the coefficients of
+      the images it has computed.
 
     Two atlases never share an operator or an image, even over one structure
-    and one complement.  The memos take the atlas as fixed once built.
+    and one complement.  The memos take the atlas as fixed once built.  They
+    hold no reference back to the atlas, so an atlas is freed by reference
+    counting alone.
     """
 
     dirac: DiracStructure
@@ -313,8 +315,12 @@ def prequant_condition(atlas: BundleAtlas) -> PrequantResult:
 class PatchOperator:
     """The first-order operator ``z -> rho(z) + m_j z`` on the coefficient of
     patch ``j``: a vector field ``rho`` and one multiplier per patch (in
-    patch order), built by :func:`nabla_operator`.  ``images`` maps
-    coefficients in patch order to their images."""
+    patch order), built by :func:`nabla_operator`.
+
+    ``images`` maps coefficients in patch order to the coefficients of their
+    images.  It keeps coefficients only, and the operator keeps no reference
+    to its atlas: a section in the memo would point back at the atlas that
+    holds the operator, and every atlas would become cyclic garbage."""
 
     __slots__ = ("rho", "multipliers", "images")
 
@@ -322,16 +328,16 @@ class PatchOperator:
         self.rho, self.multipliers = rho, multipliers
         self.images: dict = {}
 
-    def image(self, section: LineSection) -> dict:
-        """``{patch: rho(z) + m_patch z}`` for the coefficients ``z`` of
-        ``section``."""
+    def image(self, atlas: BundleAtlas, section: LineSection) -> LineSection:
+        """The section of ``atlas`` with coefficients ``rho(z) + m_patch z``
+        for the coefficients ``z`` of ``section``."""
         coeffs = tuple(section[patch] for patch in self.multipliers)
         out = self.images.get(coeffs)
         if out is None:
             out = self.images[coeffs] = {
                 patch: ComplexExpr.of(self.rho.apply(z)) + m * z
                 for (patch, m), z in zip(self.multipliers.items(), coeffs)}
-        return out
+        return LineSection(atlas, out)
 
 
 def nabla_operator(atlas: BundleAtlas, rho, frame_coeffs,
@@ -363,8 +369,7 @@ def prequant_operator(f, atlas: BundleAtlas, complement: ComplementH,
     """``fhat s = -nabla_{(H_f, df)} s - 2 pi i f s`` patch by patch, a
     section of ``atlas``; the image is memoized on the atlas."""
     atlas.validate()
-    op = fhat_operator(atlas, complement, as_expr(f))
-    return LineSection(atlas, op.image(section))
+    return fhat_operator(atlas, complement, as_expr(f)).image(atlas, section)
 
 
 def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
@@ -378,7 +383,7 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
         raise AtlasError("no Hermitian metric attached")
     h_f, coeffs = hamiltonian_H(atlas.dirac, complement, as_expr(f))
     nabla = nabla_operator(atlas, h_f, coeffs)
-    n1, n2 = nabla.image(s1), nabla.image(s2)
+    n1, n2 = nabla.image(atlas, s1), nabla.image(atlas, s2)
     out = {}
     for patch in atlas.patches:
         z1, z2 = s1[patch], s2[patch]

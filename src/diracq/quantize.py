@@ -60,7 +60,6 @@ from .prequant import (
 __all__ = [
     "Polarization",
     "PolarizationReport",
-    "HalfDensitySection",
     "QuantizeError",
     "polarization_check",
     "sp_membership",
@@ -230,30 +229,11 @@ def projectability_probe(pol: Polarization, q_sections: Sequence[Section],
 # half-density sections and the delta connection
 
 
-@dataclass(frozen=True)
-class HalfDensitySection:
-    """``s (x) kappa_0``: a line section against the reference half-density
-    ``kappa_0``, whose coefficient is 1 on every patch."""
-
-    line: LineSection
-
-    @property
-    def atlas(self) -> BundleAtlas:
-        return self.line.atlas
-
-    def combined(self, patch: str) -> ComplexExpr:
-        """Coefficient against the reference half-density on one patch."""
-        return self.line[patch]
-
-    def is_zero_hsection(self) -> bool:
-        return self.line.is_zero_section()
-
-
-def half_density_section(atlas: BundleAtlas, patch_coeff) -> HalfDensitySection:
-    """The section with coefficient ``patch_coeff`` on the first patch
-    against the reference half-density."""
-    return HalfDensitySection(
-        line_section_from_patch(atlas, atlas.patches[0], patch_coeff))
+def half_density_section(atlas: BundleAtlas, patch_coeff) -> LineSection:
+    """The section ``s (x) kappa_0`` with coefficient ``patch_coeff`` on the
+    first patch, given by its line coefficients against the reference
+    half-density ``kappa_0``, whose coefficient is 1 on every patch."""
+    return line_section_from_patch(atlas, atlas.patches[0], patch_coeff)
 
 
 def _delta_operator(atlas: BundleAtlas, psi: Section) -> PatchOperator:
@@ -267,13 +247,12 @@ def _delta_operator(atlas: BundleAtlas, psi: Section) -> PatchOperator:
     return op
 
 
-def delta_connection(psi: Section, v: HalfDensitySection,
-                     atlas: BundleAtlas) -> HalfDensitySection:
+def delta_connection(psi: Section, v: LineSection,
+                     atlas: BundleAtlas) -> LineSection:
     """``delta_psi (s (x) kappa_0) = (nabla_psi s) (x) kappa_0
     + s (x) L_{rho(psi)} kappa_0`` on each patch; the image is memoized on
     the atlas."""
-    image = _delta_operator(atlas, psi).image(v.line)
-    return HalfDensitySection(LineSection(atlas, image))
+    return _delta_operator(atlas, psi).image(atlas, v)
 
 
 def _fhat_halfdensity_operator(atlas: BundleAtlas, complement: ComplementH,
@@ -302,18 +281,18 @@ def _fhat_halfdensity_operator(atlas: BundleAtlas, complement: ComplementH,
 
 
 def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
-                     v: HalfDensitySection) -> HalfDensitySection:
+                     v: LineSection) -> LineSection:
     """``fhat (s (x) kappa_0) = (fhat s) (x) kappa_0 - s (x) L_{H_f}
     kappa_0``, built once per atlas, complement and ``f`` and verified
     against ``-delta_{(H_f, df)} - 2 pi i f``; the image is memoized on the
     atlas."""
     atlas.validate()
-    image = _fhat_halfdensity_operator(atlas, complement, as_expr(f)).image(v.line)
-    return HalfDensitySection(LineSection(atlas, image))
+    op = _fhat_halfdensity_operator(atlas, complement, as_expr(f))
+    return op.image(atlas, v)
 
 
-def lemma51_residual(psi: Section, f, v: HalfDensitySection,
-                     atlas: BundleAtlas, complement: ComplementH) -> HalfDensitySection:
+def lemma51_residual(psi: Section, f, v: LineSection,
+                     atlas: BundleAtlas, complement: ComplementH) -> LineSection:
     """``delta_psi(fhat v) - fhat(delta_psi v) + delta_{[[psi,(H_f,df)]]} v``;
     requires the prequantization condition (the hypothesis of the identity)."""
     if not prequant_condition(atlas).ok:
@@ -327,12 +306,10 @@ def lemma51_residual(psi: Section, f, v: HalfDensitySection,
     lhs = delta_connection(psi, fhat_halfdensity(f, atlas, complement, v), atlas)
     rhs = fhat_halfdensity(f, atlas, complement, delta_connection(psi, v, atlas))
     correction = delta_connection(courant_bracket(psi, section_f), v, atlas)
-    total = {p: lhs.combined(p) - rhs.combined(p) + correction.combined(p)
-             for p in atlas.patches}
-    return HalfDensitySection(LineSection(atlas, total))
+    return lhs - rhs + correction
 
 
-def selfadjoint_integrand(f, v1: HalfDensitySection, v2: HalfDensitySection,
+def selfadjoint_integrand(f, v1: LineSection, v2: LineSection,
                           atlas: BundleAtlas, complement: ComplementH) -> AlphaDensity:
     """The pointwise 1-density behind formal self-adjointness, on the first
     patch: ``<fhat v1, v2> + <v1, fhat v2> + L_{H_f}(h(s1,s2) conj(k1) k2)``."""
@@ -344,9 +321,9 @@ def selfadjoint_integrand(f, v1: HalfDensitySection, v2: HalfDensitySection,
     chart = dirac.chart
     patch = atlas.patches[0]
     h_f, _ = hamiltonian_H(dirac, complement, f)
-    w1, w2 = v1.combined(patch), v2.combined(patch)
-    f1 = fhat_halfdensity(f, atlas, complement, v1).combined(patch)
-    f2 = fhat_halfdensity(f, atlas, complement, v2).combined(patch)
+    w1, w2 = v1[patch], v2[patch]
+    f1 = fhat_halfdensity(f, atlas, complement, v1)[patch]
+    f2 = fhat_halfdensity(f, atlas, complement, v2)[patch]
     pairing_density = AlphaDensity(chart, Fraction(1), w1.conj() * w2)
     transport = lie_derivative_density(h_f, pairing_density)
     coeff = f1.conj() * w2 + w1.conj() * f2 + transport.coeff
@@ -355,14 +332,14 @@ def selfadjoint_integrand(f, v1: HalfDensitySection, v2: HalfDensitySection,
 
 def hzero_invariance_probe(pol: Polarization, atlas: BundleAtlas,
                            complement: ComplementH, f,
-                           v: HalfDensitySection) -> tuple[bool, bool]:
+                           v: LineSection) -> tuple[bool, bool]:
     """(candidate is flat along the polarization, image stays flat)."""
-    flat = all(delta_connection(psi, v, atlas).is_zero_hsection()
+    flat = all(delta_connection(psi, v, atlas).is_zero_section()
                for psi in pol.frame)
     if not flat:
         return False, False
     image = fhat_halfdensity(as_expr(f), atlas, complement, v)
-    invariant = all(delta_connection(psi, image, atlas).is_zero_hsection()
+    invariant = all(delta_connection(psi, image, atlas).is_zero_section()
                     for psi in pol.frame)
     return True, invariant
 

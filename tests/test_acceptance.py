@@ -352,7 +352,7 @@ def test_criterion_7_quantization_layer():
     for f in functions:
         for v in densities:
             residual = lemma51_residual(psi, f, v, atlas, complement)
-            assert residual.is_zero_hsection(), f"commutation residual for f={f}"
+            assert residual.is_zero_section(), f"commutation residual for f={f}"
     for f in functions:
         for v1, v2 in zip(densities, densities[1:]):
             density = selfadjoint_integrand(f, v1, v2, atlas, complement)
@@ -415,6 +415,7 @@ def test_criterion_9_cli_determinism():
                  "--suite", "all", "--seed", "7", "--json"],
                 capture_output=True, check=False)
             assert proc.returncode in (0, 1), proc.stderr.decode()
+            assert proc.stdout, proc.stderr.decode()  # a report was written
             json.loads(proc.stdout)  # well-formed
             outputs[path.name] = proc.stdout
         elapsed = time.monotonic() - start

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -355,3 +356,44 @@ def test_deterministic_json(capsys):
                             "--suite", "all", "--seed", "7", "--json")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+NON_REAL_CURVATURE = """\
+chart M dim 2 coords q p
+form omega = dq /\\ dp
+dirac D = graph_presymplectic(omega)
+complement H = auto
+patch U
+sigma U = dcoeffs(0, i*q)
+hermitian
+polarization P = span((d_p, -dq))
+halfdensity v1 = 1
+"""
+
+
+def test_non_real_curvature_is_a_fail_not_an_error():
+    """A Hermitian atlas whose curvature is not real fails every row that
+    needs the curvature, with the reason as its witness."""
+    model = parse_model(NON_REAL_CURVATURE)
+    checks = run_checks(model, suites=list(SUITES), seed=7, trials=6).checks
+    records = {c.name: c for c in checks}
+    for name in ("prequant/curvature-patch-independent", "prequant/condition",
+                 "quantize/prequantizable"):
+        assert (records[name].status, records[name].witness) == \
+            ("fail", "Hermitian atlas produced a non-real curvature"), name
+    assert not any(c.status == "error" for c in checks)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.dq")),
+                         ids=lambda path: path.stem)
+def test_checks_leave_no_cyclic_garbage(path):
+    """The memos on an atlas keep coefficients and no reference back to the
+    atlas, so a run leaves nothing for the cycle collector."""
+    model = parse_model(path.read_text(), name=path.stem)
+    gc.collect()
+    gc.disable()             # no automatic pass may collect a cycle first
+    try:
+        run_checks(model, seed=7, trials=6)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0

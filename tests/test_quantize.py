@@ -196,7 +196,7 @@ class TestDeltaConnection:
                             {"U": AForm(pres, 1, {})}, hermitian=True)
         v = half_density_section(atlas, 1)
         psi = standard_dirac.frame[0]
-        assert delta_connection(psi, v, atlas).is_zero_hsection()
+        assert delta_connection(psi, v, atlas).is_zero_section()
 
     def test_zero_anchor_zero_sigma(self, standard_dirac, r2):
         pres = dirac_presentation(standard_dirac)
@@ -205,7 +205,7 @@ class TestDeltaConnection:
         # (0, xi) with anchor zero only lies in D for xi = 0 here
         psi = zero_section(r2)
         v = half_density_section(atlas, ComplexExpr.of(Expr(r2.coords[0])))
-        assert delta_connection(psi, v, atlas).is_zero_hsection()
+        assert delta_connection(psi, v, atlas).is_zero_section()
 
     def test_function_scaling_leibniz(self, std_atlas, standard_dirac, r2):
         rng = rng_for(50, "delta")
@@ -214,10 +214,10 @@ class TestDeltaConnection:
             u = random_polynomial(rng, r2, 2, 2)
             v = half_density_section(std_atlas,
                                      ComplexExpr.of(random_polynomial(rng, r2, 2, 2)))
-            scaled = half_density_section(std_atlas, ComplexExpr.of(u) * v.combined("U"))
-            lhs = delta_connection(psi, scaled, std_atlas).combined("U")
-            rhs = ComplexExpr.of(u) * delta_connection(psi, v, std_atlas).combined("U") \
-                + psi.X.apply(u) * v.combined("U")
+            scaled = half_density_section(std_atlas, ComplexExpr.of(u) * v["U"])
+            lhs = delta_connection(psi, scaled, std_atlas)["U"]
+            rhs = ComplexExpr.of(u) * delta_connection(psi, v, std_atlas)["U"] \
+                + psi.X.apply(u) * v["U"]
             assert is_zero(lhs - rhs)
 
 
@@ -227,7 +227,7 @@ class TestFhat:
         v = half_density_section(std_atlas, 1)
         out = fhat_halfdensity(as_expr(2), std_atlas, std_complement, v)
         expected = ComplexExpr(as_expr(0), Expr(-4 * sp.pi))
-        assert is_zero(out.combined("U") - expected)
+        assert is_zero(out["U"] - expected)
 
     def test_position_function(self, std_atlas, std_complement, r2):
         import sympy as sp
@@ -235,7 +235,7 @@ class TestFhat:
         v = half_density_section(std_atlas, 1)
         out = fhat_halfdensity(q, std_atlas, std_complement, v)
         expected = ComplexExpr(as_expr(0), Expr(-2 * sp.pi * r2.coords[0]))
-        assert is_zero(out.combined("U") - expected)
+        assert is_zero(out["U"] - expected)
 
     def test_commutator_matches_bracket(self, std_atlas, std_complement,
                                         standard_dirac, r2):
@@ -251,7 +251,7 @@ class TestFhat:
             p, std_atlas, std_complement,
             fhat_halfdensity(q, std_atlas, std_complement, v))
         rhs = fhat_halfdensity(fg, std_atlas, std_complement, v)
-        residual = {pp: lhs_qp.combined(pp) - lhs_pq.combined(pp) - rhs.combined(pp)
+        residual = {pp: lhs_qp[pp] - lhs_pq[pp] - rhs[pp]
                     for pp in std_atlas.patches}
         assert all(is_zero(z) for z in residual.values())
 
@@ -264,7 +264,7 @@ class TestLemma51:
         psi = Section(h_q, differential(standard_dirac, q))
         v = half_density_section(std_atlas, ComplexExpr.of(Expr(r2.coords[1])))
         residual = lemma51_residual(psi, q, v, std_atlas, std_complement)
-        assert residual.is_zero_hsection()
+        assert residual.is_zero_section()
 
     def test_frame_section_momentum(self, std_atlas, std_complement,
                                     standard_dirac, r2):
@@ -272,7 +272,7 @@ class TestLemma51:
         v = half_density_section(std_atlas, 1)
         residual = lemma51_residual(psi, Expr(r2.coords[1]), v, std_atlas,
                                     std_complement)
-        assert residual.is_zero_hsection()
+        assert residual.is_zero_section()
 
     def test_refuses_without_condition(self, standard_dirac, std_complement, r2):
         p = Expr(r2.coords[1])
@@ -301,17 +301,17 @@ class TestMemos:
         psi = standard_dirac.frame[1]
         fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
                             hermitian=True)
-        w = half_density_section(fresh, v.combined("U"))
+        w = half_density_section(fresh, v["U"])
         for _ in range(2):
-            assert delta_connection(psi, v, std_atlas).combined("U") \
-                == delta_connection(psi, w, fresh).combined("U")
-            assert fhat_halfdensity(q, std_atlas, std_complement, v).combined("U") \
-                == fhat_halfdensity(q, fresh, std_complement, w).combined("U")
-        expected = ComplexExpr.of(psi.X.apply(v.combined("U"))) \
+            assert delta_connection(psi, v, std_atlas)["U"] \
+                == delta_connection(psi, w, fresh)["U"]
+            assert fhat_halfdensity(q, std_atlas, std_complement, v)["U"] \
+                == fhat_halfdensity(q, fresh, std_complement, w)["U"]
+        expected = ComplexExpr.of(psi.X.apply(v["U"])) \
             + TWO_PI_I * (std_atlas.sigma["U"].evaluate_coefficients((0, 1))
-                          * v.combined("U")) \
-            + psi.X.divergence() / 2 * v.combined("U")
-        assert is_zero(delta_connection(psi, v, std_atlas).combined("U")
+                          * v["U"]) \
+            + psi.X.divergence() / 2 * v["U"]
+        assert is_zero(delta_connection(psi, v, std_atlas)["U"]
                        - expected)
 
     def test_atlases_over_one_structure_share_nothing(
@@ -320,8 +320,8 @@ class TestMemos:
         p = Expr(r2.coords[1])             # sigma(H_p, dp) is not zero
         psi = standard_dirac.frame[0]
         ours, theirs = (
-            (delta_connection(psi, v, atlas).combined("U"),
-             fhat_halfdensity(p, atlas, std_complement, v).combined("U"))
+            (delta_connection(psi, v, atlas)["U"],
+             fhat_halfdensity(p, atlas, std_complement, v)["U"])
             for atlas, v in ((a, half_density_section(a, 1))
                              for a in (std_atlas, doubled)))
         assert not is_zero(ours[0] - theirs[0])
