@@ -33,7 +33,7 @@ from .dirac import (
     graph_poisson,
     graph_presymplectic,
     omega_on_frame,
-    pi_sharp_on_frame,
+    pi_sharp_morphism,
     regular_distribution,
 )
 from .dsl import SUITES, Model
@@ -44,9 +44,9 @@ from .hamiltonian import (
     bracket_omega,
     bracket_prime,
     default_complement,
-    differential,
     field_residual,
     jacobiator,
+    kills_tangent_kernel,
 )
 from .prequant import (
     AtlasError,
@@ -67,7 +67,6 @@ from .quantize import (
     integrate_density,
     lemma51_residual,
     projectability_probe,
-    q_bundle,
     selfadjoint_integrand,
     sp_membership,
 )
@@ -369,7 +368,7 @@ _DIRAC = (
     Row("dirac/omega-cocycle",
         lambda r, ctx: omega_on_frame(r.dirac()) is not None),
     Row("dirac/pi-sharp-morphism",
-        lambda r, ctx: pi_sharp_on_frame(r.dirac()).verify_morphism()),
+        lambda r, ctx: pi_sharp_morphism(r.dirac())),
 )
 
 
@@ -417,10 +416,8 @@ def _field_identity(r, ctx):
 
 
 def _kernel_shift(r, ctx):
-    kernel = r.dirac().tangent_kernel_fields()
     for f, _g, _h in _law_triples(r, ctx):
-        dform = differential(r.dirac(), f)
-        if not all(is_zero(dform.evaluate([v])) for v in kernel):
+        if not kills_tangent_kernel(r.dirac(), f):
             return False, f"df does not kill D^TM for f={f}"
     return True
 
@@ -525,9 +522,9 @@ _PREQUANT = (
 
 def _q_probe(r, ctx):
     members = list(r.sp_members().values())
-    sections = q_bundle(r.polarization())
-    ok, witness = projectability_probe(r.polarization(), sections, members)
-    return ok, witness or f"rank {len(sections)}"
+    pol = r.polarization()
+    ok, witness = projectability_probe(pol, members)
+    return ok, witness or f"rank {len(pol.q_bundle)}"
 
 
 def _on_polarization(fn) -> Callable:

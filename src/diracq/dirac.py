@@ -2,11 +2,12 @@
 structures on a chart with their verification machinery.
 
 A Dirac structure is presented by a frame of ``n = dim M`` sections spanning
-it generically.  Verification checks isotropy of the symmetric pairing,
-generic rank, closure of the frame under the Courant bracket (via membership
-certificates), and the integrability identity on frame triples.  Rank and
-membership are generic-point statements; pivot loci where they may degenerate
-are reported, not handled fiberwise.
+it generically; it builds its factored spans and its two kernels,
+``V = D n TM`` and ``D n T*M``, once each.  Verification checks isotropy of
+the symmetric pairing, generic rank, closure of the frame under the Courant
+bracket (via :func:`membership`), and the integrability identity on frame
+triples.  Rank and membership are generic-point statements; pivot loci where
+they may degenerate are reported, not handled fiberwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .expr import Expr, ExprError, ZERO, as_expr, is_zero
 __all__ = [
     "Section",
     "DiracStructure",
-    "MembershipCertificate",
     "DiracReport",
     "DiracConstructionError",
     "AdmissibleRangeError",
@@ -47,7 +47,8 @@ __all__ = [
     "verify_dirac",
     "membership",
     "omega_on_frame",
-    "pi_sharp_on_frame",
+    "pi_sharp",
+    "pi_sharp_morphism",
 ]
 
 
@@ -148,21 +149,6 @@ def courant_bracket(a: Section, b: Section) -> Section:
 # Dirac structures
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Coefficients expressing a section in the frame span, or an
-    inconsistency witness (a generically nonzero residual expression) when
-    the linear system has no generic solution; both are real or complex, as
-    the section is."""
-
-    ok: bool
-    coefficients: tuple | None = None
-    witness: object | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 @dataclass
 class DiracReport:
     d1_ok: bool
@@ -250,17 +236,25 @@ class DiracStructure:
             out = out + e.scale(c)
         return out
 
-    def tangent_kernel(self) -> tuple[tuple[Expr, ...], ...]:
-        """Frame coefficient combinations spanning D with zero form part,
-        i.e. the kernel V = D n TM."""
-        return self.forms.kernel
+    @cached_property
+    def tangent_kernel(self) -> tuple[VectorField, ...]:
+        """Vector fields spanning the kernel V = D n TM: the vector parts of
+        the frame combinations with zero form part."""
+        return tuple(self.section_from_coefficients(z).X
+                     for z in self.forms.kernel)
 
-    def cotangent_kernel(self) -> tuple[tuple[Expr, ...], ...]:
-        """Combinations with zero vector part, spanning D n T*M."""
-        return self.vectors.kernel
+    @cached_property
+    def cotangent_kernel(self) -> tuple[KForm, ...]:
+        """1-forms spanning D n T*M: the form parts of the frame
+        combinations with zero vector part."""
+        return tuple(self.section_from_coefficients(z).xi
+                     for z in self.vectors.kernel)
 
-    def tangent_kernel_fields(self) -> list[VectorField]:
-        return [self.section_from_coefficients(z).X for z in self.tangent_kernel()]
+    @cached_property
+    def tangent_span(self) -> linalg.Echelon:
+        """The factored span of the tangent kernel V."""
+        return linalg.echelon([v.components for v in self.tangent_kernel],
+                              self.dim)
 
     # -- verification -------------------------------------------------------
 
@@ -278,18 +272,16 @@ class DiracStructure:
         return "{" + ", ".join(str(e) for e in self.frame) + "}"
 
 
-def membership(dirac: DiracStructure, section: Section) -> MembershipCertificate:
+def membership(dirac: DiracStructure, section: Section) -> linalg.SolveResult:
     """Express ``section`` in the frame span, reading the 2n x n system from
-    the structure's factored frame."""
+    the structure's factored frame: its frame coefficients, or an
+    inconsistency witness; both are real or complex, as the section is."""
     _require_same_chart(dirac.frame[0], section)
     span = dirac.stacked
     if span.rank < dirac.dim:
         raise VerificationError(f"frame is generically rank-deficient "
                                 f"(rank {span.rank} < {dirac.dim})")
-    result = linalg.solve(span, section.components)
-    if not result.ok:
-        return MembershipCertificate(False, witness=result.witness)
-    return MembershipCertificate(True, coefficients=tuple(result.solution))
+    return linalg.solve(span, section.components)
 
 
 def verify_dirac(dirac: DiracStructure) -> DiracReport:
@@ -323,7 +315,7 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
                     d3_ok = False
                     d3_witness = f"[[e{i+1},e{j+1}]] not in span: residual {cert.witness}"
                     break
-                structure[(i, j)] = cert.coefficients
+                structure[(i, j)] = tuple(cert.solution)
             if not d3_ok:
                 break
     else:
@@ -351,20 +343,16 @@ def verify_dirac(dirac: DiracStructure) -> DiracReport:
 
     rho_tm_rank = dirac.vectors.rank
     rho_cotm_rank = dirac.forms.rank
-    # D n T*M and D n TM are the spans of the form parts and the vector parts
-    # of the kernel combinations; on a rank-deficient frame they are smaller
-    # than the number of combinations.
-    cot_forms = [dirac.section_from_coefficients(z).xi
-                 for z in dirac.cotangent_kernel()]
+    # D n T*M and D n TM are the spans of the kernel forms and fields; on a
+    # rank-deficient frame they are smaller than the number of combinations.
     dim_cot_kernel = linalg.echelon(
-        [covector_components(eta) for eta in cot_forms], n).rank
-    dim_tan_kernel = linalg.echelon(
-        [v.components for v in dirac.tangent_kernel_fields()], n).rank
+        [covector_components(eta) for eta in dirac.cotangent_kernel], n).rank
+    dim_tan_kernel = dirac.tangent_span.rank
     kernel_ok = (rho_tm_rank + dim_cot_kernel == n
                  and rho_cotm_rank + dim_tan_kernel == n)
 
     annihilator_ok = True
-    for eta in cot_forms:
+    for eta in dirac.cotangent_kernel:
         for e in frame:
             if not is_zero(eta.evaluate([e.X])):
                 annihilator_ok = False
@@ -463,47 +451,25 @@ def omega_on_frame(dirac: DiracStructure) -> dict[tuple[int, int], Expr]:
     return table
 
 
-class PiSharp:
-    """The bivector-type map from admissible 1-forms to vector fields
-    induced by a verified Dirac structure."""
-
-    def __init__(self, dirac: DiracStructure):
-        dirac.require_verified()
-        self.dirac = dirac
-
-    def coefficients(self, eta: KForm) -> tuple[Expr, ...]:
-        if eta.degree != 1:
-            raise ExprError("expected a 1-form")
-        result = linalg.solve(self.dirac.forms, covector_components(eta))
-        if not result.ok:
-            raise AdmissibleRangeError("not in admissible covector range")
-        return tuple(result.solution)
-
-    def __call__(self, eta: KForm) -> VectorField:
-        coeffs = self.coefficients(eta)
-        return self.dirac.section_from_coefficients(coeffs).X
-
-    def covector_bracket(self, i: int, j: int) -> KForm:
-        """``{xi_i, xi_j} = L_{X_i} xi_j - i_{X_j} d xi_i`` on frame forms."""
-        frame = self.dirac.frame
-        return courant_form(frame[i], frame[j])
-
-    def morphism_residual(self, i: int, j: int) -> VectorField:
-        """``Pi#({xi_i, xi_j}) - [X_i, X_j]``; lands in the tangent kernel
-        (exactly zero when D n TM = 0)."""
-        frame = self.dirac.frame
-        lhs = self(self.covector_bracket(i, j))
-        return lhs - frame[i].X.lie_bracket(frame[j].X)
-
-    def verify_morphism(self) -> bool:
-        """Bracket morphism law on all frame covectors, modulo D n TM."""
-        n = self.dirac.dim
-        kernel = linalg.echelon(
-            [v.components for v in self.dirac.tangent_kernel_fields()], n)
-        return all(
-            linalg.solve(kernel, self.morphism_residual(i, j).components).ok
-            for i in range(n) for j in range(n))
+def pi_sharp(dirac: DiracStructure, eta: KForm) -> VectorField:
+    """``Pi#(eta)``: the vector part of the section of a verified structure
+    over the admissible 1-form ``eta``, free frame coefficients zeroed."""
+    dirac.require_verified()
+    if eta.degree != 1:
+        raise ExprError("expected a 1-form")
+    result = linalg.solve(dirac.forms, covector_components(eta))
+    if not result.ok:
+        raise AdmissibleRangeError("not in admissible covector range")
+    return dirac.section_from_coefficients(result.solution).X
 
 
-def pi_sharp_on_frame(dirac: DiracStructure) -> PiSharp:
-    return PiSharp(dirac)
+def pi_sharp_morphism(dirac: DiracStructure) -> bool:
+    """The bracket morphism law on all frame covectors:
+    ``Pi#({xi_i, xi_j}) - [X_i, X_j]``, with ``{xi_i, xi_j}`` the Courant
+    form part, lies in the tangent kernel (it is zero when V = 0)."""
+    frame = dirac.frame
+    return all(
+        linalg.solve(dirac.tangent_span,
+                     (pi_sharp(dirac, courant_form(a, b))
+                      - a.X.lie_bracket(b.X)).components).ok
+        for a in frame for b in frame)

@@ -4,7 +4,9 @@ Poisson brackets on a Dirac chart, and the Jacobi and field identities.
 ``X_f`` is any particular solution of ``(X, df) in D`` (free variables zeroed,
 lowest-index pivoting); ``H_f`` is the unique solution whose vector part lies
 in a fixed complement of the tangent kernel ``V = D n TM`` inside the
-characteristic distribution.
+characteristic distribution.  Both kernels, V and ``D n T*M``, are read from
+the structure, which builds each once; :func:`kills_tangent_kernel` is the
+one test that ``df`` vanishes on V.
 
 ``X_f`` depends on the structure and ``f`` alone, so the structure memoizes
 its :class:`AdmissibleResult` (a negative one too).  Once the complement is
@@ -34,6 +36,7 @@ __all__ = [
     "default_complement",
     "admissible_vector_field",
     "hamiltonian_H",
+    "kills_tangent_kernel",
     "bracket_prime",
     "bracket_omega",
     "jacobiator",
@@ -109,9 +112,9 @@ class ComplementH:
             if not cert.ok:
                 raise ComplementError(
                     f"complement section {h} does not lie in D: {cert.witness}")
-            chi_coefficients.append(cert.coefficients)
+            chi_coefficients.append(tuple(cert.solution))
         n = dirac.dim
-        kernel_fields = dirac.tangent_kernel_fields()
+        kernel_fields = dirac.tangent_kernel
         want = len(kernel_fields) + len(self.sections)
         if linalg.echelon([v.components for v in kernel_fields]
                           + [h.X.components for h in self.sections],
@@ -123,12 +126,11 @@ class ComplementH:
                 "complement does not span the characteristic distribution")
         # the columns [chi | tau]: the complement form parts, then a basis of
         # D n T*M; each column's section of D by its frame coefficients
-        tau = dirac.cotangent_kernel()
-        self.column_coefficients = tuple(chi_coefficients) + tau
+        self.column_coefficients = (tuple(chi_coefficients)
+                                    + dirac.vectors.kernel)
         self.span = linalg.echelon(
             [covector_components(h.xi) for h in self.sections]
-            + [covector_components(dirac.section_from_coefficients(z).xi)
-               for z in tau], n)
+            + [covector_components(eta) for eta in dirac.cotangent_kernel], n)
         self.hamiltonians: dict = {}
         self.brackets: dict = {}
 
@@ -140,7 +142,7 @@ def default_complement(dirac: DiracStructure) -> ComplementH:
     """Greedy complement: frame sections whose vector parts extend the
     tangent kernel span, in frame order."""
     dirac.require_verified()
-    kernel = dirac.tangent_kernel_fields()
+    kernel = dirac.tangent_kernel
     span = linalg.echelon([v.components for v in kernel]
                           + [e.X.components for e in dirac.frame], dirac.dim)
     # left-to-right pivoting keeps exactly the sections that raise the rank
@@ -179,14 +181,12 @@ def hamiltonian_H(dirac: DiracStructure, complement: ComplementH, f):
     return known
 
 
-def _assert_well_defined(dirac: DiracStructure, f: Expr) -> None:
-    """Shifting the particular solution by any tangent-kernel field leaves
-    the bracket unchanged; assert that on the kernel basis."""
+def kills_tangent_kernel(dirac: DiracStructure, f) -> bool:
+    """Does ``df`` vanish on the tangent kernel V = D n TM?  Exactly then
+    shifting a particular solution by a field of V leaves ``X f`` unchanged,
+    so the bracket with ``f`` is well defined."""
     df = differential(dirac, f)
-    for v in dirac.tangent_kernel_fields():
-        if not is_zero(df.evaluate([v])):
-            raise NotAdmissibleError(
-                "bracket not well-defined: df does not annihilate D n TM")
+    return all(is_zero(df.evaluate([v])) for v in dirac.tangent_kernel)
 
 
 def bracket_prime(dirac: DiracStructure, f, g) -> Expr:
@@ -196,7 +196,9 @@ def bracket_prime(dirac: DiracStructure, f, g) -> Expr:
     sol = admissible_vector_field(dirac, g)
     if not sol.ok:
         raise NotAdmissibleError(f"{g} is not admissible: {sol.witness}")
-    _assert_well_defined(dirac, f)
+    if not kills_tangent_kernel(dirac, f):
+        raise NotAdmissibleError(
+            "bracket not well-defined: df does not annihilate D n TM")
     return sol.vector_field.apply(f)
 
 

@@ -184,12 +184,6 @@ class LineSection:
         if set(self.coeffs) != set(self.atlas.patches):
             raise AtlasError("a line section needs one coefficient per patch")
 
-    def check_gluing(self) -> None:
-        for (j, k) in self.atlas.overlaps():
-            expected = self.atlas.transition(j, k) * self.coeffs[j]
-            if not equal(self.coeffs[k], expected):
-                raise AtlasError(f"gluing fails on overlap ({j},{k})")
-
     def __getitem__(self, patch: str) -> ComplexExpr:
         return self.coeffs[patch]
 

@@ -67,7 +67,6 @@ __all__ = [
     "fhat_halfdensity",
     "lemma51_residual",
     "selfadjoint_integrand",
-    "q_bundle",
     "projectability_probe",
     "hzero_invariance_probe",
     "integrate_density",
@@ -88,7 +87,7 @@ def dirac_complex_coefficients(dirac: DiracStructure, psi: Section) -> tuple:
     if not cert.ok:
         raise QuantizeError(f"section does not lie in the complexified "
                             f"structure: residual {cert.witness}")
-    return cert.coefficients
+    return tuple(cert.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +126,28 @@ class Polarization:
         return linalg.echelon([psi.components for psi in self.frame],
                               2 * self.dirac.dim)
 
+    @cached_property
+    def q_bundle(self) -> tuple[Section, ...]:
+        """Real frame of the subbundle whose complexification is the
+        intersection of the polarization with its conjugate."""
+        frame = self.frame
+        n = self.dirac.dim
+        kernel = linalg.echelon(
+            [psi.components for psi in frame]
+            + [(-psi.map_coeffs(conjugate)).components for psi in frame],
+            2 * n).kernel
+        candidates: list[Section] = []
+        for vec in kernel:
+            combo = frame[0].scale(vec[0])
+            for psi, c in zip(frame[1:], vec[1:]):
+                combo = combo + psi.scale(c)
+            for part in (combo.map_coeffs(real_part),
+                         combo.map_coeffs(imag_part)):
+                if not part.is_zero_section():
+                    candidates.append(part)
+        span = linalg.echelon([c.components for c in candidates], 2 * n)
+        return tuple(candidates[col] for _, col in span.pivots)
+
     def check(self) -> PolarizationReport:
         if self._report is None:
             self._report = polarization_check(self)
@@ -134,8 +155,9 @@ class Polarization:
 
 
 def polarization_check(pol: Polarization) -> PolarizationReport:
-    """Isotropy of the complex skew pairing, bracket closure through complex
-    membership certificates, and containment in the complexified complement."""
+    """Isotropy of the complex skew pairing, bracket closure by complex
+    solves against the frame span, and containment in the complexified
+    complement."""
     frame = pol.frame
     iso_ok, iso_witness = True, None
     for i in range(len(frame)):
@@ -165,7 +187,7 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
             cont_ok = False
             cont_witness = f"psi{i+1} leaves the complexified complement"
             break
-    q_rank = len(q_bundle(pol)) if iso_ok and inv_ok else None
+    q_rank = len(pol.q_bundle) if iso_ok and inv_ok else None
     return PolarizationReport(iso_ok, iso_witness, inv_ok, inv_witness,
                               cont_ok, cont_witness, q_rank)
 
@@ -185,32 +207,13 @@ def sp_membership(f, pol: Polarization) -> tuple[bool, str | None]:
     return True, None
 
 
-def q_bundle(pol: Polarization) -> list[Section]:
-    """Real frame of the subbundle whose complexification is the
-    intersection of the polarization with its conjugate."""
-    frame = pol.frame
-    n = pol.dirac.dim
-    kernel = linalg.echelon(
-        [psi.components for psi in frame]
-        + [(-psi.map_coeffs(conjugate)).components for psi in frame],
-        2 * n).kernel
-    candidates: list[Section] = []
-    for vec in kernel:
-        combo = frame[0].scale(vec[0])
-        for psi, c in zip(frame[1:], vec[1:]):
-            combo = combo + psi.scale(c)
-        for part in (combo.map_coeffs(real_part), combo.map_coeffs(imag_part)):
-            if not part.is_zero_section():
-                candidates.append(part)
-    span = linalg.echelon([c.components for c in candidates], 2 * n)
-    return [candidates[col] for _, col in span.pivots]
-
-
-def projectability_probe(pol: Polarization, q_sections: Sequence[Section],
+def projectability_probe(pol: Polarization,
                          functions: Sequence) -> tuple[bool, str | None]:
     """For sample functions in the represented subalgebra, brackets against
-    the real subbundle stay inside it (fiber tangency at chart level)."""
+    the real subbundle ``pol.q_bundle`` stay inside it (fiber tangency at
+    chart level)."""
     dirac = pol.dirac
+    q_sections = pol.q_bundle
     if not q_sections:
         return True, None
     span = linalg.echelon([s.components for s in q_sections], 2 * dirac.dim)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -321,6 +322,46 @@ def test_corpus_reports_survive_field_growth(capsys):
                 path.name
 
 
+GENERATED_DIGEST = GOLDEN / "generated_reports.sha256"
+
+
+def generated_report_digests() -> dict[str, str]:
+    """The sha256 of each generated operation's JSON report, keyed by
+    ``workload/seed/name``: round 0 of the benchmark's Cech atlases (seeds
+    1-12) and rational families (seeds 1-3), and both negative sets, checked
+    at the benchmark's seed and trials."""
+    families = perfbench_module("families")
+    ops = {}
+    for seed in range(1, 13):
+        ops.update((f"cech-atlases/{seed}/{op['name']}", op)
+                   for op in families.cech_round(seed, 0))
+    for seed in range(1, 4):
+        ops.update((f"rational-families/{seed}/{op['name']}", op)
+                   for op in families.rational_round(seed, 0))
+    ops.update((f"negatives/{op['name']}", op)
+               for op in families.rational_negatives()
+               + families.cech_negatives())
+    digests = {}
+    for key, op in ops.items():
+        report = run_checks(parse_model(op["text"], name=op["name"]),
+                            suites=op["suites"], seed=7, trials=6)
+        digests[key] = hashlib.sha256(report.to_json().encode()).hexdigest()
+    return digests
+
+
+def test_generated_reports_match_the_digest():
+    """Every generated report is byte-identical to the one pinned in
+    ``golden/generated_reports.sha256`` (regenerate it with
+    ``PYTHONPATH=src python tests/test_cli.py``, for a deliberate report
+    change only)."""
+    pinned = dict(line.split() for line in
+                  GENERATED_DIGEST.read_text().splitlines())
+    digests = generated_report_digests()
+    differ = sorted(key for key in digests.keys() | pinned.keys()
+                    if digests.get(key) != pinned.get(key))
+    assert differ == [], f"reports differ: {', '.join(differ)}"
+
+
 def test_missing_file_exit_code():
     assert main(["check", "/nonexistent/model.dq"]) == 2
 
@@ -397,3 +438,9 @@ def test_checks_leave_no_cyclic_garbage(path):
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+if __name__ == "__main__":
+    GENERATED_DIGEST.write_text("".join(
+        f"{key} {digest}\n"
+        for key, digest in sorted(generated_report_digests().items())))

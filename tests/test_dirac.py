@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 import diracq.dirac as dirac_module
+from diracq import linalg
 from diracq.chart import Chart, KForm, KVector, VectorField, lie_derivative_form
-from diracq.checks import run_checks
+from diracq.checks import Resolver, run_checks
 from diracq.dirac import (
     AdmissibleRangeError,
     DiracConstructionError,
@@ -19,10 +21,11 @@ from diracq.dirac import (
     omega_on_frame,
     pairing_minus,
     pairing_plus,
-    pi_sharp_on_frame,
+    pi_sharp,
+    pi_sharp_morphism,
     regular_distribution,
 )
-from diracq.dsl import parse_model
+from diracq.dsl import SUITES, parse_model
 from diracq.expr import Expr, ZERO, as_expr, equal, is_zero
 from diracq.randgen import random_polynomial, rng_for
 
@@ -298,7 +301,7 @@ class TestMembership:
     def test_frame_element(self, standard_dirac):
         cert = membership(standard_dirac, standard_dirac.frame[0])
         assert cert.ok
-        assert equal(cert.coefficients[0], 1) and is_zero(cert.coefficients[1])
+        assert equal(cert.solution[0], 1) and is_zero(cert.solution[1])
 
     def test_negative(self, standard_dirac, r2):
         cert = membership(standard_dirac,
@@ -313,7 +316,7 @@ class TestMembership:
         section = standard_dirac.section_from_coefficients(coeffs)
         cert = membership(standard_dirac, section)
         assert cert.ok
-        for got, want in zip(cert.coefficients, coeffs):
+        for got, want in zip(cert.solution, coeffs):
             assert equal(got, want)
 
 
@@ -329,22 +332,20 @@ class TestOmegaAndPi:
         assert all(is_zero(v) for v in table.values())
 
     def test_pi_sharp_solves(self, standard_dirac, r2):
-        sharp = pi_sharp_on_frame(standard_dirac)
-        out = sharp(r2.basis_covector(0))
+        out = pi_sharp(standard_dirac, r2.basis_covector(0))
         assert equal(out.components[1], -1) and is_zero(out.components[0])
-        out2 = sharp(r2.basis_covector(1))
+        out2 = pi_sharp(standard_dirac, r2.basis_covector(1))
         assert equal(out2.components[0], 1) and is_zero(out2.components[1])
 
     def test_pi_sharp_range_error(self):
         chart = Chart("F", ("x1", "x2"))
         dirac = regular_distribution([chart.basis_vector(0)])
-        sharp = pi_sharp_on_frame(dirac)
         with pytest.raises(AdmissibleRangeError):
-            sharp(chart.basis_covector(0))
+            pi_sharp(dirac, chart.basis_covector(0))
 
     def test_morphism_law(self, standard_dirac, g_poisson, presymplectic_r4):
         for dirac in (standard_dirac, g_poisson, presymplectic_r4):
-            assert pi_sharp_on_frame(dirac).verify_morphism()
+            assert pi_sharp_morphism(dirac)
 
     def test_lambda_equals_omega_on_frames(self, standard_dirac):
         table = omega_on_frame(standard_dirac)
@@ -361,3 +362,27 @@ def test_constructed_structures_verify(standard_dirac, presymplectic_r4,
                                       chart.basis_vector(1)])
     for dirac in (standard_dirac, presymplectic_r4, g_poisson, foliation):
         assert dirac.verify().passed
+
+
+def test_tangent_kernel_is_factored_once(monkeypatch):
+    """Every suite on the degenerate presymplectic model factors the columns
+    of V = D n TM once, in ``DiracStructure.tangent_span``: verification and
+    the morphism row read the same span.  (On the foliation model V equals
+    the declared distribution and the complement is empty, so the
+    constructor and the complement's overlap check factor the same values.)"""
+    text = (Path(__file__).resolve().parent.parent / "models"
+            / "presymplectic_r4.dq").read_text()
+    kernel = [list(v.components)
+              for v in Resolver(parse_model(text)).dirac().tangent_kernel]
+    assert len(kernel) == 2
+    factored = []
+    factor = linalg.echelon
+
+    def counted(columns, height):
+        factored.append([list(c) for c in columns])
+        return factor(columns, height)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    report = run_checks(parse_model(text), list(SUITES), seed=7)
+    assert report.exit_code == 0
+    assert factored.count(kernel) == 1

@@ -29,6 +29,7 @@ from diracq.hamiltonian import (
     field_residual,
     hamiltonian_H,
     jacobiator,
+    kills_tangent_kernel,
 )
 from diracq.randgen import random_polynomial, rng_for
 
@@ -173,10 +174,22 @@ class TestWellDefinedness:
         base = bracket_prime(dirac, f, g)
         x_g = admissible_vector_field(dirac, g).vector_field
         rng = rng_for(30, "shift")
-        for v in dirac.tangent_kernel_fields():
+        for v in dirac.tangent_kernel:
             scale = random_polynomial(rng, dirac.chart, 2, 2)
             shifted = x_g + v.scale(scale)
             assert equal(shifted.apply(f), base)
+
+    def test_prime_refuses_a_function_whose_differential_feels_the_kernel(
+            self):
+        # V = span(d_x1): dx1 does not vanish on it, dx2 does
+        chart = Chart("F", ("x1", "x2"))
+        dirac = regular_distribution([chart.basis_vector(0)])
+        x1, x2 = (Expr(c) for c in chart.coords)
+        assert not kills_tangent_kernel(dirac, x1)
+        assert kills_tangent_kernel(dirac, x2)
+        with pytest.raises(NotAdmissibleError,
+                           match="bracket not well-defined"):
+            bracket_prime(dirac, x1, x2)
 
     def test_complement_independence(self, presymplectic_r4, r4, r4_data):
         f, paper_complement = r4_data

@@ -42,7 +42,6 @@ from diracq.quantize import (
     integrate_density,
     lemma51_residual,
     polarization_check,
-    q_bundle,
     selfadjoint_integrand,
     sp_membership,
 )
@@ -161,11 +160,11 @@ class TestSPMembership:
 
 class TestQBundle:
     def test_holomorphic_intersection_trivial(self, holomorphic_polarization):
-        assert q_bundle(holomorphic_polarization) == []
+        assert holomorphic_polarization.q_bundle == ()
 
     def test_real_polarization_recovers_itself(self, horizontal_polarization,
                                                standard_dirac):
-        sections = q_bundle(horizontal_polarization)
+        sections = horizontal_polarization.q_bundle
         assert len(sections) == 1
         from diracq.dirac import membership
         assert membership(standard_dirac, sections[0]).ok
@@ -182,7 +181,7 @@ class TestQBundle:
         pol = Polarization(dirac, complement, (e1, e3 + e4.scale(I)))
         report = polarization_check(pol)
         assert report.isotropy_ok and report.involutive_ok
-        sections = q_bundle(pol)
+        sections = pol.q_bundle
         assert len(sections) == 1
         from diracq.dirac import membership
         cert = membership(dirac, sections[0])
@@ -562,7 +561,7 @@ def _split_coefficients(dirac, psi):
             continue
         cert = quantize.membership(dirac, part)
         assert cert.ok
-        parts.append(cert.coefficients)
+        parts.append(tuple(cert.solution))
     return tuple(ComplexExpr(a, b) for a, b in zip(*parts))
 
 
