@@ -53,7 +53,6 @@ from .prequant import (
     BundleAtlas,
     IntegralityError,
     build_prequantization,
-    curvature_2section,
     hermitian_check,
     lambda_Dform,
     line_section_from_patch,
@@ -248,11 +247,9 @@ class Resolver:
             if model.cochain:
                 return build_prequantization(self.dirac(), model.patches,
                                              sigma, model.cochain)
-            atlas = BundleAtlas(self.dirac(), tuple(model.patches),
-                                dict(model.transitions), sigma,
-                                hermitian=model.hermitian)
-            atlas.validate()
-            return atlas
+            return BundleAtlas(self.dirac(), tuple(model.patches),
+                               dict(model.transitions), sigma,
+                               hermitian=model.hermitian)
         except IntegralityError as err:
             return f"integrality obstruction: {err.witness}"
         except AtlasError as err:
@@ -511,7 +508,7 @@ _PREQUANT = (
     _needs("prequant", "atlas_or_failure"),
     Row("prequant/atlas", _atlas_built, ends=True),
     Row("prequant/curvature-patch-independent", _curvature_fails(
-        lambda r, ctx: curvature_2section(r.atlas()) is not None)),
+        lambda r, ctx: r.atlas().curvature is not None)),
     Row("prequant/lambda-closed",
         lambda r, ctx: lambda_Dform(r.dirac()) is not None),
     Row("prequant/condition", _curvature_fails(_condition)),

@@ -26,7 +26,9 @@ and binds looser than ``*``.
 
 Names are resolved as they are read: the arguments of ``dirac`` and
 ``complement sections(...)`` and the patches of ``transition``, ``sigma`` and
-``cochain`` must be declared on earlier lines.
+``cochain`` must be declared on earlier lines.  A patch, and the ``sigma``
+of a patch or the ``transition`` and ``cochain`` of an ordered pair, are
+declared once.
 """
 
 from __future__ import annotations
@@ -399,6 +401,13 @@ def _declared_name(stream: _Stream, table, what: str, check=None) -> str:
     return name
 
 
+def _first_time(stream: _Stream, token, key, table, message: str) -> None:
+    """Raise ``message`` at ``token`` when an earlier statement declared
+    ``key`` in ``table``."""
+    if key in table:
+        raise DslError(message, stream.line, token.column)
+
+
 def _declared_names(stream: _Stream, table: dict, what: str,
                     single: bool = False, check=None) -> tuple[str, ...]:
     """``(a, b, ...)``: one or more names (exactly one when ``single``),
@@ -527,14 +536,24 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         else:
             raise stream.error("complement must be 'auto' or 'sections(...)'")
     elif keyword == "patch":
-        model.patches.append(stream.expect_ident())
+        token = stream.peek()
+        name = stream.expect_ident()
+        _first_time(stream, token, name, model.patches,
+                    f"{name!r} is already a declared patch")
+        model.patches.append(name)
     elif keyword == "transition":
+        token = stream.peek()
         j = _declared_name(stream, model.patches, "patch")
         k = _declared_name(stream, model.patches, "patch")
+        _first_time(stream, token, (j, k), model.transitions,
+                    f"transition {j} {k} is already declared")
         stream.expect("=")
         model.transitions[(j, k)] = _require_scalar(parser.expression(), stream)
     elif keyword == "sigma":
+        token = stream.peek()
         patch = _declared_name(stream, model.patches, "patch")
+        _first_time(stream, token, patch, model.sigmas,
+                    f"sigma {patch} is already declared")
         stream.expect("=")
         kind = stream.expect_ident()
         stream.expect("(")
@@ -553,8 +572,11 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         else:
             raise stream.error("sigma must be pull(...) or dcoeffs(...)")
     elif keyword == "cochain":
+        token = stream.peek()
         j = _declared_name(stream, model.patches, "patch")
         k = _declared_name(stream, model.patches, "patch")
+        _first_time(stream, token, (j, k), model.cochain,
+                    f"cochain {j} {k} is already declared")
         stream.expect("=")
         model.cochain[(j, k)] = _require_real(
             _require_scalar(parser.expression(), stream), stream)

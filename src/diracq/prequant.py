@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebroid import AForm, aform_equal, d_A, dirac_presentation
@@ -34,7 +35,6 @@ __all__ = [
     "LineSection",
     "TWO_PI_I",
     "transition_exp",
-    "curvature_2section",
     "dirac_chern_check",
     "lambda_Dform",
     "prequant_condition",
@@ -70,15 +70,15 @@ class BundleAtlas:
     1-sections over the Dirac presentation.
 
     Overlaps exist exactly where a transition is declared; the user asserts
-    the cover geometry.  Validation checks the cocycle identity on declared
-    triples and the logarithmic-derivative compatibility of the connection
-    1-sections on declared overlaps.
+    the cover geometry.  The constructor validates: it checks the cocycle
+    identity on declared triples and the logarithmic-derivative
+    compatibility of the connection 1-sections on declared overlaps, and an
+    atlas that fails is never built.
 
     The atlas owns two memos that live as long as it does; only a call that
     returns fills them, so a raise is computed again on the next call:
 
-    - ``condition``: the result of :func:`prequant_condition`, a failing one
-      too;
+    - ``curvature``: the curvature 2-section ``d_D sigma_j``;
     - ``operators``: the :class:`PatchOperator` of ``fhat_f`` under
       ``(complement, f)``, of ``delta_psi`` under the section ``psi``, and of
       ``fhat_f`` on half-density coefficients under
@@ -96,10 +96,6 @@ class BundleAtlas:
     transitions: Mapping[tuple[str, str], ComplexExpr]
     sigma: Mapping[str, AForm]
     hermitian: bool = False
-    _validated: bool = field(default=False, init=False, repr=False,
-                             compare=False)
-    condition: PrequantResult | None = field(
-        default=None, init=False, repr=False, compare=False)
     operators: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -115,6 +111,7 @@ class BundleAtlas:
         for (j, k) in self.transitions:
             if j not in self.patches or k not in self.patches:
                 raise AtlasError(f"transition ({j},{k}) names unknown patches")
+        self.validate()
 
     def transition(self, j: str, k: str) -> ComplexExpr:
         if j == k:
@@ -135,8 +132,6 @@ class BundleAtlas:
         return out
 
     def validate(self) -> None:
-        if self._validated:
-            return
         for (j, k), g in self.transitions.items():
             if is_zero(g):
                 raise AtlasError(f"transition g[{j},{k}] is the zero expression")
@@ -163,7 +158,23 @@ class BundleAtlas:
             if not aform_equal(lhs, rhs):
                 raise AtlasError(
                     f"connection 1-sections incompatible on overlap ({j},{k})")
-        self._validated = True
+
+    @cached_property
+    def curvature(self) -> AForm:
+        """``tau = d_D sigma_j``, checked patch-independent (and real when the
+        atlas is Hermitian)."""
+        taus = {name: d_A(form) for name, form in self.sigma.items()}
+        names = list(self.patches)
+        first = taus[names[0]]
+        for name in names[1:]:
+            if not aform_equal(first, taus[name]):
+                raise AtlasError(
+                    f"curvature differs between patches {names[0]} and {name}")
+        if self.hermitian:
+            for value in first.coeffs.values():
+                if isinstance(value, ComplexExpr) and not is_zero(imag_part(value)):
+                    raise AtlasError("Hermitian atlas produced a non-real curvature")
+        return first
 
     def hermitian_product(self, z1: ComplexExpr, z2: ComplexExpr) -> ComplexExpr:
         if not self.hermitian:
@@ -220,24 +231,6 @@ def line_section_from_patch(atlas: BundleAtlas, patch: str, z) -> LineSection:
 # curvature and the prequantization condition
 
 
-def curvature_2section(atlas: BundleAtlas) -> AForm:
-    """``tau = d_D sigma_j``, checked patch-independent (and real when the
-    atlas is Hermitian)."""
-    atlas.validate()
-    taus = {name: d_A(form) for name, form in atlas.sigma.items()}
-    names = list(atlas.patches)
-    first = taus[names[0]]
-    for name in names[1:]:
-        if not aform_equal(first, taus[name]):
-            raise AtlasError(
-                f"curvature differs between patches {names[0]} and {name}")
-    if atlas.hermitian:
-        for value in first.coeffs.values():
-            if isinstance(value, ComplexExpr) and not is_zero(imag_part(value)):
-                raise AtlasError("Hermitian atlas produced a non-real curvature")
-    return first
-
-
 def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
     """The global 1-section relating the curvatures of two connections on
     the same bundle: ``tau' - tau = d_D sigma_hat``."""
@@ -248,8 +241,6 @@ def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
     for key in set(first.transitions) | set(second.transitions):
         if not equal(first.transition(*key), second.transition(*key)):
             raise AtlasError("atlases have different transition functions")
-    first.validate()
-    second.validate()
     hats = {p: second.sigma[p] - first.sigma[p] for p in first.patches}
     names = list(first.patches)
     sigma_hat = hats[names[0]]
@@ -257,7 +248,7 @@ def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
         if not aform_equal(sigma_hat, hats[name]):
             raise AtlasError(
                 f"sigma'-sigma disagrees on overlap ({names[0]},{name})")
-    difference = curvature_2section(second) - curvature_2section(first)
+    difference = second.curvature - first.curvature
     if not aform_equal(difference, d_A(sigma_hat)):
         raise AtlasError("tau' - tau is not the differential of sigma_hat")
     return sigma_hat
@@ -295,11 +286,9 @@ class PrequantResult:
 
 def prequant_condition(atlas: BundleAtlas) -> PrequantResult:
     """Rank-1 prequantization test ``tau = Lambda`` on frame pairs; the
-    residual D-2-form is returned when it fails.  Memoized on the atlas."""
-    if atlas.condition is None:
-        residual = curvature_2section(atlas) - lambda_Dform(atlas.dirac)
-        atlas.condition = PrequantResult(residual.is_zero_form(), residual)
-    return atlas.condition
+    residual D-2-form is returned when it fails."""
+    residual = atlas.curvature - lambda_Dform(atlas.dirac)
+    return PrequantResult(residual.is_zero_form(), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,6 @@ def prequant_operator(f, atlas: BundleAtlas, complement: ComplementH,
                       section: LineSection) -> LineSection:
     """``fhat s = -nabla_{(H_f, df)} s - 2 pi i f s`` patch by patch, a
     section of ``atlas``; the image is memoized on the atlas."""
-    atlas.validate()
     return fhat_operator(atlas, complement, as_expr(f)).image(atlas, section)
 
 
@@ -372,7 +360,6 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
     ``H_f h(s1, s2) - h(nabla s1, s2) - h(s1, nabla s2)`` per patch, with
     ``nabla = nabla_{(H_f, df)}``; zero for a Hermitian atlas with real
     connection 1-sections."""
-    atlas.validate()
     if not atlas.hermitian:
         raise AtlasError("no Hermitian metric attached")
     h_f, coeffs = hamiltonian_H(atlas.dirac, complement, as_expr(f))
@@ -432,7 +419,5 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
     transitions = {}
     for (j, k), w in cochain.items():
         transitions[(j, k)] = transition_exp(w)
-    atlas = BundleAtlas(dirac, tuple(patches), transitions, dict(sigma),
-                        hermitian=True)
-    atlas.validate()
-    return atlas
+    return BundleAtlas(dirac, tuple(patches), transitions, dict(sigma),
+                       hermitian=True)

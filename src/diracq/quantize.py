@@ -14,7 +14,6 @@ probed on explicit candidate sections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -38,11 +37,8 @@ from .dirac import (
 from .expr import (
     ComplexExpr,
     ExprError,
-    Point,
-    SingularPointError,
     ZERO,
     as_expr,
-    evaluate,
     is_zero,
     symbol,
 )
@@ -289,7 +285,6 @@ def fhat_halfdensity(f, atlas: BundleAtlas, complement: ComplementH,
     kappa_0``, built once per atlas, complement and ``f`` and verified
     against ``-delta_{(H_f, df)} - 2 pi i f``; the image is memoized on the
     atlas."""
-    atlas.validate()
     op = _fhat_halfdensity_operator(atlas, complement, as_expr(f))
     return op.image(atlas, v)
 
@@ -318,7 +313,6 @@ def selfadjoint_integrand(f, v1: LineSection, v2: LineSection,
     patch: ``<fhat v1, v2> + <v1, fhat v2> + L_{H_f}(h(s1,s2) conj(k1) k2)``."""
     if not atlas.hermitian:
         raise QuantizeError("Hermitian data required")
-    atlas.validate()
     f = as_expr(f)
     dirac = atlas.dirac
     chart = dirac.chart
@@ -361,9 +355,8 @@ def integrate_density(kappa: AlphaDensity,
     is integrated in turn in the scalar field
     (:meth:`~diracq.expr.Expr.integral_from_zero`) between its endpoints.
     The value is a ``Fraction`` when it is a rational real number and a
-    :class:`ComplexExpr` otherwise.  A coefficient with a coordinate in a
-    denominator is scanned for poles on a coarse exact grid: a pole raises
-    :class:`SingularPointError`, anything else :class:`QuantizeError`.
+    :class:`ComplexExpr` otherwise.  Any other coefficient, a coordinate in
+    a denominator or in an atom argument, raises :class:`QuantizeError`.
     """
     if kappa.alpha != 1:
         raise QuantizeError("only 1-densities integrate over the chart")
@@ -376,26 +369,14 @@ def integrate_density(kappa: AlphaDensity,
     extra = free - set(chart.coord_names)
     if extra:
         raise QuantizeError(f"unbound parameters in the integrand: {sorted(extra)}")
-    axes = [tuple(map(Fraction, box[name])) for name in chart.coord_names]
-    if any(part.as_numer_denom()[1].free_symbols for part in parts):
-        grid_steps = 4
-        for corner in itertools.product(range(grid_steps + 1), repeat=chart.dim):
-            values = {name: lo + (hi - lo) * Fraction(step, grid_steps)
-                      for (lo, hi), step, name in zip(axes, corner, chart.coord_names)}
-            try:
-                for part in parts:
-                    evaluate(part, Point(chart.name, values))
-            except SingularPointError as err:
-                raise SingularPointError(
-                    f"singularity inside the integration box at {values}") from err
-        raise QuantizeError(_NOT_POLYNOMIAL)
     try:
-        for name, (lo, hi) in zip(chart.coord_names, axes):
+        for name in chart.coord_names:
+            lo, hi = map(Fraction, box[name])
             sym = symbol(name)
             antiderivatives = [part.integral_from_zero(sym) for part in parts]
             parts = [f.subs({sym: hi}) - f.subs({sym: lo})
                      for f in antiderivatives]
-    except ExprError as err:      # an atom argument involves a coordinate
+    except ExprError as err:      # a denominator or an atom argument
         raise QuantizeError(_NOT_POLYNOMIAL) from err
     re, im = parts
     if im == ZERO and re.is_rational:

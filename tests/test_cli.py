@@ -63,25 +63,43 @@ def test_obstruction_model_fails(capsys):
     assert "1/3" in record["witness"]
 
 
+# atlases on the standard plane that the constructor rejects, with the
+# start of the witness: with the constant transition 1, compatibility needs
+# sigma_1 = sigma_2; a zero transition; g12 g21 = 4; g12 g23 = 1 != g13
+BAD_ATLASES = {
+    "incompatible": ("patch U1\npatch U2\n"
+                     "sigma U1 = pull(-p*dq)\nsigma U2 = pull(-p*dq + dq)\n"
+                     "transition U1 U2 = 1\n", "connection 1-sections"),
+    "zero": ("patch U1\npatch U2\n"
+             "sigma U1 = pull(-p*dq)\nsigma U2 = pull(-p*dq)\n"
+             "transition U1 U2 = 0\n", "transition g[U1,U2]"),
+    "non-inverse": ("patch U1\npatch U2\n"
+                    "sigma U1 = pull(-p*dq)\nsigma U2 = pull(-p*dq)\n"
+                    "transition U1 U2 = 2\ntransition U2 U1 = 2\n",
+                    "transitions (U1,U2) and (U2,U1)"),
+    "broken-triple": ("patch U1\npatch U2\npatch U3\n"
+                      "sigma U1 = pull(-p*dq)\nsigma U2 = pull(-p*dq)\n"
+                      "sigma U3 = pull(-p*dq)\n"
+                      "transition U1 U2 = 1\ntransition U2 U3 = 1\n"
+                      "transition U1 U3 = 2\n", "cocycle fails"),
+}
+
+
 def test_incompatible_transition_atlas_fails(tmp_path, capsys):
-    # with the constant transition 1, compatibility needs sigma_1 = sigma_2
-    model = tmp_path / "transbad.dq"
-    model.write_text("chart M dim 2 coords q p\n"
-                     "form omega = dq /\\ dp\n"
-                     "dirac D = graph_presymplectic(omega)\n"
-                     "complement H = auto\n"
-                     "patch U1\npatch U2\n"
-                     "sigma U1 = pull(-p*dq)\n"
-                     "sigma U2 = pull(-p*dq + dq)\n"
-                     "transition U1 U2 = 1\n")
-    code, out = run_cli(capsys, "check", str(model), "--json",
-                        "--suite", "prequant")
-    assert code == 1
-    checks = json.loads(out)["checks"]
-    prequant = [c for c in checks if c["name"].startswith("prequant")]
-    assert [(c["name"], c["status"]) for c in prequant] == \
-        [("prequant/atlas", "fail")]
-    assert prequant[0]["witness"]
+    for atlas, (declarations, witness) in BAD_ATLASES.items():
+        model = tmp_path / f"{atlas}.dq"
+        model.write_text("chart M dim 2 coords q p\n"
+                         "form omega = dq /\\ dp\n"
+                         "dirac D = graph_presymplectic(omega)\n"
+                         "complement H = auto\n" + declarations)
+        code, out = run_cli(capsys, "check", str(model), "--json",
+                            "--suite", "prequant")
+        assert code == 1, atlas
+        checks = json.loads(out)["checks"]
+        prequant = [c for c in checks if c["name"].startswith("prequant")]
+        assert [(c["name"], c["status"]) for c in prequant] == \
+            [("prequant/atlas", "fail")], atlas
+        assert prequant[0]["witness"].startswith(witness), atlas
 
 
 # non-Dirac inputs on R^3, one per constructor: the graph of the non-closed

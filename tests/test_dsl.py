@@ -155,6 +155,13 @@ class TestParse:
      "'U7' is not a declared patch"),
     ("patch U2\ntransition U1 U2 = 1", "U1",
      "'U1' is not a declared patch"),
+    ("patch U\npatch U", "U", "'U' is already a declared patch"),
+    ("patch U\nsigma U = pull(-p*dq)\nsigma U = pull(p*dq)", "U",
+     "sigma U is already declared"),
+    ("patch U1\npatch U2\ntransition U1 U2 = 1\ntransition U1 U2 = 2",
+     "U1 U2", "transition U1 U2 is already declared"),
+    ("patch U1\npatch U2\ncochain U1 U2 = q\ncochain U1 U2 = 0",
+     "U1 U2", "cochain U1 U2 is already declared"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
     text = f"chart M dim 2 coords q p\n{decl}\n"

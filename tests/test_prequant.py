@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import diracq.expr as expr_module
+import diracq.prequant as prequant_module
 from diracq.algebroid import AForm, aform_equal, d_A, dirac_presentation, rho_pullback_form
 from diracq.chart import Chart, KForm, exterior_derivative
 from diracq.checks import run_checks
@@ -21,7 +22,6 @@ from diracq.prequant import (
     IntegralityError,
     LineSection,
     build_prequantization,
-    curvature_2section,
     dirac_chern_check,
     hermitian_check,
     lambda_Dform,
@@ -41,10 +41,8 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def std_atlas(standard_dirac, r2):
     p = Expr(r2.coords[1])
     sigma = rho_pullback_form(r2.basis_covector(0).scale(-p), standard_dirac)
-    atlas = BundleAtlas(standard_dirac, ("U",), {}, {"U": sigma},
-                        hermitian=True)
-    atlas.validate()
-    return atlas
+    return BundleAtlas(standard_dirac, ("U",), {}, {"U": sigma},
+                       hermitian=True)
 
 
 @pytest.fixture
@@ -54,7 +52,7 @@ def std_complement(standard_dirac):
 
 class TestCurvature2Section:
     def test_momentum_primitive(self, std_atlas, standard_dirac, r2):
-        tau = curvature_2section(std_atlas)
+        tau = std_atlas.curvature
         omega = r2.basis_covector(0).wedge(r2.basis_covector(1))
         assert aform_equal(tau, rho_pullback_form(omega, standard_dirac))
 
@@ -62,13 +60,13 @@ class TestCurvature2Section:
         pres = dirac_presentation(standard_dirac)
         atlas = BundleAtlas(standard_dirac, ("U",), {},
                             {"U": AForm(pres, 1, {})}, hermitian=True)
-        assert curvature_2section(atlas).is_zero_form()
+        assert atlas.curvature.is_zero_form()
 
     def test_exact_sigma(self, standard_dirac, r2):
         pres = dirac_presentation(standard_dirac)
         u = random_polynomial(rng_for(40, "u"), r2, 3, 2)
         atlas = BundleAtlas(standard_dirac, ("U",), {}, {"U": d_A(u, pres)})
-        assert curvature_2section(atlas).is_zero_form()
+        assert atlas.curvature.is_zero_form()
 
 
 class TestDiracChern:
@@ -95,8 +93,7 @@ class TestDiracChern:
                               hermitian=True)
         hat = dirac_chern_check(std_atlas, shifted)
         assert aform_equal(hat, pulled)
-        assert aform_equal(curvature_2section(shifted),
-                           curvature_2section(std_atlas))
+        assert aform_equal(shifted.curvature, std_atlas.curvature)
 
 
 class TestLambda:
@@ -246,33 +243,39 @@ class TestMemos:
 
     def test_condition_and_skew_pairing_are_kept(self, standard_dirac, r2):
         doubled = _doubled(standard_dirac, r2)
-        assert doubled.condition is None and standard_dirac.lambda_form is None
+        assert "curvature" not in vars(doubled)
+        assert standard_dirac.lambda_form is None
         result = prequant_condition(doubled)
-        assert not result.ok and prequant_condition(doubled) is result
-        assert doubled.condition is result
+        assert not result.ok
+        assert vars(doubled)["curvature"] is doubled.curvature
         assert lambda_Dform(standard_dirac) is standard_dirac.lambda_form
 
-    def test_validation_is_not_a_constructor_argument(self, std_atlas,
-                                                      standard_dirac):
-        with pytest.raises(TypeError):
-            BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
-                        hermitian=True, _validated=True)
-        fresh = BundleAtlas(standard_dirac, ("U",), {}, dict(std_atlas.sigma),
-                            hermitian=True)
-        assert std_atlas._validated and not fresh._validated
-        assert std_atlas == std_atlas and fresh == std_atlas
-        fresh.validate()
-        assert fresh == fresh and fresh == std_atlas
-
     def test_a_failed_condition_is_raised_again(self, standard_dirac, r2):
-        atlas = BundleAtlas(standard_dirac, ("U", "V"),
-                            {("U", "V"): ComplexExpr.of(0)},
-                            {"U": _doubled(standard_dirac, r2).sigma["U"],
-                             "V": _doubled(standard_dirac, r2).sigma["U"]})
+        pres = dirac_presentation(standard_dirac)
+        q = Expr(r2.coords[0])
+        atlas = BundleAtlas(standard_dirac, ("U",), {},
+                            {"U": AForm(pres, 1, {(1,): ComplexExpr(as_expr(0), q)})},
+                            hermitian=True)
         for _ in range(2):
-            with pytest.raises(AtlasError, match="zero expression"):
+            with pytest.raises(AtlasError, match="non-real curvature"):
                 prequant_condition(atlas)
-        assert atlas.condition is None
+        assert "curvature" not in vars(atlas)
+
+    def test_a_cech_run_differentiates_each_sigma_twice(self, monkeypatch):
+        # once to check it is a local primitive of Lambda, once for the
+        # curvature that every row reads
+        differentiated = []
+        d_A_module = prequant_module.d_A
+
+        def counted(form, *args):
+            if isinstance(form, AForm) and form.degree == 1:
+                differentiated.append(form)
+            return d_A_module(form, *args)
+
+        monkeypatch.setattr(prequant_module, "d_A", counted)
+        model = parse_model((MODELS / "cech_three_patch.dq").read_text())
+        run_checks(model, suites=list(SUITES), seed=7)
+        assert len(differentiated) == 2 * len(model.patches) == 6
 
 
 class TestHermitian:
@@ -386,10 +389,9 @@ class TestCechConstruction:
         one = ComplexExpr.of(1)
         transitions = {("U1", "U3"): one, ("U1", "U4"): ComplexExpr.of(2),
                        ("U2", "U3"): one, ("U2", "U4"): one, ("U3", "U4"): one}
-        atlas = BundleAtlas(standard_dirac, patches, transitions,
-                            {name: AForm(pres, 1, {}) for name in patches})
         with pytest.raises(AtlasError, match=r"cocycle fails on triple \(U1,U3,U4\)"):
-            atlas.validate()
+            BundleAtlas(standard_dirac, patches, transitions,
+                        {name: AForm(pres, 1, {}) for name in patches})
 
     def test_reverse_transition_must_be_the_inverse(self, standard_dirac):
         pres = dirac_presentation(standard_dirac)
@@ -398,11 +400,10 @@ class TestCechConstruction:
         one = ComplexExpr.of(1)
         transitions = {("U1", "U2"): one, ("U2", "U3"): one, ("U1", "U3"): one}
         BundleAtlas(standard_dirac, patches,
-                    {**transitions, ("U2", "U1"): one}, sigma).validate()
-        atlas = BundleAtlas(standard_dirac, patches,
-                            {**transitions, ("U2", "U1"): ComplexExpr.of(2)}, sigma)
-        with pytest.raises(AtlasError):
-            atlas.validate()
+                    {**transitions, ("U2", "U1"): one}, sigma)
+        with pytest.raises(AtlasError, match="not inverse"):
+            BundleAtlas(standard_dirac, patches,
+                        {**transitions, ("U2", "U1"): ComplexExpr.of(2)}, sigma)
 
     def test_gluing_of_line_sections(self, standard_dirac, r2):
         pres, base, q = self._sigmas(standard_dirac, r2)
