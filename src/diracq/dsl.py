@@ -26,9 +26,13 @@ and binds looser than ``*``.
 
 Names are resolved as they are read: the arguments of ``dirac`` and
 ``complement sections(...)`` and the patches of ``transition``, ``sigma`` and
-``cochain`` must be declared on earlier lines.  A patch, and the ``sigma``
-of a patch or the ``transition`` and ``cochain`` of an ordered pair, are
-declared once.
+``cochain`` must be declared on earlier lines.  A name is bound once: the
+name of a ``scalar``, ``form``, ``vector``, ``bivector``, ``section`` or
+``halfdensity`` is none of those already declared, no coordinate or
+parameter, and none of ``i pi exp sin cos``, ``dq`` and ``d_q``.  A patch,
+and the ``sigma`` of a patch or the ``transition`` and ``cochain`` of an
+ordered pair, are declared once, and so are ``dirac``, ``complement`` and
+``polarization``.
 """
 
 from __future__ import annotations
@@ -230,6 +234,15 @@ class Model:
     checks: list[str] = field(default_factory=list)
 
 
+# each value declaration: its keyword, the Model table it fills and the type
+# of its value
+_VALUES = {"scalar": ("scalars", ComplexExpr), "form": ("forms", KForm),
+           "vector": ("vectors", VectorField),
+           "bivector": ("bivectors", KVector), "section": ("sections", Section),
+           "halfdensity": ("halfdensities", ComplexExpr)}
+_BUILTINS = ("i", "pi", "exp", "sin", "cos")
+
+
 class _ExpressionParser:
     """Recursive descent over one statement's token stream."""
 
@@ -325,15 +338,11 @@ class _ExpressionParser:
                 raise self.err(f"{name} of a complex argument is not supported")
             head = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}[name]
             return ComplexExpr.of(atom(head, inner.re))
-        model = self.model
-        if name in model.scalars:
-            return model.scalars[name]
-        if name in model.forms:
-            return model.forms[name]
-        if name in model.vectors:
-            return model.vectors[name]
-        if name in model.bivectors:
-            return model.bivectors[name]
+        model = self.model  # sections and half-densities are not operands
+        for table in (model.scalars, model.forms, model.vectors,
+                      model.bivectors):
+            if name in table:
+                return table[name]
         chart = self.chart
         if name in chart.coord_names or name in chart.param_names:
             return ComplexExpr.of(Expr(symbol(name)))
@@ -378,13 +387,13 @@ def _two_form(name: str, form: KForm) -> str | None:
     return None
 
 
-# the model table each Dirac constructor's arguments name, what they are,
-# whether it takes exactly one, and what a declared argument must satisfy
-# (a complaint, or None); the frame's length is checked against the chart
-_DIRAC_ARGS = {"graph_presymplectic": ("forms", "form", True, _two_form),
-               "graph_poisson": ("bivectors", "bivector", True, None),
-               "regular_distribution": ("vectors", "vector", False, None),
-               "frame": ("sections", "section", False, None)}
+# the value keyword each Dirac constructor's arguments name, whether it takes
+# exactly one, and what a declared argument must satisfy (a complaint, or
+# None); the frame's length is checked against the chart
+_DIRAC_ARGS = {"graph_presymplectic": ("form", True, _two_form),
+               "graph_poisson": ("bivector", True, None),
+               "regular_distribution": ("vector", False, None),
+               "frame": ("section", False, None)}
 
 
 def _declared_name(stream: _Stream, table, what: str, check=None) -> str:
@@ -408,24 +417,44 @@ def _first_time(stream: _Stream, token, key, table, message: str) -> None:
         raise DslError(message, stream.line, token.column)
 
 
-def _declared_names(stream: _Stream, table: dict, what: str,
+def _declared_names(stream: _Stream, model: Model, keyword: str,
                     single: bool = False, check=None) -> tuple[str, ...]:
     """``(a, b, ...)``: one or more names (exactly one when ``single``),
-    each a declared ``what`` that passes ``check``."""
+    each declared by a ``keyword`` statement and passing ``check``."""
+    table = getattr(model, _VALUES[keyword][0])
     stream.expect("(")
     names = []
     while True:
-        names.append(_declared_name(stream, table, what, check))
+        names.append(_declared_name(stream, table, keyword, check))
         if not stream.accept(","):
             break
         if single:
-            raise stream.error(f"expected one {what}")
+            raise stream.error(f"expected one {keyword}")
     stream.expect(")")
     return tuple(names)
 
 
+def _new_name(stream: _Stream, model: Model) -> str:
+    """The name a value declaration binds, which must not be bound yet."""
+    token = stream.peek()
+    name = stream.expect_ident()
+    chart = model.chart
+    coords = chart.coord_names
+    if any(name in getattr(model, table) for table, _ in _VALUES.values()):
+        problem = "is already declared"
+    elif name in coords + chart.param_names:
+        problem = "is a coordinate or parameter"
+    elif name in _BUILTINS or name.startswith("d") and (
+            name[1:] in coords or name.startswith("d_") and name[2:] in coords):
+        problem = "is a built-in name"
+    else:
+        return name
+    raise DslError(f"{name!r} {problem}", stream.line, token.column)
+
+
 def parse_model(text: str, name: str = "model") -> Model:
-    """Parse a model file; diagnostics carry line and column."""
+    """Parse a model file; diagnostics carry line and column.  ``name`` is
+    ignored: the chart's name is the model's name."""
     model: Model | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -438,7 +467,7 @@ def parse_model(text: str, name: str = "model") -> Model:
             if keyword == "chart":
                 if model is not None:
                     raise stream.error("only one chart per model")
-                model = _parse_chart(stream, name)
+                model = _parse_chart(stream)
             elif model is None:
                 raise stream.error("the chart must be declared first")
             else:
@@ -450,7 +479,7 @@ def parse_model(text: str, name: str = "model") -> Model:
     return model
 
 
-def _parse_chart(stream: _Stream, default_name: str) -> Model:
+def _parse_chart(stream: _Stream) -> Model:
     chart_name = stream.expect_ident()
     stream.expect("dim")
     dim_token = stream.next()
@@ -477,37 +506,17 @@ def _parse_chart(stream: _Stream, default_name: str) -> Model:
 
 def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
     parser = _ExpressionParser(stream, model)
-    if keyword == "scalar":
-        name = stream.expect_ident()
+    if keyword in ("dirac", "complement", "polarization") \
+            and getattr(model, f"{keyword}_decl") is not None:
+        raise stream.error(f"only one {keyword} per model")
+    if keyword in _VALUES:
+        table, kind = _VALUES[keyword]
+        name = _new_name(stream, model)
         stream.expect("=")
-        model.scalars[name] = _require_scalar(parser.expression(), stream)
-    elif keyword == "form":
-        name = stream.expect_ident()
-        stream.expect("=")
-        value = parser.expression()
-        if not isinstance(value, KForm):
-            raise stream.error(f"expected a form, got {_kind(value)}")
-        model.forms[name] = value
-    elif keyword == "vector":
-        name = stream.expect_ident()
-        stream.expect("=")
-        value = parser.expression()
-        if not isinstance(value, VectorField):
-            raise stream.error(f"expected a vector field, got {_kind(value)}")
-        model.vectors[name] = value
-    elif keyword == "bivector":
-        name = stream.expect_ident()
-        stream.expect("=")
-        value = parser.expression()
-        if isinstance(value, VectorField):
-            value = _vector_to_multi(value)
-        if not isinstance(value, KVector) or value.degree != 2:
-            raise stream.error(f"expected a bivector, got {_kind(value)}")
-        model.bivectors[name] = value
-    elif keyword == "section":
-        name = stream.expect_ident()
-        stream.expect("=")
-        model.sections[name] = parser.pair()
+        value = parser.pair() if kind is Section else parser.expression()
+        if not isinstance(value, kind) or kind is KVector and value.degree != 2:
+            raise stream.error(f"expected a {keyword}, got {_kind(value)}")
+        getattr(model, table)[name] = value
     elif keyword == "dirac":
         name = stream.expect_ident()
         stream.expect("=")
@@ -515,9 +524,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         kind = stream.expect_ident()
         if kind not in _DIRAC_ARGS:
             raise stream.error(f"unknown Dirac constructor {kind!r}")
-        table, what, single, check = _DIRAC_ARGS[kind]
-        args = _declared_names(stream, getattr(model, table), what, single,
-                               check)
+        args = _declared_names(stream, model, *_DIRAC_ARGS[kind])
         dim = model.chart.dim
         if kind == "frame" and len(args) != dim:
             raise DslError(f"a Dirac frame on {model.chart.name} needs {dim} "
@@ -532,7 +539,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
             model.complement_decl = (name, "auto", ())
         elif kind == "sections":
             model.complement_decl = (name, "sections", _declared_names(
-                stream, model.sections, "section"))
+                stream, model, "section"))
         else:
             raise stream.error("complement must be 'auto' or 'sections(...)'")
     elif keyword == "patch":
@@ -592,10 +599,6 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
             pairs.append(parser.pair())
         stream.expect(")")
         model.polarization_decl = (name, tuple(pairs))
-    elif keyword == "halfdensity":
-        name = stream.expect_ident()
-        stream.expect("=")
-        model.halfdensities[name] = _require_scalar(parser.expression(), stream)
     elif keyword == "check":
         while not stream.at_end():
             suite = stream.expect_ident()
@@ -616,35 +619,28 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
 # pretty printer
 
 
-def _expr_text(e: Expr) -> str:
-    return sp.sstr(e.node).replace("**", "^")
-
-
-def _scalar_text(z: ComplexExpr) -> str:
-    if z.im == ZERO:
-        return _expr_text(z.re)
-    return f"({_expr_text(z.re)}) + i*({_expr_text(z.im)})"
-
-
-def _tensor_text(t, prefix: str) -> str:
-    """A form (``prefix`` "d") or multivector ("d_"), one term per stored
-    coefficient."""
-    names = t.chart.coord_names
-    if not t.coeffs:
-        return "0*" + "/\\".join(prefix + n for n in names[:max(t.degree, 1)])
-    parts = []
-    for key in sorted(t.coeffs):
-        basis = "/\\".join(prefix + names[i] for i in key)
-        parts.append(f"({_scalar_text(ComplexExpr.of(t.coeffs[key]))})*{basis}")
-    return " + ".join(parts)
-
-
-def _vector_text(v: VectorField) -> str:
-    return _tensor_text(_vector_to_multi(v), "d_")
-
-
-def _pair_text(pair: Section) -> str:
-    return f"({_vector_text(pair.X)}, {_tensor_text(pair.xi, 'd')})"
+def _text(value) -> str:
+    """The DSL text of a value: a scalar, a form or multivector (one term per
+    stored coefficient), a vector field or a section."""
+    if isinstance(value, Expr):
+        return sp.sstr(value.node).replace("**", "^")
+    if isinstance(value, ComplexExpr):
+        if value.im == ZERO:
+            return _text(value.re)
+        return f"({_text(value.re)}) + i*({_text(value.im)})"
+    if isinstance(value, Section):
+        return f"({_text(value.X)}, {_text(value.xi)})"
+    if isinstance(value, VectorField):
+        value = _vector_to_multi(value)
+    prefix = "d" if isinstance(value, KForm) else "d_"
+    names = value.chart.coord_names
+    if not value.coeffs:
+        return "0*" + "/\\".join(prefix + n
+                                  for n in names[:max(value.degree, 1)])
+    return " + ".join(
+        f"({_text(value.coeffs[key])})*"
+        + "/\\".join(prefix + names[i] for i in key)
+        for key in sorted(value.coeffs))
 
 
 def format_model(model: Model) -> str:
@@ -654,16 +650,9 @@ def format_model(model: Model) -> str:
              + " ".join(chart.coord_names)
              + (" params " + " ".join(chart.param_names)
                 if chart.param_names else "")]
-    for name, value in model.scalars.items():
-        lines.append(f"scalar {name} = {_scalar_text(value)}")
-    for name, value in model.forms.items():
-        lines.append(f"form {name} = {_tensor_text(value, 'd')}")
-    for name, value in model.vectors.items():
-        lines.append(f"vector {name} = {_vector_text(value)}")
-    for name, value in model.bivectors.items():
-        lines.append(f"bivector {name} = {_tensor_text(value, 'd_')}")
-    for name, value in model.sections.items():
-        lines.append(f"section {name} = {_pair_text(value)}")
+    for keyword, (table, _) in _VALUES.items():
+        lines += [f"{keyword} {name} = {_text(value)}"
+                  for name, value in getattr(model, table).items()]
     if model.dirac_decl:
         name, kind, args = model.dirac_decl
         lines.append(f"dirac {name} = {kind}({', '.join(args)})")
@@ -673,26 +662,20 @@ def format_model(model: Model) -> str:
             lines.append(f"complement {name} = auto")
         else:
             lines.append(f"complement {name} = sections({', '.join(args)})")
-    for patch in model.patches:
-        lines.append(f"patch {patch}")
+    lines += [f"patch {patch}" for patch in model.patches]
     for (j, k), value in model.transitions.items():
-        lines.append(f"transition {j} {k} = {_scalar_text(value)}")
+        lines.append(f"transition {j} {k} = {_text(value)}")
     for patch, (kind, payload) in model.sigmas.items():
-        if kind == "pull":
-            lines.append(f"sigma {patch} = pull({_tensor_text(payload[0], 'd')})")
-        else:
-            inner = ", ".join(_scalar_text(z) for z in payload)
-            lines.append(f"sigma {patch} = dcoeffs({inner})")
+        inner = ", ".join(_text(value) for value in payload)
+        lines.append(f"sigma {patch} = {kind}({inner})")
     for (j, k), value in model.cochain.items():
-        lines.append(f"cochain {j} {k} = {_expr_text(value)}")
+        lines.append(f"cochain {j} {k} = {_text(value)}")
     if model.hermitian:
         lines.append("hermitian")
     if model.polarization_decl:
         name, pairs = model.polarization_decl
-        inner = ", ".join(_pair_text(p) for p in pairs)
+        inner = ", ".join(_text(p) for p in pairs)
         lines.append(f"polarization {name} = span({inner})")
-    for name, value in model.halfdensities.items():
-        lines.append(f"halfdensity {name} = {_scalar_text(value)}")
     if model.checks:
         lines.append("check " + " ".join(model.checks))
     return "\n".join(lines) + "\n"

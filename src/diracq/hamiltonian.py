@@ -113,24 +113,24 @@ class ComplementH:
                 raise ComplementError(
                     f"complement section {h} does not lie in D: {cert.witness}")
             chi_coefficients.append(tuple(cert.solution))
-        n = dirac.dim
-        kernel_fields = dirac.tangent_kernel
-        want = len(kernel_fields) + len(self.sections)
-        if linalg.echelon([v.components for v in kernel_fields]
-                          + [h.X.components for h in self.sections],
-                          n).rank != want:
-            raise ComplementError(
-                "complement overlaps the tangent kernel generically")
-        if want != dirac.verify().dim_characteristic:
-            raise ComplementError(
-                "complement does not span the characteristic distribution")
         # the columns [chi | tau]: the complement form parts, then a basis of
         # D n T*M; each column's section of D by its frame coefficients
         self.column_coefficients = (tuple(chi_coefficients)
                                     + dirac.vectors.kernel)
         self.span = linalg.echelon(
             [covector_components(h.xi) for h in self.sections]
-            + [covector_components(eta) for eta in dirac.cotangent_kernel], n)
+            + [covector_components(eta) for eta in dirac.cotangent_kernel],
+            dirac.dim)
+        # sections of D whose vector parts combine into V are, less that
+        # V-section, sections (0, eta) with eta in D n T*M, and conversely:
+        # the vector parts meet V exactly when the columns are dependent
+        if self.span.rank != len(self.column_coefficients):
+            raise ComplementError(
+                "complement overlaps the tangent kernel generically")
+        if (len(dirac.tangent_kernel) + len(self.sections)
+                != dirac.verify().dim_characteristic):
+            raise ComplementError(
+                "complement does not span the characteristic distribution")
         self.hamiltonians: dict = {}
         self.brackets: dict = {}
 

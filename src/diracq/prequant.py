@@ -366,9 +366,13 @@ def hermitian_check(atlas: BundleAtlas, complement: ComplementH, f,
     nabla = nabla_operator(atlas, h_f, coeffs)
     n1, n2 = nabla.image(atlas, s1), nabla.image(atlas, s2)
     out = {}
+    derivatives = {}  # the pairing is often the same value on every patch
     for patch in atlas.patches:
         z1, z2 = s1[patch], s2[patch]
-        lhs = h_f.apply(atlas.hermitian_product(z1, z2))
+        pairing = atlas.hermitian_product(z1, z2)
+        if pairing not in derivatives:
+            derivatives[pairing] = h_f.apply(pairing)
+        lhs = derivatives[pairing]
         rhs = atlas.hermitian_product(n1[patch], z2) \
             + atlas.hermitian_product(z1, n2[patch])
         out[patch] = ComplexExpr.of(lhs) - rhs

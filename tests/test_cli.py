@@ -280,6 +280,14 @@ def test_malformed_dirac_constructor_exit_code(tmp_path, capsys, decl, where,
     assert where in err and message in err
 
 
+def test_repeated_scalar_exit_code(tmp_path, capsys):
+    model = tmp_path / "rebound.dq"
+    model.write_text("chart M dim 2 coords q p\nscalar f = q\nscalar f = p\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3:8:" in err and "'f' is already declared" in err
+
+
 def test_undeclared_patch_exit_code(tmp_path, capsys):
     model = tmp_path / "patches.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"

@@ -162,6 +162,24 @@ class TestParse:
      "U1 U2", "transition U1 U2 is already declared"),
     ("patch U1\npatch U2\ncochain U1 U2 = q\ncochain U1 U2 = 0",
      "U1 U2", "cochain U1 U2 is already declared"),
+    ("scalar f = q\nscalar f = p", "f =", "'f' is already declared"),
+    ("section s = (d_q, dp)\nsection s = (d_p, -dq)", "s =",
+     "'s' is already declared"),
+    ("halfdensity v = 1\nhalfdensity v = q", "v =", "'v' is already declared"),
+    ("scalar f = q\nform f = dq", "f =", "'f' is already declared"),
+    ("scalar q = p", "q =", "'q' is a coordinate or parameter"),
+    ("scalar pi = 3", "pi =", "'pi' is a built-in name"),
+    ("scalar i = 1", "i =", "'i' is a built-in name"),
+    ("vector dq = d_p", "dq =", "'dq' is a built-in name"),
+    ("form d_p = dq", "d_p =", "'d_p' is a built-in name"),
+    ("scalar exp = q", "exp =", "'exp' is a built-in name"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega)\n"
+     "dirac E = graph_presymplectic(omega)", "E", "only one dirac per model"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega)\n"
+     "complement H = auto\ncomplement K = auto", "K",
+     "only one complement per model"),
+    ("polarization P = span((d_p, -dq))\npolarization Q = span((d_q, dp))",
+     "Q", "only one polarization per model"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
     text = f"chart M dim 2 coords q p\n{decl}\n"
@@ -169,6 +187,14 @@ def test_structure_names_are_resolved_at_parse_time(decl, name, message):
         parse_model(text)
     line = text.splitlines()[err.value.line - 1]
     assert err.value.column == line.rindex(name) + 1
+
+
+def test_a_parameter_is_not_rebound():
+    text = "chart M dim 2 coords q p params k\nscalar k = q\n"
+    with pytest.raises(DslError, match="'k' is a coordinate or parameter") \
+            as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (2, 8)
 
 
 class TestRoundTrip:
@@ -243,3 +269,4 @@ def test_parse_model_is_total(statements):
     except DslError:
         return
     assert model.chart.coord_names == ("q", "p")
+    assert parse_model(format_model(model)) == model

@@ -114,10 +114,15 @@ class TestHamiltonianH:
             hamiltonian_H(dirac, complement, Expr(chart.coords[0]))
 
     def test_overlapping_complement_rejected(self, presymplectic_r4, r4):
-        # d_3 spans a tangent-kernel direction
-        bad = Section(r4.basis_vector(2), KForm(r4, 1, {}))
-        with pytest.raises(ComplementError):
-            ComplementH(presymplectic_r4, [bad])
+        # d_x3 spans a tangent-kernel direction, so it overlaps V alone, and
+        # h1 and h1 + (d_x3, 0) have vector parts that differ by it
+        d_x3 = Section(r4.basis_vector(2), KForm(r4, 1, {}))
+        h1 = Section(r4.basis_vector(0),
+                     r4.basis_covector(1) + r4.basis_covector(3))
+        for sections in ([d_x3], [h1, h1 + d_x3]):
+            with pytest.raises(ComplementError,
+                               match="overlaps the tangent kernel"):
+                ComplementH(presymplectic_r4, sections)
 
 
 class TestBrackets:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import diracq.expr as expr_module
 import diracq.prequant as prequant_module
 from diracq.algebroid import AForm, aform_equal, d_A, dirac_presentation, rho_pullback_form
-from diracq.chart import Chart, KForm, exterior_derivative
+from diracq.chart import Chart, KForm, VectorField, exterior_derivative
 from diracq.checks import run_checks
 from diracq.dirac import regular_distribution
 from diracq.dsl import SUITES, parse_model
@@ -332,6 +332,33 @@ class TestHermitian:
                 expected = self._by_definition(atlas, std_complement, f, s1, s2)
                 assert set(residuals) == set(expected)
                 assert all(is_zero(residuals[k] - expected[k]) for k in expected)
+
+    def test_a_shared_pairing_is_differentiated_once(
+            self, standard_dirac, std_complement, r2, monkeypatch):
+        # the phases of conj(z1) and z2 cancel, so the pairing is one value
+        # on all three patches of this Cech atlas
+        pres = dirac_presentation(standard_dirac)
+        q, p = (Expr(c) for c in r2.coords)
+        base = rho_pullback_form(r2.basis_covector(0).scale(-p), standard_dirac)
+        atlas = build_prequantization(
+            standard_dirac, ["U1", "U2", "U3"],
+            {"U1": base, "U2": base - d_A(q, pres), "U3": base},
+            {("U1", "U2"): q, ("U2", "U3"): -q, ("U1", "U3"): as_expr(0)})
+        s1 = line_section_from_patch(atlas, "U1", ComplexExpr(q, p))
+        s2 = line_section_from_patch(atlas, "U1", ComplexExpr(q * p, as_expr(1)))
+        pairing = atlas.hermitian_product(s1["U1"], s2["U1"])
+        assert all(atlas.hermitian_product(s1[k], s2[k]) == pairing
+                   for k in atlas.patches)
+        f = q * p + q
+        expected = self._by_definition(atlas, std_complement, f, s1, s2)
+        applied = []
+        apply = VectorField.apply
+        monkeypatch.setattr(VectorField, "apply",
+                            lambda field, g: applied.append(g) or apply(field, g))
+        residuals = hermitian_check(atlas, std_complement, f, s1, s2)
+        assert applied.count(pairing) == 1
+        assert set(residuals) == set(expected)
+        assert all(is_zero(residuals[k] - expected[k]) for k in expected)
 
     def test_same_section_constant_function(self, std_atlas, std_complement):
         s = line_section_from_patch(std_atlas, "U", ComplexExpr.of(2))
