@@ -1,9 +1,10 @@
 """diracq: exact symbolic calculus for Dirac structures on coordinate charts.
 
-Importing the package builds a large, long-lived heap: sympy's modules,
-classes and caches, and diracq's own modules and fields.  The cyclic garbage
-collector would walk that heap again and again while it grows, and once more
-at interpreter exit, and it would never find garbage there.  So the import
+Importing the package builds a long-lived heap: diracq's own modules and
+fields.  It does not import sympy or mpmath; the code that needs a sympy tree
+imports them on first use.  The cyclic garbage collector would walk that
+heap again and again while it grows, and once more at interpreter exit, and
+it would never find garbage there.  So the import
 runs with the collector off and then moves everything alive at that point to
 the permanent generation (``gc.freeze()``), which no later collection walks
 and which exit neither collects nor frees.  The caller's collector state is

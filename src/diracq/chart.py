@@ -16,12 +16,11 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-import sympy as sp
-
 from .expr import (
     ComplexExpr,
     Expr,
     ExprError,
+    Generator,
     UnknownSymbolError,
     ZERO,
     as_expr,
@@ -80,10 +79,10 @@ class Chart:
         return len(self.coord_names)
 
     @cached_property
-    def coords(self) -> tuple[sp.Symbol, ...]:
+    def coords(self) -> tuple[Generator, ...]:
         return tuple(symbol(n) for n in self.coord_names)
 
-    def diff(self, e: Expr, name: Union[str, sp.Symbol]) -> Expr:
+    def diff(self, e: Expr, name: Union[str, Generator]) -> Expr:
         sym = symbol(name) if isinstance(name, str) else name
         if str(sym) not in self.coord_names:
             raise UnknownSymbolError(str(sym))

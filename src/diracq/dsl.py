@@ -40,8 +40,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import sympy as sp
-
 from .chart import Chart, KForm, KVector, VectorField
 from .dirac import Section
 from .expr import I, PI, ZERO, ComplexExpr, Expr, ExprError, atom, symbol
@@ -336,9 +334,8 @@ class _ExpressionParser:
                 raise self.err(f"{name} expects a scalar argument")
             if inner.im != ZERO:
                 raise self.err(f"{name} of a complex argument is not supported")
-            head = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}[name]
-            return ComplexExpr.of(atom(head, inner.re))
-        model = self.model  # sections and half-densities are not operands
+            return ComplexExpr.of(atom(name, inner.re))
+        model = self.model
         for table in (model.scalars, model.forms, model.vectors,
                       model.bivectors):
             if name in table:
@@ -354,7 +351,13 @@ class _ExpressionParser:
             return chart.basis_vector(chart.coord_names.index(name[2:]))
         if name.startswith("d") and name[1:] in chart.coord_names:
             return chart.basis_covector(chart.coord_names.index(name[1:]))
-        raise DslError(f"unknown symbol {name!r}", self.stream.line, token.column)
+        # sections and half-densities are not operands
+        problem = (f"the section {name!r} is not an operand"
+                   if name in model.sections else
+                   f"the half-density {name!r} is not an operand"
+                   if name in model.halfdensities else
+                   f"unknown symbol {name!r}")
+        raise DslError(problem, self.stream.line, token.column)
 
     def pair(self) -> Section:
         self.stream.expect("(")
@@ -435,12 +438,16 @@ def _declared_names(stream: _Stream, model: Model, keyword: str,
 
 
 def _new_name(stream: _Stream, model: Model) -> str:
-    """The name a value declaration binds, which must not be bound yet."""
+    """The name a value, ``dirac``, ``complement`` or ``polarization``
+    declaration binds, which must not be bound yet."""
     token = stream.peek()
     name = stream.expect_ident()
     chart = model.chart
     coords = chart.coord_names
-    if any(name in getattr(model, table) for table, _ in _VALUES.values()):
+    structures = (model.dirac_decl, model.complement_decl,
+                  model.polarization_decl)
+    if any(decl and decl[0] == name for decl in structures) or any(
+            name in getattr(model, table) for table, _ in _VALUES.values()):
         problem = "is already declared"
     elif name in coords + chart.param_names:
         problem = "is a coordinate or parameter"
@@ -518,7 +525,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
             raise stream.error(f"expected a {keyword}, got {_kind(value)}")
         getattr(model, table)[name] = value
     elif keyword == "dirac":
-        name = stream.expect_ident()
+        name = _new_name(stream, model)
         stream.expect("=")
         kind_token = stream.peek()
         kind = stream.expect_ident()
@@ -532,7 +539,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
                            kind_token.column)
         model.dirac_decl = (name, kind, args)
     elif keyword == "complement":
-        name = stream.expect_ident()
+        name = _new_name(stream, model)
         stream.expect("=")
         kind = stream.expect_ident()
         if kind == "auto":
@@ -590,7 +597,7 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
     elif keyword == "hermitian":
         model.hermitian = True
     elif keyword == "polarization":
-        name = stream.expect_ident()
+        name = _new_name(stream, model)
         stream.expect("=")
         stream.expect("span")
         stream.expect("(")
@@ -623,7 +630,7 @@ def _text(value) -> str:
     """The DSL text of a value: a scalar, a form or multivector (one term per
     stored coefficient), a vector field or a section."""
     if isinstance(value, Expr):
-        return sp.sstr(value.node).replace("**", "^")
+        return str(value).replace("**", "^")
     if isinstance(value, ComplexExpr):
         if value.im == ZERO:
             return _text(value.re)

@@ -1,41 +1,43 @@
 """Exact symbolic scalars.
 
-An :class:`Expr` is a reduced element of a sparse fraction field over the
-integers (``sympy.polys.fields.FracField`` over ``ZZ``) whose generators are
-exactly the generators the value involves: coordinate and parameter symbols,
-the constant ``pi``, and one generator per transcendental atom ``exp(u)``,
-``sin(u)`` or ``cos(u)``.  Arithmetic, differentiation and equality run in
-these fields, and so does substitution of rational values (``Expr.subs``); a
-sympy tree is built only on demand (``Expr.node``: printing, parsing, and
-evaluation at a point by the one evaluator of trees that :func:`evaluate` and
-the sampled fallback of :func:`equal` share).
+An :class:`Expr` is a reduced fraction of two sparse integer polynomials
+(:mod:`diracq.poly`) over exactly the generators the value involves:
+coordinate and parameter symbols, the constant ``pi``, and one generator per
+transcendental atom ``exp(u)``, ``sin(u)`` or ``cos(u)``.  Arithmetic,
+differentiation, equality, substitution of rational values (``Expr.subs``)
+and printing run on these polynomials.  sympy and mpmath are imported only
+where a tree is needed: ``Expr.node``, ``Expr(<sympy tree>)``, building an
+atom, printing a value with an atom or ``pi``, and evaluation at a point by
+the one evaluator of trees that :func:`evaluate` and the sampled fallback of
+:func:`equal` share.  A value of symbols alone prints exactly as sympy's
+``sstr`` prints its tree.
 
 The fields and their generators:
 
-* There is one field per sorted tuple of generators, kept in a registry.
-  Generators are sorted by a fixed key, so the canonical form of a value does
-  not depend on the order in which generators were met, and a constant lives
-  in the field with no generators.  A binary operation embeds its operands in
-  the field of the union of their generators, and the reduced result moves to
-  the field of the generators it still involves, so ``(x + y) - y`` is ``x``
-  in the field of ``x``.  The union of two fields and the positions of their
-  generators in it are computed once per pair of fields.  A value keeps its
-  element (only its tree is cached on demand), and meeting a new generator
-  changes no existing field.
+* A :class:`Generator` is interned: one per symbol name, one ``pi`` and one
+  per atom.  There is one field per sorted tuple of generators, kept in a
+  registry.  Generators are sorted by a fixed key (symbols by name, then
+  ``pi``, then atoms by text), so the canonical form of a value does not
+  depend on the order in which generators were met, and a constant lives in
+  the field with no generators.  A binary operation embeds its operands in
+  the field of the union of their generators, and the reduced result moves
+  to the field of the generators it still involves, so ``(x + y) - y`` is
+  ``x`` in the field of ``x``.  The union of two fields and the positions of
+  their generators in it are computed once per pair of fields, and meeting a
+  new generator changes no existing field.
 * The canonical form is a numerator coprime to its denominator, whose
-  leading coefficient is positive.  Where the algebra rules out a common
-  factor, arithmetic skips the gcd and lands on that same form: a product
-  of two polynomials is the ring product, and no generator drops from it; a
-  sum with a polynomial is ``(n + p*d)/d``, coprime because ``n/d`` is
-  (Henrici, J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1), though a generator
-  can still cancel; a rational constant meets the other operand through
-  integer gcds alone, and ``1 * x`` is ``x``.  Any other product, and a sum
-  of two fractions, takes one full ``cancel``: the Henrici sum, the
-  cross-cancelled product and a polynomial-times-fraction rule measured no
-  faster.
-* An atom is registered under its head and the canonical tree of its
-  argument, so ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where
-  sympy evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
+  lex-leading coefficient is positive; a reduced fraction in that form is
+  unique.  Where the algebra rules out a common factor, arithmetic skips the
+  gcd and lands on that same form: a product of two polynomials is the ring
+  product, and no generator drops from it; a sum with a polynomial is
+  ``(n + p*d)/d``, coprime because ``n/d`` is (Henrici, J. ACM 3, 1956;
+  Knuth, TAOCP vol. 2, 4.5.1), though a generator can still cancel; a
+  rational constant meets the other operand through integer gcds alone, and
+  ``1 * x`` is ``x``.  Any other product, and a sum of two fractions, takes
+  one full :func:`~diracq.poly.cancel`.
+* An atom is registered under its head and its argument, so
+  ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where sympy
+  evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
   ``cos(2*pi/3) = -1/2``) the value is that evaluation; ``sp.E`` is the atom
   ``exp(1)``.  Atoms are opaque: ``sin(x)**2 + cos(x)**2`` is *not* the
   generator ``1``.
@@ -78,20 +80,19 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Union
 
-import mpmath
-import sympy as sp
-from sympy.polys.domains import ZZ
-from sympy.polys.fields import FracField
+from . import poly
 
 __all__ = [
     "Expr",
     "ComplexExpr",
+    "Generator",
     "Point",
     "ExprError",
     "SingularPointError",
@@ -120,8 +121,28 @@ Scalar = Union["Expr", "ComplexExpr", int, Fraction]
 # above the required 64 fractional bits.
 _EVAL_DIGITS = 30
 
-_ATOM_HEADS = (sp.exp, sp.sin, sp.cos)
-_INFINITIES = (sp.zoo, sp.nan, sp.oo, -sp.oo)
+_HEADS = ("exp", "sin", "cos")
+
+
+def _sympy():
+    """sympy, imported on first use."""
+    import sympy
+    return sympy
+
+
+def __getattr__(name: str):
+    # sympy's namespace and its atom heads, served without importing sympy
+    # with this module
+    if name == "sp":
+        return _sympy()
+    if name == "_ATOM_HEADS":
+        return _atom_heads()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _atom_heads() -> tuple:
+    sp = _sympy()
+    return (sp.exp, sp.sin, sp.cos)
 
 
 class ExprError(Exception):
@@ -144,49 +165,106 @@ def _zero_division() -> ExprError:
     return ExprError("division by the zero expression")
 
 
-def symbol(name: str) -> sp.Symbol:
-    """The (real) sympy symbol used for a coordinate or parameter."""
-    return sp.Symbol(name, real=True)
+# ---------------------------------------------------------------------------
+# the generators
+
+
+class Generator:
+    """A generator of the scalar fields: a coordinate or parameter symbol,
+    the constant ``pi``, or a transcendental atom ``head(arg)``.  Generators
+    are interned, so two are equal only when they are the same object.
+    ``key`` sorts them: symbols by name, then ``pi``, then atoms by text.
+    ``_sympy_`` gives the sympy tree, so a generator can enter a sympy
+    expression."""
+
+    __slots__ = ("name", "key", "head", "arg", "free_symbols", "value",
+                 "_tree")
+
+    def __init__(self, name: str, key: tuple, tree=None, head=None, arg=None):
+        self.name, self.key, self._tree = name, key, tree
+        self.head, self.arg = head, arg
+        self.free_symbols = (arg.free_symbols if head else
+                             frozenset() if key[0] else frozenset((self,)))
+        self.value = _make(_field((self,)), {(1,): 1}, {(0,): 1})
+
+    @property
+    def tree(self):
+        """The sympy tree: a real ``Symbol``, ``pi`` or the atom."""
+        if self._tree is None:
+            sp = _sympy()
+            self._tree = sp.pi if self.key[0] else sp.Symbol(self.name,
+                                                             real=True)
+        return self._tree
+
+    def _sympy_(self):
+        return self.tree
+
+    def __str__(self) -> str:
+        return self.name
+
+    __repr__ = __str__
+
+
+_SYMBOLS: dict = {}                 # name -> its symbol generator
+
+
+def symbol(name: str) -> Generator:
+    """The (real) symbol used for a coordinate or parameter."""
+    gen = _SYMBOLS.get(name)
+    if gen is None:
+        gen = _SYMBOLS[name] = Generator(name, (0, name, name))
+    return gen
+
+
+def _require_symbol(sym) -> None:
+    """A derivative, substitution or integral is taken in a symbol
+    generator; anything else (a sympy ``Symbol``, ``pi``) would match no
+    generator and silently act as a constant."""
+    if sym.__class__ is not Generator or sym.key[0]:
+        raise ExprError(f"{sym!r} is not a symbol from diracq.expr.symbol")
 
 
 # ---------------------------------------------------------------------------
-# the fields and their generators
+# the fields
 
 
-def _generator_key(tree: sp.Expr):
-    """Symbols first, then ``pi``, then atoms; by text, then by full form."""
-    key = _KEYS.get(tree)
-    if key is None:
-        kind = 0 if tree.is_Symbol else 1 if tree is sp.pi else 2
-        key = _KEYS[tree] = (kind, str(tree), sp.srepr(tree))
-    return key
+class _Field:
+    """The fraction field over a sorted tuple of generators: ``one`` is its
+    polynomial ``1``; ``printable`` says every generator is a symbol, and
+    ``atomic`` that some generator is an atom."""
+
+    __slots__ = ("gens", "ngens", "one", "printable", "atomic")
+
+    def __init__(self, gens: tuple):
+        self.gens, self.ngens = gens, len(gens)
+        self.one = {(0,) * len(gens): 1}
+        self.printable = all(not gen.key[0] for gen in gens)
+        self.atomic = any(gen.head for gen in gens)
 
 
 _FIELDS: dict = {}                  # sorted generator tuple -> its field
-_GENERATORS: dict = {}              # generator tree -> its Expr
-_ATOM_ARGS: dict = {}               # atom generator tree -> (head, argument)
-_ATOMS: dict = {}                   # (head, argument tree) -> head(argument)
-_KEYS: dict = {}                    # generator tree -> its sort key
+_ATOMS: dict = {}                   # (head, argument) -> head(argument)
 # (id(field), id(field)) -> (union field, spreader, spreader); fields are
 # never freed, so an id names one field for the life of the process
 _UNIONS: dict = {}
 
 
-def _field(gens: tuple) -> FracField:
-    """The field of the generators ``gens``, sorted by :func:`_generator_key`."""
+def _field(gens: tuple) -> _Field:
+    """The field of the generators ``gens``, sorted by their ``key``."""
     field = _FIELDS.get(gens)
     if field is None:
-        field = _FIELDS[gens] = FracField(gens, ZZ)
+        field = _FIELDS[gens] = _Field(gens)
     return field
 
 
 _CONSTANTS = _field(())
 
 
-def _is_one(poly) -> bool:
-    """``poly == 1``, read off its terms (``PolyElement.is_one`` builds a new
-    ring element on every call)."""
-    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+def _make(field: _Field, num: dict, den: dict) -> "Expr":
+    out = object.__new__(Expr)
+    out.field, out.num, out.den, out._node, out._hash = (field, num, den,
+                                                         None, None)
+    return out
 
 
 def _spreader(field, union):
@@ -195,16 +273,15 @@ def _spreader(field, union):
     ``union`` (a generator ``field`` lacks reads that ``0``)."""
     if field is union:
         return None
-    return itemgetter(*(field.symbols.index(tree) if tree in field.symbols
-                        else -1 for tree in union.symbols))
+    return itemgetter(*(field.gens.index(gen) if gen in field.gens
+                        else -1 for gen in union.gens))
 
 
-def _spread(poly, spreader, ring):
-    """``poly`` in ``ring``, whose monomials ``spreader`` gives."""
+def _spread(p: dict, spreader) -> dict:
+    """``p`` in the union field, whose monomials ``spreader`` gives."""
     if spreader is None:
-        return poly
-    return ring.dtype({spreader(monom + (0,)): coeff
-                       for monom, coeff in poly.items()})
+        return p
+    return {spreader(monom + (0,)): coeff for monom, coeff in p.items()}
 
 
 def _common(a, b):
@@ -213,195 +290,191 @@ def _common(a, b):
     a field that is not the union has fewer generators than it, the union
     has two or more, and each ``itemgetter`` spreader returns a tuple."""
     if a.field is b.field:
-        return a.field, a.numer, a.denom, b.numer, b.denom
+        return a.field, a.num, a.den, b.num, b.den
     key = (id(a.field), id(b.field))
     union = _UNIONS.get(key)
     if union is None:
-        field = _field(tuple(sorted({*a.field.symbols, *b.field.symbols},
-                                    key=_generator_key)))
+        field = _field(tuple(sorted({*a.field.gens, *b.field.gens},
+                                    key=attrgetter("key"))))
         union = _UNIONS[key] = (field, _spreader(a.field, field),
                                 _spreader(b.field, field))
     field, spread_a, spread_b = union
-    ring = field.ring
-    return (field, _spread(a.numer, spread_a, ring),
-            _spread(a.denom, spread_a, ring), _spread(b.numer, spread_b, ring),
-            _spread(b.denom, spread_b, ring))
+    return (field, _spread(a.num, spread_a), _spread(a.den, spread_a),
+            _spread(b.num, spread_b), _spread(b.den, spread_b))
 
 
-def _generator(tree: sp.Expr) -> "Expr":
-    value = _GENERATORS.get(tree)
-    if value is None:
-        value = _GENERATORS[tree] = _wrap(_field((tree,)).gens[0])
-    return value
+def _constant(p: int, q: int = 1) -> "Expr":
+    """The constant ``p / q`` for coprime ``p`` and ``q > 0``; a zero
+    numerator is the empty polynomial."""
+    return _make(_CONSTANTS, {(): p} if p else {}, {(): q})
 
 
-def _constant(p: int, q: int = 1):
-    """The constant ``p / q`` for coprime ``p`` and ``q > 0``: its two ring
-    elements are built directly, and a zero numerator is the empty one."""
-    new, integer = _CONSTANTS.ring.dtype, ZZ.dtype
-    return _CONSTANTS.raw_new(new({(): integer(p)} if p else {}),
-                              new({(): integer(q)}))
-
-
-def _rational(p: int, q: int):
+def _rational(p: int, q: int) -> "Expr":
     """The constant ``p / q`` for ``q > 0``."""
     g = math.gcd(p, q)
     return _constant(p // g, q // g)
 
 
-def _own_field(field, num, den):
+def _own_field(field, num, den) -> "Expr":
     """``num / den``, coprime with a positive leading coefficient below, in
     the field of exactly the generators it involves."""
     if not num:
-        return _CONSTANTS.zero
+        return _constant(0)
     used = [i for i, col in enumerate(zip(*num, *den)) if any(col)]
     if len(used) < field.ngens:
-        field = _field(tuple(field.symbols[i] for i in used))
-        num, den = (field.ring.dtype({tuple(monom[i] for i in used): coeff
-                                      for monom, coeff in poly.items()})
-                    for poly in (num, den))
-    return field.raw_new(num, den)
+        field = _field(tuple(field.gens[i] for i in used))
+        num, den = ({tuple(monom[i] for i in used): coeff
+                     for monom, coeff in p.items()} for p in (num, den))
+    return _make(field, num, den)
 
 
-def _reduced(field, num, den):
+def _reduced(field, num, den) -> "Expr":
     """``num / den`` in lowest terms with a positive leading coefficient
     below, in the field of exactly the generators it involves."""
     if not den:
         raise _zero_division()
-    if num and not _is_one(den):
-        num, den = num.cancel(den)
+    if num and den != field.one:
+        num, den = poly.cancel(num, den)
     return _own_field(field, num, den)
 
 
 def _positive_below(num, den):
     """``num / den`` with the sign moved so that ``den`` leads positively."""
-    if den.LC < 0:
-        return -num, -den
+    if poly.leading_coeff(den) < 0:
+        return poly.neg(num), poly.neg(den)
     return num, den
 
 
-def _add_constant(p: int, q: int, b):
+def _add_constant(p: int, q: int, b: "Expr") -> "Expr":
     """``p/q + b`` for a rational ``p/q`` in lowest terms with ``q > 0``.
-    By Henrici's rule only a divisor of the integer ``g = gcd(q, b.denom)``
+    By Henrici's rule only a divisor of the integer ``g = gcd(q, b.den)``
     can cancel, and a constant cancels no generator of ``b``."""
-    bn, bd = b.numer, b.denom
+    bn, bd = b.num, b.den
     if not b.field.ngens:
         return _rational(p * bd[()] + bn[()] * q, q * bd[()])
     if q == 1:
-        return b.field.raw_new(bn + bd.mul_ground(p), bd)
-    g = math.gcd(q, *bd.itercoeffs())
-    num = bn.mul_ground(q // g) + bd.quo_ground(g).mul_ground(p)
-    e = math.gcd(g, *num.itercoeffs())
-    return b.field.raw_new(num.quo_ground(e),
-                           bd.quo_ground(e).mul_ground(q // g))
+        return _make(b.field, poly.add(bn, poly.mul_ground(bd, p)), bd)
+    g = math.gcd(q, *bd.values())
+    num = poly.add(poly.mul_ground(bn, q // g),
+                   poly.mul_ground(poly.quo_ground(bd, g), p))
+    e = math.gcd(g, *num.values())
+    return _make(b.field, poly.quo_ground(num, e),
+                 poly.mul_ground(poly.quo_ground(bd, e), q // g))
 
 
-def _mul_constant(p: int, q: int, b):
+def _mul_constant(p: int, q: int, b: "Expr") -> "Expr":
     """``p/q * b`` for a nonzero rational ``p/q`` in lowest terms with
-    ``q > 0``: only ``p`` against ``b.denom`` and ``q`` against
-    ``b.numer`` can cancel, and no generator of ``b`` drops."""
-    bn, bd = b.numer, b.denom
+    ``q > 0``: only ``p`` against ``b.den`` and ``q`` against ``b.num`` can
+    cancel, and no generator of ``b`` drops."""
+    bn, bd = b.num, b.den
     if not b.field.ngens:
         return _rational(p * bn[()], q * bd[()])
     if q == 1 and p in (1, -1):
         return b if p == 1 else -b
     if q != 1:
-        g = math.gcd(q, *bn.itercoeffs())
-        bn, q = bn.quo_ground(g), q // g
-        bd = bd.mul_ground(q)
-    if not _is_one(bd):
-        g = math.gcd(p, *bd.itercoeffs())
-        bd, p = bd.quo_ground(g), p // g
-    return b.field.raw_new(bn.mul_ground(p), bd)
+        g = math.gcd(q, *bn.values())
+        bn, q = poly.quo_ground(bn, g), q // g
+        bd = poly.mul_ground(bd, q)
+    if bd != b.field.one:
+        g = math.gcd(p, *bd.values())
+        bd, p = poly.quo_ground(bd, g), p // g
+    return _make(b.field, poly.mul_ground(bn, p), bd)
 
 
-def _add(a, b):
+def _add(a: "Expr", b: "Expr") -> "Expr":
     """``a + b`` for nonzero ``a`` and ``b``."""
     if not b.field.ngens:
         a, b = b, a                             # a constant first
     if not a.field.ngens:
-        return _add_constant(a.numer[()], a.denom[()], b)
+        return _add_constant(a.num[()], a.den[()], b)
     field, an, ad, bn, bd = _common(a, b)
-    if _is_one(bd):
+    one = field.one
+    if bd == one:
         an, ad, bn, bd = bn, bd, an, ad         # a polynomial first
-    if _is_one(ad):
+    if ad == one:
         # gcd(an*bd + bn, bd) = gcd(bn, bd) = 1: nothing cancels, but a
         # generator can, as in (1 + x*y)/y - x = 1/y
-        if _is_one(bd):
-            return _own_field(field, an + bn, ad)
-        return _own_field(field, an * bd + bn, bd)
+        if bd == one:
+            return _own_field(field, poly.add(an, bn), ad)
+        return _own_field(field, poly.add(poly.mul(an, bd), bn), bd)
     if ad == bd:
-        return _reduced(field, an + bn, ad)
-    return _reduced(field, an * bd + bn * ad, ad * bd)
+        return _reduced(field, poly.add(an, bn), ad)
+    return _reduced(field, poly.add(poly.mul(an, bd), poly.mul(bn, ad)),
+                    poly.mul(ad, bd))
 
 
-def _mul(a, b):
+def _mul(a: "Expr", b: "Expr") -> "Expr":
     """``a * b`` for nonzero ``a`` and ``b``."""
     if not b.field.ngens:
         a, b = b, a                             # a constant first
     if not a.field.ngens:
-        return _mul_constant(a.numer[()], a.denom[()], b)
+        return _mul_constant(a.num[()], a.den[()], b)
     field, an, ad, bn, bd = _common(a, b)
-    if _is_one(ad) and _is_one(bd):
+    if ad == bd == field.one:
         # the ring product: degrees add, so every generator stays
-        return field.raw_new(an * bn, ad)
-    return _reduced(field, an * bn, ad * bd)
+        return _make(field, poly.mul(an, bn), ad)
+    return _reduced(field, poly.mul(an, bn), poly.mul(ad, bd))
 
 
-def _div(a, b):
-    if not b:
+def _div(a: "Expr", b: "Expr") -> "Expr":
+    if not b.num:
         raise _zero_division()
-    if not a:
+    if not a.num:
         return a
-    num, den = _positive_below(b.denom, b.numer)
-    return _mul(a, b.field.raw_new(num, den))
+    return _mul(a, _make(b.field, *_positive_below(b.den, b.num)))
 
 
-def _power(elem, n: int):
-    """``elem ** n`` in reduced form.  The powers are copied into new ring
-    elements: sympy's ``square`` caches a polynomial's hash and then
-    doubles its terms in place, so an uncopied power would hash unlike an
-    equal value built otherwise."""
+def _power(e: "Expr", n: int) -> "Expr":
+    """``e ** n`` in reduced form."""
     if n == 0:
-        return _CONSTANTS.one
-    num, den = elem.numer, elem.denom
+        return ONE
+    num, den = e.num, e.den
     if n < 0:
-        if not elem:
+        if not num:
             raise _zero_division()
         num, den, n = den, num, -n
-    ring = elem.field.ring
-    return elem.field.raw_new(*_positive_below(ring.dtype(num ** n),
-                                               ring.dtype(den ** n)))
+    return _make(e.field, *_positive_below(poly.power(num, n),
+                                           poly.power(den, n)))
 
 
-def _new_atom(head, arg: "Expr") -> "Expr":
+def _new_atom(head: str, arg: "Expr") -> "Expr":
     """The value of ``head(arg)`` where sympy evaluates the atom into the
-    field; otherwise its generator, registered as an atom."""
-    tree = head(arg.node)
-    if not (tree is sp.E or (isinstance(tree, head)
+    field; otherwise a new atom generator."""
+    sp = _sympy()
+    func = getattr(sp, head)
+    tree = func(arg.node)
+    if not (tree is sp.E or (isinstance(tree, func)
                              and tree.args[0] == arg.node)):
         try:
             return _convert(tree)          # sympy evaluated the atom
         except ExprError:                  # to a value outside the field
-            tree = head(arg.node, evaluate=False)
-    _ATOM_ARGS[tree] = (head, arg)
-    return _generator(tree)
+            tree = func(arg.node, evaluate=False)
+    text = str(tree)
+    return Generator(text, (2, text, sp.srepr(tree)), tree, head, arg).value
 
 
 def atom(head, arg) -> "Expr":
-    """``head(arg)`` for ``head`` one of ``sp.exp``, ``sp.sin``, ``sp.cos``."""
-    arg = as_expr(arg)
-    key = (head, arg.node)
-    if key not in _ATOMS:
-        _ATOMS[key] = _new_atom(head, arg)
-    return _ATOMS[key]
+    """``head(arg)`` for ``head`` one of ``"exp"``, ``"sin"``, ``"cos"``, or
+    sympy's function of that name."""
+    name = head if isinstance(head, str) else head.__name__
+    if name not in _HEADS:
+        raise ExprError(f"unknown atom head {name!r}")
+    key = (name, as_expr(arg))
+    value = _ATOMS.get(key)
+    if value is None:
+        value = _ATOMS[key] = _new_atom(*key)
+    return value
 
 
-def _convert(node: sp.Expr) -> "Expr":
+def _convert(node) -> "Expr":
+    """The value of a sympy tree."""
+    sp = _sympy()
     if node.is_Rational:
-        return _wrap(_constant(int(node.p), int(node.q)))
-    if node.is_Symbol or node is sp.pi:
-        return _generator(node)
+        return _constant(int(node.p), int(node.q))
+    if node.is_Symbol:
+        return symbol(node.name).value
+    if node is sp.pi:
+        return PI
     if node.is_Add:
         out = ZERO
         for arg in node.args:
@@ -415,117 +488,180 @@ def _convert(node: sp.Expr) -> "Expr":
     if node.is_Pow and node.exp.is_Integer:
         return _convert(node.base) ** int(node.exp)
     if node is sp.E:
-        return atom(sp.exp, ONE)
-    if isinstance(node, _ATOM_HEADS):
-        return atom(node.func, _convert(node.args[0]))
-    if node in _INFINITIES:
+        return atom("exp", ONE)
+    if isinstance(node, _atom_heads()):
+        return atom(node.func.__name__, _convert(node.args[0]))
+    if node in (sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise _zero_division()
     raise ExprError(f"cannot interpret {node} as an exact scalar")
 
 
-def _element(value):
-    """``value`` as a reduced field element."""
+def _element(value) -> "Expr":
+    """``value`` as a reduced value."""
     if isinstance(value, Expr):
-        return value.elem
+        return value
+    if isinstance(value, Generator):
+        return value.value
     if isinstance(value, bool):
         raise ExprError("booleans are not scalars")
     if isinstance(value, int):
         return _constant(value)
     if isinstance(value, Fraction):
         return _constant(value.numerator, value.denominator)
-    if isinstance(value, sp.Expr):
-        return _convert(value).elem
+    sympy = sys.modules.get("sympy")       # a sympy tree needs sympy loaded
+    if sympy is not None and isinstance(value, sympy.Expr):
+        return _convert(value)
     raise ExprError(f"cannot interpret {value!r} as an exact scalar")
 
 
-def _wrap(elem) -> "Expr":
-    out = object.__new__(Expr)
-    out.elem, out._node = elem, None
-    return out
-
-
-def _derivative(poly, i: int):
-    out = {}
-    for monom, coeff in poly.items():
-        k = monom[i]
-        if k:
-            out[monom[:i] + (k - 1,) + monom[i + 1:]] = coeff * k
-    return poly.ring.dtype(out)
-
-
-def _at(poly, i: int, p: int, q: int, d: int):
-    """``q**d`` times ``poly`` with its ``i``-th generator set to ``p/q``,
-    for ``d`` at least the degree of ``poly`` in that generator."""
-    out: dict = {}
-    for monom, coeff in poly.items():
-        key = monom[:i] + (0,) + monom[i + 1:]
-        out[key] = out.get(key, 0) + coeff * p ** monom[i] * q ** (d - monom[i])
-    return poly.ring.dtype({m: c for m, c in out.items() if c})
-
-
-def _partial(elem, i: int) -> "Expr":
-    """The partial derivative of ``elem`` in its ``i``-th generator."""
-    num, den = elem.numer, elem.denom
-    dnum, dden = _derivative(num, i), _derivative(den, i)
+def _partial(e: "Expr", i: int) -> "Expr":
+    """The partial derivative of ``e`` in its ``i``-th generator."""
+    num, den = e.num, e.den
+    dnum, dden = poly.derivative(num, i), poly.derivative(den, i)
     if not dden:
-        return _wrap(_reduced(elem.field, dnum, den))
-    return _wrap(_reduced(elem.field, dnum * den - num * dden, den * den))
+        return _reduced(e.field, dnum, den)
+    return _reduced(e.field,
+                    poly.add(poly.mul(dnum, den), poly.neg(poly.mul(num, dden))),
+                    poly.mul(den, den))
 
 
-def _atom_derivative(tree: sp.Expr, sym: sp.Symbol) -> "Expr":
-    """``d tree / d sym`` for an atom generator, by the chain rule."""
-    head, arg = _ATOM_ARGS[tree]
-    inner = arg.diff(sym)
-    if inner == ZERO:
+def _atom_derivative(gen: Generator, sym: Generator) -> "Expr":
+    """``d gen / d sym`` for an atom generator, by the chain rule."""
+    inner = gen.arg.diff(sym)
+    if not inner.num:
         return ZERO
-    if head is sp.exp:
-        return _GENERATORS[tree] * inner
-    if head is sp.sin:
-        return atom(sp.cos, arg) * inner
-    return -atom(sp.sin, arg) * inner
+    if gen.head == "exp":
+        return gen.value * inner
+    if gen.head == "sin":
+        return atom("cos", gen.arg) * inner
+    return -atom("sin", gen.arg) * inner
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def _power_text(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}**{e}"
+
+
+def _factors(names, monom) -> list:
+    return [_power_text(name, e) for name, e in zip(names, monom) if e]
+
+
+def _product_text(p: int, q: int, up: list, down: list) -> str:
+    """sympy's text of the product ``p/q * up / down``: the sign, then the
+    numerator factors (``|p|`` first) over the denominator factors (``q``
+    first)."""
+    if abs(p) != 1:
+        up = [str(abs(p)), *up]
+    if q != 1:
+        down = [str(q), *down]
+    text = ("-" if p < 0 else "") + ("*".join(up) or "1")
+    if not down:
+        return text
+    if len(down) == 1:
+        return f"{text}/{down[0]}"
+    return f"{text}/({'*'.join(down)})"
+
+
+def _sum_text(names, p: dict, d: int = 1) -> str:
+    """sympy's text of ``p / d`` for a polynomial ``p`` of two or more
+    terms, the integer ``d`` spread over the terms: descending lex order,
+    except that ``c - k*x**e`` with a positive constant ``c`` keeps the
+    constant first."""
+    terms = sorted(p.items(), reverse=True)
+    if len(terms) == 2:
+        (m1, c1), (m0, c0) = terms
+        if (c0 > 0 > c1 and not any(m0)
+                and sum(1 for e in m1 if e) == 1):
+            terms.reverse()
+    text = ""
+    for monom, coeff in terms:
+        g = math.gcd(coeff, d)
+        term = _product_text(coeff // g, d // g, _factors(names, monom), [])
+        if text:
+            term = f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+        text += term
+    return text
+
+
+def _text(field: _Field, num: dict, den: dict) -> str:
+    """The text ``sstr`` gives the tree of ``num / den`` over a field of
+    symbols."""
+    names = [gen.name for gen in field.gens]
+    if not field.ngens:
+        p, q = num.get((), 0), den[()]
+        return str(p) if q == 1 else f"{p}/{q}"
+    if len(num) > 1:
+        up = [f"({_sum_text(names, num)})"]
+        p = 1
+    else:
+        (monom, p), = num.items()
+        up = _factors(names, monom)
+    if len(den) > 1:
+        return _product_text(p, 1, up, [f"({_sum_text(names, den)})"])
+    (monom, q), = den.items()
+    if not any(monom):
+        if len(num) > 1:
+            return _sum_text(names, num, q)     # sympy spreads 1/q
+        return _product_text(p, q, up, [])
+    down = _factors(names, monom)
+    if p == q == 1 and not up and len(down) == 1 and max(monom) > 1:
+        name, e = next((n, e) for n, e in zip(names, monom) if e)
+        return f"{name}**(-{e})"            # the power x**(-2), no product
+    return _product_text(p, q, up, down)
 
 
 class Expr:
-    """Immutable exact scalar, a reduced element of the field of the
-    generators it involves: built from a sympy tree, an ``int``, a
-    ``Fraction`` or another ``Expr``; arithmetic via the usual operators.
-    A zero operand costs nothing: ``+``, ``-``, ``*`` and unary ``-``
-    return the other operand as it is, its negation or the zero."""
+    """Immutable exact scalar, a reduced fraction over the generators it
+    involves: built from a sympy tree, an ``int``, a ``Fraction``, a
+    :class:`Generator` or another ``Expr``; arithmetic via the usual
+    operators.  A zero operand costs nothing: ``+``, ``-``, ``*`` and unary
+    ``-`` return the other operand as it is, its negation or the zero.
+    ``num`` and ``den`` are the polynomials over ``field.gens``."""
 
-    __slots__ = ("elem", "_node")
+    __slots__ = ("field", "num", "den", "_node", "_hash")
 
-    def __init__(self, value):
-        self.elem = _element(value)
-        self._node = None
+    def __new__(cls, value):
+        return _element(value)
 
     @property
-    def node(self) -> sp.Expr:
+    def node(self):
         """The sympy tree of the reduced numerator over the denominator."""
         if self._node is None:
-            self._node = self.elem.as_expr()
+            sp = _sympy()
+            trees = [gen.tree for gen in self.field.gens]
+
+            def tree(p):
+                return sp.Add(*[sp.Mul(sp.Integer(coeff),
+                                       *[sp.Pow(t, e)
+                                         for t, e in zip(trees, monom) if e])
+                                for monom, coeff in p.items()])
+
+            self._node = tree(self.num) / tree(self.den)
         return self._node
 
     @property
     def support(self) -> frozenset:
-        """The generator trees the value involves."""
-        return frozenset(self.elem.field.symbols)
+        """The generators the value involves."""
+        return frozenset(self.field.gens)
 
     @property
     def is_rational(self) -> bool:
         """A rational number: every derivative of it is 0."""
-        return not self.elem.field.ngens
+        return not self.field.ngens
 
     @property
     def is_integer(self) -> bool:
-        return not self.elem.field.ngens and _is_one(self.elem.denom)
+        return not self.field.ngens and self.den[()] == 1
 
     def as_numer_denom(self) -> tuple["Expr", "Expr"]:
         """The reduced numerator and denominator; the denominator's leading
         coefficient is positive."""
-        elem = self.elem
-        one = elem.field.ring.one
-        return (_wrap(_reduced(elem.field, elem.numer, one)),
-                _wrap(_reduced(elem.field, elem.denom, one)))
+        one = self.field.one
+        return (_reduced(self.field, self.num, one),
+                _reduced(self.field, self.den, one))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -534,9 +670,9 @@ class Expr:
             if isinstance(other, ComplexExpr):
                 return NotImplemented
             other = Expr(other)
-        if not (self.elem.numer and other.elem.numer):
-            return other if other.elem.numer else self
-        return _wrap(_add(self.elem, other.elem))
+        if not (self.num and other.num):
+            return other if other.num else self
+        return _add(self, other)
 
     __radd__ = __add__
 
@@ -545,9 +681,9 @@ class Expr:
             if isinstance(other, ComplexExpr):
                 return NotImplemented
             other = Expr(other)
-        if not (self.elem.numer and other.elem.numer):
-            return -other if other.elem.numer else self
-        return _wrap(_add(self.elem, -other.elem))
+        if not (self.num and other.num):
+            return -other if other.num else self
+        return _add(self, -other)
 
     def __rsub__(self, other) -> "Expr":
         return as_expr(other) - self
@@ -557,107 +693,114 @@ class Expr:
             if isinstance(other, ComplexExpr):
                 return NotImplemented
             other = Expr(other)
-        if not (self.elem.numer and other.elem.numer):
-            return other if self.elem.numer else self
-        return _wrap(_mul(self.elem, other.elem))
+        if not (self.num and other.num):
+            return other if self.num else self
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Expr":
         if isinstance(other, ComplexExpr):
             return NotImplemented
-        return _wrap(_div(self.elem, _element(other)))
+        return _div(self, _element(other))
 
     def __rtruediv__(self, other) -> "Expr":
-        return _wrap(_div(_element(other), self.elem))
+        return _div(_element(other), self)
 
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int):
             raise ExprError("only integer exponents are supported")
-        return _wrap(_power(self.elem, exponent))
+        return _power(self, exponent)
 
     def __neg__(self) -> "Expr":
-        return _wrap(-self.elem) if self.elem.numer else self
+        if not self.num:
+            return self
+        return _make(self.field, poly.neg(self.num), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        a, b = self.elem, other.elem
-        # one field, one ring: the terms decide
-        return (a.field is b.field and dict.__eq__(a.numer, b.numer)
-                and dict.__eq__(a.denom, b.denom))
+        # one field: the terms decide
+        return (self.field is other.field and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.elem)
+        if self._hash is None:
+            self._hash = hash((self.field, frozenset(self.num.items()),
+                               frozenset(self.den.items())))
+        return self._hash
 
     # -- calculus -----------------------------------------------------------
 
-    def diff(self, sym: sp.Symbol) -> "Expr":
-        elem = self.elem
+    def diff(self, sym: Generator) -> "Expr":
+        """The derivative in the symbol ``sym``."""
+        _require_symbol(sym)
         out = ZERO
-        for i, tree in enumerate(elem.field.symbols):
-            if tree == sym:
-                out = out + _partial(elem, i)
-            elif tree in _ATOM_ARGS:
-                d = _atom_derivative(tree, sym)
-                if d != ZERO:
-                    out = out + _partial(elem, i) * d
+        for i, gen in enumerate(self.field.gens):
+            if gen is sym:
+                out = out + _partial(self, i)
+            elif gen.head:
+                d = _atom_derivative(gen, sym)
+                if d.num:
+                    out = out + _partial(self, i) * d
         return out
 
-    def subs(self, mapping: Mapping[sp.Symbol, int | Fraction]) -> "Expr":
+    def subs(self, mapping: Mapping) -> "Expr":
         """Rational values for symbols, substituted in the field: ``x = p/q``
         scales the numerator and the denominator by ``q`` to the degree of
         ``x``.  An atom argument that involves a substituted symbol is an
         :class:`ExprError`."""
-        gens = self.elem.field.symbols
-        if any(not tree.free_symbols.isdisjoint(mapping)
-               for tree in gens if tree in _ATOM_ARGS):
+        for sym in mapping:
+            _require_symbol(sym)
+        gens = self.field.gens
+        if any(not gen.free_symbols.isdisjoint(mapping)
+               for gen in gens if gen.head):
             raise ExprError("an atom argument involves a substituted symbol")
-        num, den = self.elem.numer, self.elem.denom
+        num, den = self.num, self.den
         for sym, value in mapping.items():
             if sym in gens:
                 i, value = gens.index(sym), Fraction(value)
-                d = max(monom[i] for poly in (num, den) for monom in poly)
-                num, den = (_at(poly, i, value.numerator, value.denominator, d)
-                            for poly in (num, den))
-        return _wrap(_reduced(self.elem.field, num, den))
+                d = max(monom[i] for p in (num, den) for monom in p)
+                num, den = (poly.at(p, i, value.numerator, value.denominator, d)
+                            for p in (num, den))
+        return _reduced(self.field, num, den)
 
-    def integral_from_zero(self, sym: sp.Symbol) -> "Expr":
+    def integral_from_zero(self, sym: Generator) -> "Expr":
         """The antiderivative in ``sym`` that vanishes at ``sym = 0``, for a
         numerator polynomial in ``sym`` over a denominator free of it."""
-        elem = self.elem
-        gens = elem.field.symbols
-        if any(sym in tree.free_symbols for tree in gens
-               if tree in _ATOM_ARGS):
+        _require_symbol(sym)
+        gens = self.field.gens
+        if any(sym in gen.free_symbols for gen in gens if gen.head):
             raise ExprError(f"an atom argument involves {sym}")
         if sym not in gens:
-            return self * Expr(sym)
+            return self * sym.value
         i = gens.index(sym)
-        if any(monom[i] for monom in elem.denom):
+        if any(monom[i] for monom in self.den):
             raise ExprError(f"the denominator involves {sym}")
-        scale = math.lcm(*(monom[i] + 1 for monom in elem.numer))
-        num = elem.numer.ring.dtype({
-            monom[:i] + (monom[i] + 1,) + monom[i + 1:]:
-                coeff * (scale // (monom[i] + 1))
-            for monom, coeff in elem.numer.items()})
-        return _wrap(_reduced(elem.field, num, elem.denom * scale))
+        scale = math.lcm(*(monom[i] + 1 for monom in self.num))
+        num = {monom[:i] + (monom[i] + 1,) + monom[i + 1:]:
+               coeff * (scale // (monom[i] + 1))
+               for monom, coeff in self.num.items()}
+        return _reduced(self.field, num, poly.mul_ground(self.den, scale))
 
     @property
     def free_symbols(self) -> frozenset:
         """The symbols of the value and of its atoms' arguments."""
-        return frozenset().union(*(tree.free_symbols
-                                   for tree in self.elem.field.symbols))
+        return frozenset().union(*(gen.free_symbols
+                                   for gen in self.field.gens))
 
     def __str__(self) -> str:
-        return sp.sstr(self.node)
+        if self.field.printable:
+            return _text(self.field, self.num, self.den)
+        return _sympy().sstr(self.node)
 
     def __repr__(self) -> str:
-        return f"Expr({sp.sstr(self.node)})"
+        return f"Expr({self})"
 
 
-ZERO = _wrap(_CONSTANTS.zero)
-ONE = _wrap(_CONSTANTS.one)
-PI = _generator(sp.pi)
+ZERO = _constant(0)
+ONE = _constant(1)
+PI = Generator("pi", (1, "pi", "pi")).value
 
 
 def rational(p: int, q: int = 1) -> Expr:
@@ -684,7 +827,7 @@ def normalize(e: Expr) -> Expr:
     return as_expr(e)
 
 
-def differentiate(e: Expr, sym: sp.Symbol) -> Expr:
+def differentiate(e: Expr, sym: Generator) -> Expr:
     """Partial derivative, with the chain rule through transcendental atoms."""
     return as_expr(e).diff(sym)
 
@@ -697,7 +840,7 @@ class Point:
     values: Mapping[str, Fraction]
 
 
-def _rational_value(tree: sp.Expr, point: Mapping) -> Fraction:
+def _rational_value(tree, point: Mapping) -> Fraction:
     """``tree``, a rational function, at ``point`` (symbol -> ``Fraction``).
     A pole raises ``ZeroDivisionError``, and a tree that is not a rational
     function :class:`ExprError`."""
@@ -714,19 +857,21 @@ def _rational_value(tree: sp.Expr, point: Mapping) -> Fraction:
     raise ExprError(f"cannot evaluate {tree} exactly")
 
 
-def _tree_value(tree: sp.Expr, point: Mapping):
-    """``tree`` at ``point`` (symbol -> ``Fraction``): an exact ``Fraction``
-    for a rational function, else an ``mpmath.mpf`` through sympy's
-    ``evalf``.  ``point`` gives every symbol of ``tree``; a pole raises
-    ``ZeroDivisionError``."""
+def _tree_value(tree, point: Mapping):
+    """``tree`` at ``point`` (sympy symbol -> ``Fraction``): an exact
+    ``Fraction`` for a rational function, else an ``mpmath.mpf`` through
+    sympy's ``evalf``.  ``point`` gives every symbol of ``tree``; a pole
+    raises ``ZeroDivisionError``."""
     try:
         return _rational_value(tree, point)
     except ExprError:
         pass
+    import mpmath
+    sp = _sympy()
     value = tree.subs({s: sp.Rational(v.numerator, v.denominator)
                        for s, v in point.items()},
                       simultaneous=True).evalf(_EVAL_DIGITS)
-    if value.has(*_INFINITIES):
+    if value.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise ZeroDivisionError(f"{tree} has a pole at the point")
     with mpmath.workdps(_EVAL_DIGITS):
         return mpmath.mpf(sp.Float(value, _EVAL_DIGITS)._mpf_)
@@ -742,7 +887,7 @@ def evaluate(e: Expr, point: Point):
         names = ", ".join(sorted(str(s) for s in missing))
         raise UnknownSymbolError(names)
     try:
-        return _tree_value(e.node, values)
+        return _tree_value(e.node, {s.tree: v for s, v in values.items()})
     except ZeroDivisionError as err:
         raise SingularPointError(f"singular at point {point.values}") from err
 
@@ -779,7 +924,7 @@ def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
     return Fraction(num, den)
 
 
-def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
+def _probabilistic_equal(lhs, rhs, *, trials: int, seed: int,
                          tolerance: float) -> bool:
     """Compare two scalars, the trees of ``Expr`` values, at ``trials``
     random rational points of the symbols of their difference.
@@ -817,10 +962,6 @@ def _probabilistic_equal(lhs: sp.Expr, rhs: sp.Expr, *, trials: int, seed: int,
     return True
 
 
-def _has_atom(e: Expr) -> bool:
-    return any(tree in _ATOM_ARGS for tree in e.elem.field.symbols)
-
-
 def equal(e1, e2) -> bool:
     """Semantic equality of real or complex scalars.  Complex values are
     aligned to one phase (:func:`_align`) and compared part by part.  Real
@@ -833,7 +974,7 @@ def equal(e1, e2) -> bool:
     lhs, rhs = as_expr(e1), as_expr(e2)
     if lhs == rhs:
         return True
-    if not (_has_atom(lhs) or _has_atom(rhs)) or not _has_atom(lhs - rhs):
+    if not (lhs.field.atomic or rhs.field.atomic) or not (lhs - rhs).field.atomic:
         return False
     return _probabilistic_equal(lhs.node, rhs.node, trials=_TRIALS, seed=_seed,
                                 tolerance=_TOLERANCE)
@@ -903,7 +1044,7 @@ class ComplexExpr:
         if self.phase == ZERO:
             return self
         angle = 2 * PI * self.phase
-        c, s = atom(sp.cos, angle), atom(sp.sin, angle)
+        c, s = atom("cos", angle), atom("sin", angle)
         return ComplexExpr(self.re * c + self.im * s, self.im * c - self.re * s)
 
     def conj(self) -> "ComplexExpr":
@@ -946,7 +1087,7 @@ class ComplexExpr:
     def __neg__(self) -> "ComplexExpr":
         return ComplexExpr(-self.re, -self.im, self.phase)
 
-    def diff(self, sym: sp.Symbol) -> "ComplexExpr":
+    def diff(self, sym: Generator) -> "ComplexExpr":
         """The log-derivative rule ``d(a e) = (da - 2 pi i a dw) e`` for
         ``e = exp(-2 pi i w)``."""
         re, im = self.re.diff(sym), self.im.diff(sym)
@@ -955,7 +1096,7 @@ class ComplexExpr:
             re, im = re + k * self.im, im - k * self.re
         return ComplexExpr(re, im, self.phase)
 
-    def subs(self, mapping: Mapping[sp.Symbol, int | Fraction]) -> "ComplexExpr":
+    def subs(self, mapping: Mapping) -> "ComplexExpr":
         return ComplexExpr(self.re.subs(mapping), self.im.subs(mapping),
                            self.phase.subs(mapping))
 

@@ -75,6 +75,9 @@ class BundleAtlas:
     compatibility of the connection 1-sections on declared overlaps, and an
     atlas that fails is never built.
 
+    ``differentials`` holds ``d_D sigma_j`` for the patches whose caller has
+    already taken it, so the curvature does not take it again.
+
     The atlas owns two memos that live as long as it does; only a call that
     returns fills them, so a raise is computed again on the next call:
 
@@ -96,6 +99,8 @@ class BundleAtlas:
     transitions: Mapping[tuple[str, str], ComplexExpr]
     sigma: Mapping[str, AForm]
     hermitian: bool = False
+    differentials: Mapping[str, AForm] = field(default_factory=dict,
+                                               repr=False, compare=False)
     operators: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -163,7 +168,8 @@ class BundleAtlas:
     def curvature(self) -> AForm:
         """``tau = d_D sigma_j``, checked patch-independent (and real when the
         atlas is Hermitian)."""
-        taus = {name: d_A(form) for name, form in self.sigma.items()}
+        taus = {name: self.differentials[name] if name in self.differentials
+                else d_A(form) for name, form in self.sigma.items()}
         names = list(self.patches)
         first = taus[names[0]]
         for name in names[1:]:
@@ -399,10 +405,12 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
     dirac.require_verified()
     pres = dirac_presentation(dirac)
     lam = lambda_Dform(dirac)
+    taus = {}
     for name in patches:
         if name not in sigma:
             raise AtlasError(f"patch {name} has no connection 1-section")
-        if not aform_equal(d_A(sigma[name]), lam):
+        taus[name] = d_A(sigma[name])
+        if not aform_equal(taus[name], lam):
             raise AtlasError(
                 f"sigma[{name}] is not a local primitive of the skew pairing")
     cochain = {key: as_expr(w) for key, w in cochain.items()}
@@ -424,4 +432,4 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
     for (j, k), w in cochain.items():
         transitions[(j, k)] = transition_exp(w)
     return BundleAtlas(dirac, tuple(patches), transitions, dict(sigma),
-                       hermitian=True)
+                       hermitian=True, differentials=taus)

@@ -380,5 +380,5 @@ def integrate_density(kappa: AlphaDensity,
         raise QuantizeError(_NOT_POLYNOMIAL) from err
     re, im = parts
     if im == ZERO and re.is_rational:
-        return Fraction(re.elem.numer.LC, re.elem.denom.LC)
+        return Fraction(re.num.get((), 0), re.den[()])
     return ComplexExpr(re, im)

@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import sympy as sp
-
 from .chart import Chart, KForm, KVector, VectorField
 from .expr import ZERO, Expr, as_expr, atom, symbol
 
@@ -75,11 +73,14 @@ def random_kvector(rng: random.Random, chart: Chart, degree: int,
 def random_rational_expr(rng: random.Random, names: list[str],
                          depth: int = 4) -> Expr:
     """Random expression in the rational fragment, bounded depth, with
-    denominators kept away from the constant zero."""
+    denominators kept away from the constant zero.  It is built as a sympy
+    tree, so this imports sympy."""
+    import sympy as sp
+
     def leaf() -> sp.Expr:
         if rng.random() < 0.5:
             return sp.Integer(rng.randint(-6, 6))
-        return symbol(rng.choice(names))
+        return symbol(rng.choice(names)).tree
 
     def build(d: int) -> sp.Expr:
         if d <= 0:
@@ -113,7 +114,7 @@ def random_mixed_expr(rng: random.Random, names: list[str],
     if roll < 0.25:
         return base
     inner = random_rational_expr(rng, names, 2)
-    head = rng.choice((sp.sin, sp.cos, sp.exp))
+    head = rng.choice(("sin", "cos", "exp"))
     transcendental = atom(head, inner)
     combinators = [lambda: base + transcendental,
                    lambda: base * transcendental,

@@ -45,6 +45,6 @@ def g_chart() -> Chart:
 
 @pytest.fixture
 def g_poisson(g_chart):
-    x1, x2 = g_chart.coords
-    big_g = Expr(x1 ** 2 + x2 ** 2)
+    x1, x2 = (Expr(s) for s in g_chart.coords)
+    big_g = x1 ** 2 + x2 ** 2
     return graph_poisson(KVector(g_chart, 2, {(0, 1): big_g}))

@@ -100,8 +100,8 @@ def _structures():
     poisson_std = graph_poisson(KVector(r2, 2, {(0, 1): 1}))
 
     gchart = Chart("P", ("x1", "x2"))
-    g1, g2 = gchart.coords
-    poisson_g = graph_poisson(KVector(gchart, 2, {(0, 1): Expr(g1 ** 2 + g2 ** 2)}))
+    g1, g2 = (Expr(s) for s in gchart.coords)
+    poisson_g = graph_poisson(KVector(gchart, 2, {(0, 1): g1 ** 2 + g2 ** 2}))
 
     fol_chart = Chart("F", ("x1", "x2"))
     foliation = regular_distribution([fol_chart.basis_vector(0)])
@@ -117,7 +117,8 @@ def _structures():
         # admissible functions are generated by x1 and x2 + x4
         s = sp.Symbol("_s", real=True)
         poly = random_polynomial(rng, Chart("aux", ("x1", "_s")), 3, 2).node
-        return Expr(sp.expand(poly.subs(s, symbol("x2") + symbol("x4"))))
+        return Expr(sp.expand(poly.subs(s, symbol("x2").tree
+                                        + symbol("x4").tree)))
 
     def x2_poly(rng, chart):
         return Expr(random_polynomial(
@@ -201,8 +202,8 @@ def test_criterion_3_algebroid_calculus():
     r2 = Chart("M", ("q", "p"))
     std = graph_presymplectic(r2.basis_covector(0).wedge(r2.basis_covector(1)))
     gchart = Chart("P", ("x1", "x2"))
-    g1, g2 = gchart.coords
-    pi_g = KVector(gchart, 2, {(0, 1): Expr(g1 ** 2 + g2 ** 2)})
+    g1, g2 = (Expr(s) for s in gchart.coords)
+    pi_g = KVector(gchart, 2, {(0, 1): g1 ** 2 + g2 ** 2})
     presentations = [
         tangent_algebroid(Chart("T3", ("x1", "x2", "x3"))),
         cotangent_algebroid(r2, KVector(r2, 2, {(0, 1): 1})),
@@ -248,7 +249,7 @@ def test_criterion_4_poincare_homotopy():
     r2 = Chart("M", ("q", "p"))
     std = graph_presymplectic(r2.basis_covector(0).wedge(r2.basis_covector(1)))
     line = pullback_over_line(std)
-    t = symbol("t")
+    t = symbol("t").tree
     rng = rng_for(2024, "criterion4")
     for trial in range(20):
         degree = rng.randint(1, 3)

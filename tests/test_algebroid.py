@@ -59,8 +59,8 @@ class TestDA:
     def test_cotangent_zero_form(self, r2):
         pi = KVector(r2, 2, {(0, 1): 1})
         pres = cotangent_algebroid(r2, pi)
-        q, p = r2.coords
-        f = Expr(q ** 2 * p)
+        q, p = (Expr(s) for s in r2.coords)
+        f = q ** 2 * p
         out = d_A(f, pres)
         for i in range(2):
             expected = pres.anchors[i].apply(f)
@@ -69,8 +69,8 @@ class TestDA:
     def test_dd_zero_on_both_presentations(self, r2, g_chart):
         rng = rng_for(17, "dd")
         pi_std = KVector(r2, 2, {(0, 1): 1})
-        x1, x2 = g_chart.coords
-        pi_g = KVector(g_chart, 2, {(0, 1): Expr(x1 ** 2 + x2 ** 2)})
+        x1, x2 = (Expr(s) for s in g_chart.coords)
+        pi_g = KVector(g_chart, 2, {(0, 1): x1 ** 2 + x2 ** 2})
         for pres in (tangent_algebroid(r2), cotangent_algebroid(r2, pi_std),
                      cotangent_algebroid(g_chart, pi_g)):
             f = random_polynomial(rng, pres.chart, 3, 2)
@@ -171,20 +171,20 @@ class TestPullbackLine:
 
     def test_homotopy_t_dt(self, standard_dirac):
         line = pullback_over_line(standard_dirac)
-        t = symbol("t")
-        omega = AForm(line, 1, {(2,): Expr(t)})
+        t = Expr(symbol("t"))
+        omega = AForm(line, 1, {(2,): t})
         out = homotopy_S(omega)
-        assert equal(out.coeff(()), Expr(t ** 2 / 2))
+        assert equal(out.coeff(()), t ** 2 / 2)
 
     def test_homotopy_drops_t_free_terms(self, standard_dirac):
         line = pullback_over_line(standard_dirac)
-        omega = AForm(line, 1, {(0,): Expr(symbol("t") ** 2)})
+        omega = AForm(line, 1, {(0,): Expr(symbol("t")) ** 2})
         assert homotopy_S(omega).is_zero_form()
 
     def test_homotopy_identity_mixed_term(self, standard_dirac):
         line = pullback_over_line(standard_dirac)
-        t = symbol("t")
-        omega = AForm(line, 2, {(0, 2): Expr(-t)})  # t * dt ^ gamma_1
+        t = Expr(symbol("t"))
+        omega = AForm(line, 2, {(0, 2): -t})  # t * dt ^ gamma_1
         lhs = d_A(homotopy_S(omega)) + homotopy_S(d_A(omega))
         rhs = omega - pr_pullback(iota_restrict(omega), line)
         assert aform_equal(lhs, rhs)

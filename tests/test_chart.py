@@ -44,7 +44,7 @@ class TestExteriorDerivative:
                           chart.basis_covector(0).wedge(chart.basis_covector(1)))
 
     def test_d_squared_zero(self, r2):
-        q, p = r2.coords
+        q, p = (s.tree for s in r2.coords)
         f = Expr(q ** 2 * p + sp.sin(q))
         df = exterior_derivative(r2.scalar_form(f))
         assert exterior_derivative(df).is_zero_tensor()
@@ -129,10 +129,10 @@ class TestLieDerivative:
                           r2.basis_covector(0))
 
     def test_zero_form_is_directional_derivative(self, r2):
-        q, p = r2.coords
-        f = r2.scalar_form(Expr(q * p))
+        q, p = (Expr(s) for s in r2.coords)
+        f = r2.scalar_form(q * p)
         out = lie_derivative_form(r2.basis_vector(0), f)
-        assert equal(out.coeff(()), Expr(p))
+        assert equal(out.coeff(()), p)
 
     def test_commutes_with_d(self, r2):
         rng = rng_for(9, "lxd")
@@ -185,14 +185,14 @@ class TestContravariantDerivative:
 
     def test_squares_to_zero_constant(self, r2):
         pi = KVector(r2, 2, {(0, 1): 1})
-        q, p = r2.coords
-        f = KVector(r2, 0, {(): Expr(q ** 2 * p)})
+        q, p = (Expr(s) for s in r2.coords)
+        f = KVector(r2, 0, {(): q ** 2 * p})
         assert contravariant_derivative(
             pi, contravariant_derivative(pi, f)).is_zero_tensor()
 
     def test_squares_to_zero_poisson(self, g_chart):
-        x1, x2 = g_chart.coords
-        pi = KVector(g_chart, 2, {(0, 1): Expr(x1 ** 2 + x2 ** 2)})
+        x1, x2 = (Expr(s) for s in g_chart.coords)
+        pi = KVector(g_chart, 2, {(0, 1): x1 ** 2 + x2 ** 2})
         rng = rng_for(4, "delsq")
         for degree in (0, 1):
             q = random_kvector(rng, g_chart, degree)
@@ -262,7 +262,7 @@ class TestDensities:
 
     def test_divergence_free(self):
         chart = Chart("L", ("x",))
-        f = Expr(chart.coords[0] ** 3)
+        f = Expr(chart.coords[0]) ** 3
         kappa = AlphaDensity(chart, Fraction(1, 2), ComplexExpr.of(f))
         out = lie_derivative_density(chart.basis_vector(0), kappa)
         assert equal(out.coeff.re, f.diff(chart.coords[0]))
@@ -319,6 +319,6 @@ class TestSemanticZeros:
 
     def test_zero_component_prints_zero(self):
         chart = Chart("M", ("x",))
-        x = chart.coords[0]
+        x = chart.coords[0].tree
         field = VectorField(chart, (Expr((x + 1) ** 2 - x ** 2 - 2 * x - 1),))
         assert str(field) == "0"

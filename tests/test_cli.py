@@ -288,6 +288,15 @@ def test_repeated_scalar_exit_code(tmp_path, capsys):
     assert "line 3:8:" in err and "'f' is already declared" in err
 
 
+def test_half_density_operand_exit_code(tmp_path, capsys):
+    model = tmp_path / "operand.dq"
+    model.write_text("chart M dim 2 coords q p\nhalfdensity v = q\n"
+                     "scalar g = v*p\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3:12:" in err and "the half-density 'v' is not an operand" in err
+
+
 def test_undeclared_patch_exit_code(tmp_path, capsys):
     model = tmp_path / "patches.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"

@@ -114,7 +114,7 @@ class TestGraphPresymplectic:
     def test_non_closed_rejected(self):
         # the graph is built; verify() rejects it, since d(omega) != 0
         chart = Chart("R3", ("x1", "x2", "x3"))
-        omega = KForm(chart, 2, {(0, 1): Expr(chart.coords[2] ** 2)})
+        omega = KForm(chart, 2, {(0, 1): Expr(chart.coords[2]) ** 2})
         report = graph_presymplectic(omega).verify()
         assert report.d3_ok is False
         assert "not in span" in report.d3_witness
@@ -129,7 +129,7 @@ class TestGraphPoisson:
                              Section(r2.basis_vector(0), r2.basis_covector(1)))
 
     def test_g_coefficient_frame(self, g_poisson, g_chart):
-        big_g = Expr(g_chart.coords[0] ** 2 + g_chart.coords[1] ** 2)
+        big_g = Expr(g_chart.coords[0]) ** 2 + Expr(g_chart.coords[1]) ** 2
         # (G(b d_1 - a d_2), a dx1 + b dx2) with (a, b) = (1, 0) and (0, 1)
         assert section_equal(
             g_poisson.frame[0],

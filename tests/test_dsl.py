@@ -52,8 +52,8 @@ class TestParse:
                 "form omega = q*dq /\\ p*dp\n")
         model = parse_model(text)
         omega = model.forms["omega"]
-        q, p = symbol("q"), symbol("p")
-        assert equal(omega.coeff((0, 1)), Expr(q * p))
+        q, p = Expr(symbol("q")), Expr(symbol("p"))
+        assert equal(omega.coeff((0, 1)), q * p)
 
     def test_integer_exponents_only(self):
         text = "chart M dim 1 coords x\nscalar f = x^x\n"
@@ -180,6 +180,18 @@ class TestParse:
      "only one complement per model"),
     ("polarization P = span((d_p, -dq))\npolarization Q = span((d_q, dp))",
      "Q", "only one polarization per model"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega)\n"
+     "scalar D = q", "D =", "'D' is already declared"),
+    ("form omega = dq/\\dp\ndirac D = graph_presymplectic(omega)\n"
+     "complement omega = auto", "omega =", "'omega' is already declared"),
+    ("vector X = d_q\npolarization X = span((d_p, -dq))", "X =",
+     "'X' is already declared"),
+    ("dirac dp = graph_presymplectic(omega)", "dp =",
+     "'dp' is a built-in name"),
+    ("halfdensity v = q\nscalar g = v*p", "v*p",
+     "the half-density 'v' is not an operand"),
+    ("section s = (d_q, dp)\nform a = p*dq + s", "s",
+     "the section 's' is not an operand"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
     text = f"chart M dim 2 coords q p\n{decl}\n"

@@ -100,9 +100,9 @@ class TestHamiltonianH:
 
     def test_g_poisson_formula(self, g_poisson, g_chart):
         complement = default_complement(g_poisson)
-        x1, x2 = g_chart.coords
-        big_g = Expr(x1 ** 2 + x2 ** 2)
-        h, _ = hamiltonian_H(g_poisson, complement, Expr(x1))
+        x1, x2 = (Expr(s) for s in g_chart.coords)
+        big_g = x1 ** 2 + x2 ** 2
+        h, _ = hamiltonian_H(g_poisson, complement, x1)
         assert is_zero(h.components[0])
         assert equal(h.components[1], -big_g)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from diracq import linalg
 from diracq.expr import ComplexExpr, Expr, as_expr, equal, is_zero, symbol
 
-x = symbol("x")
-k = symbol("k")
+x = symbol("x").tree
+k = symbol("k").tree
 
 
 def E(value) -> Expr:

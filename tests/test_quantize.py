@@ -140,7 +140,7 @@ class TestSPMembership:
         assert ok
 
     def test_q_squared_not_in_horizontal(self, horizontal_polarization, r2):
-        ok, witness = sp_membership(Expr(r2.coords[0] ** 2),
+        ok, witness = sp_membership(Expr(r2.coords[0]) ** 2,
                                     horizontal_polarization)
         assert not ok and witness is not None
 
@@ -150,7 +150,7 @@ class TestSPMembership:
 
     def test_vertical_accepts_position_polynomials(self, vertical_polarization, r2):
         for f in (Expr(r2.coords[0]), Expr(r2.coords[1]),
-                  Expr(r2.coords[0] ** 2)):
+                  Expr(r2.coords[0]) ** 2):
             ok, _ = sp_membership(f, vertical_polarization)
             assert ok
 
@@ -238,7 +238,7 @@ class TestFhat:
         from diracq.hamiltonian import bracket_omega
         q, p = (Expr(s) for s in r2.coords)
         v = half_density_section(std_atlas,
-                                 ComplexExpr.of(Expr(r2.coords[0] ** 2 + 1)))
+                                 ComplexExpr.of(Expr(r2.coords[0]) ** 2 + 1))
         fg = bracket_omega(standard_dirac, std_complement, q, p)
         lhs_qp = fhat_halfdensity(
             q, std_atlas, std_complement,
