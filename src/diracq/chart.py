@@ -280,6 +280,27 @@ class _Alternating:
     def _basis(self, i: int) -> str:
         raise NotImplementedError
 
+    def _entries(self, argument) -> Sequence:
+        """The entries of one evaluation argument, by coordinate index."""
+        raise NotImplementedError
+
+    def evaluate(self, arguments: Sequence):
+        """The value on ``degree`` arguments: over the stored index tuples,
+        the coefficient times the determinant of the arguments' entries."""
+        if len(arguments) != self.degree:
+            raise ExprError("argument count must equal the degree")
+        entries = [self._entries(argument) for argument in arguments]
+        if self.degree == 0:
+            return self.coeff(())
+        out = ZERO
+        for key, c in self.coeffs.items():
+            rows = [[row[i] for i in key] for row in entries]
+            out = out + c * _det(rows)
+        return out
+
+    def __call__(self, *arguments):
+        return self.evaluate(arguments)
+
     def coeff(self, key: Iterable[int]):
         return self.coeffs.get(tuple(key), ZERO)
 
@@ -361,19 +382,9 @@ class KForm(_Alternating):
     def _basis(self, i: int) -> str:
         return "d" + self.chart.coord_names[i]
 
-    def evaluate(self, vectors: Sequence[VectorField]) -> Expr:
-        if len(vectors) != self.degree:
-            raise ExprError("argument count must equal the degree")
-        if self.degree == 0:
-            return self.coeff(())
-        out = ZERO
-        for key, c in self.coeffs.items():
-            rows = [[v.components[i] for i in key] for v in vectors]
-            out = out + c * _det(rows)
-        return out
-
-    def __call__(self, *vectors: VectorField) -> Expr:
-        return self.evaluate(vectors)
+    @staticmethod
+    def _entries(vector: VectorField) -> Sequence:
+        return vector.components
 
 
 class KVector(_Alternating):
@@ -382,22 +393,10 @@ class KVector(_Alternating):
     def _basis(self, i: int) -> str:
         return "d_" + self.chart.coord_names[i]
 
-    def evaluate(self, covectors: Sequence[KForm]) -> Expr:
-        if len(covectors) != self.degree:
-            raise ExprError("argument count must equal the degree")
-        for alpha in covectors:
-            if alpha.degree != 1:
-                raise ExprError("k-vectors evaluate on 1-forms")
-        if self.degree == 0:
-            return self.coeff(())
-        out = ZERO
-        for key, c in self.coeffs.items():
-            rows = [[alpha.coeff((i,)) for i in key] for alpha in covectors]
-            out = out + c * _det(rows)
-        return out
-
-    def __call__(self, *covectors: KForm) -> Expr:
-        return self.evaluate(covectors)
+    def _entries(self, alpha: KForm) -> Sequence:
+        if alpha.degree != 1:
+            raise ExprError("k-vectors evaluate on 1-forms")
+        return [alpha.coeff((i,)) for i in range(self.chart.dim)]
 
     def sharp(self, alpha: KForm) -> VectorField:
         """For a bivector: the map ``alpha -> (beta -> Pi(beta, alpha))``."""

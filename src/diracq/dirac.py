@@ -118,18 +118,21 @@ def zero_section(chart: Chart) -> Section:
     return Section(VectorField(chart, (ZERO,) * chart.dim), KForm(chart, 1, {}))
 
 
+def _pairing(a: Section, b: Section, sign: int) -> Expr:
+    """``(xi(Y) + sign * eta(X)) / 2`` for ``a = (X, xi)``, ``b = (Y, eta)``."""
+    _require_same_chart(a, b)
+    first, second = a.xi.evaluate([b.X]), b.xi.evaluate([a.X])
+    return as_expr(1) / 2 * (first + second if sign > 0 else first - second)
+
+
 def pairing_plus(a: Section, b: Section) -> Expr:
     """Symmetric pairing ((xi(Y) + eta(X)) / 2)."""
-    _require_same_chart(a, b)
-    half = as_expr(1) / 2
-    return half * (a.xi.evaluate([b.X]) + b.xi.evaluate([a.X]))
+    return _pairing(a, b, +1)
 
 
 def pairing_minus(a: Section, b: Section) -> Expr:
     """Skew pairing ((xi(Y) - eta(X)) / 2); the Lambda pairing on D."""
-    _require_same_chart(a, b)
-    half = as_expr(1) / 2
-    return half * (a.xi.evaluate([b.X]) - b.xi.evaluate([a.X]))
+    return _pairing(a, b, -1)
 
 
 def courant_form(a: Section, b: Section) -> KForm:

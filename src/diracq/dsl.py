@@ -29,7 +29,8 @@ Names are resolved as they are read: the arguments of ``dirac`` and
 ``cochain`` must be declared on earlier lines.  A name is bound once: the
 name of a ``scalar``, ``form``, ``vector``, ``bivector``, ``section`` or
 ``halfdensity`` is none of those already declared, no coordinate or
-parameter, and none of ``i pi exp sin cos``, ``dq`` and ``d_q``.  A patch,
+parameter, and, like a coordinate or parameter, none of the built-in names
+``i pi exp sin cos``, ``dq`` and ``d_q`` (for a coordinate ``q``).  A patch,
 and the ``sigma`` of a patch or the ``transition`` and ``cochain`` of an
 ordered pair, are declared once, and so are ``dirac``, ``complement`` and
 ``polarization``.
@@ -451,12 +452,18 @@ def _new_name(stream: _Stream, model: Model) -> str:
         problem = "is already declared"
     elif name in coords + chart.param_names:
         problem = "is a coordinate or parameter"
-    elif name in _BUILTINS or name.startswith("d") and (
-            name[1:] in coords or name.startswith("d_") and name[2:] in coords):
+    elif _is_builtin(name, coords):
         problem = "is a built-in name"
     else:
         return name
     raise DslError(f"{name!r} {problem}", stream.line, token.column)
+
+
+def _is_builtin(name: str, coords) -> bool:
+    """``name`` is one of ``i pi exp sin cos``, or the 1-form ``dq`` or the
+    vector field ``d_q`` of a coordinate ``q`` in ``coords``."""
+    return name in _BUILTINS or name.startswith("d") and (
+        name[1:] in coords or name.startswith("d_") and name[2:] in coords)
 
 
 def parse_model(text: str, name: str = "model") -> Model:
@@ -494,6 +501,7 @@ def _parse_chart(stream: _Stream) -> Model:
         raise stream.error("expected the dimension")
     dim = int(dim_token.text)
     stream.expect("coords")
+    start = stream.index
     coords = []
     while not stream.at_end():
         token = stream.peek()
@@ -507,6 +515,10 @@ def _parse_chart(stream: _Stream) -> Model:
     if len(coords) != dim:
         raise stream.error(
             f"dimension mismatch: dim {dim} but {len(coords)} coordinates")
+    for token in stream.tokens[start:]:  # "params" is no built-in name
+        if _is_builtin(token.text, coords):
+            raise DslError(f"{token.text!r} is a built-in name", stream.line,
+                           token.column)
     return Model(name=chart_name, chart=Chart(chart_name, tuple(coords),
                                               tuple(params)))
 

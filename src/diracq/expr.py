@@ -100,7 +100,6 @@ __all__ = [
     "symbol",
     "atom",
     "rational",
-    "integer",
     "as_expr",
     "PI",
     "ZERO",
@@ -807,10 +806,6 @@ def rational(p: int, q: int = 1) -> Expr:
     if q == 0:
         raise _zero_division()
     return Expr(Fraction(p, q))
-
-
-def integer(n: int) -> Expr:
-    return Expr(n)
 
 
 def as_expr(value) -> Expr:

@@ -70,13 +70,10 @@ class BundleAtlas:
     1-sections over the Dirac presentation.
 
     Overlaps exist exactly where a transition is declared; the user asserts
-    the cover geometry.  The constructor validates: it checks the cocycle
-    identity on declared triples and the logarithmic-derivative
-    compatibility of the connection 1-sections on declared overlaps, and an
-    atlas that fails is never built.
-
-    ``differentials`` holds ``d_D sigma_j`` for the patches whose caller has
-    already taken it, so the curvature does not take it again.
+    the cover geometry.  The constructor alone validates an atlas, and one
+    that fails is never built: each patch has a D-1-form, transitions are
+    nonzero, mutually inverse and a cocycle on declared triples, and
+    ``sigma_j - sigma_k = (i/2pi) d_D log g_jk`` on declared overlaps.
 
     The atlas owns two memos that live as long as it does; only a call that
     returns fills them, so a raise is computed again on the next call:
@@ -99,8 +96,6 @@ class BundleAtlas:
     transitions: Mapping[tuple[str, str], ComplexExpr]
     sigma: Mapping[str, AForm]
     hermitian: bool = False
-    differentials: Mapping[str, AForm] = field(default_factory=dict,
-                                               repr=False, compare=False)
     operators: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -168,8 +163,7 @@ class BundleAtlas:
     def curvature(self) -> AForm:
         """``tau = d_D sigma_j``, checked patch-independent (and real when the
         atlas is Hermitian)."""
-        taus = {name: self.differentials[name] if name in self.differentials
-                else d_A(form) for name, form in self.sigma.items()}
+        taus = {name: d_A(form) for name, form in self.sigma.items()}
         names = list(self.patches)
         first = taus[names[0]]
         for name in names[1:]:
@@ -394,30 +388,15 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
                           cochain: Mapping[tuple[str, str], Expr]) -> BundleAtlas:
     """Assemble the Hermitian prequantization atlas from local primitives.
 
-    Requires ``d_D w_jk = sigma_j - sigma_k`` on declared overlaps.  Each
-    Cech sum ``w_ab + w_bc - w_ac`` on a declared triple must be an
-    integer; otherwise :class:`IntegralityError` carries the reduced sum as
-    its witness (a non-integral constant such as ``1/3``, or a
-    non-constant sum such as ``x2``).  Transitions are ``exp(-2 pi i w_jk)``
-    kept as phases (:func:`transition_exp`), and those sums are exactly what
-    makes them a cocycle, so validation stays exact.
+    Each Cech sum ``w_ab + w_bc - w_ac`` on a declared triple must be an
+    integer; otherwise :class:`IntegralityError` carries the first
+    non-integral sum as its witness (such as ``1/3``, or ``x2``).  The
+    transitions ``exp(-2 pi i w_jk)``, kept as phases (:func:`transition_exp`),
+    make a :class:`BundleAtlas`, whose constructor checks ``d_D w_jk =
+    sigma_j - sigma_k``.  Last, the sigma must be local primitives of the
+    skew pairing: the prequantization condition ``d_D sigma_j = Lambda``.
     """
-    dirac.require_verified()
-    pres = dirac_presentation(dirac)
-    lam = lambda_Dform(dirac)
-    taus = {}
-    for name in patches:
-        if name not in sigma:
-            raise AtlasError(f"patch {name} has no connection 1-section")
-        taus[name] = d_A(sigma[name])
-        if not aform_equal(taus[name], lam):
-            raise AtlasError(
-                f"sigma[{name}] is not a local primitive of the skew pairing")
     cochain = {key: as_expr(w) for key, w in cochain.items()}
-    for (j, k), w in cochain.items():
-        if not aform_equal(d_A(w, pres), sigma[j] - sigma[k]):
-            raise AtlasError(
-                f"d_D w[{j},{k}] does not match sigma_{j} - sigma_{k}")
     for a, b, c in itertools.combinations(patches, 3):
         keys = ((a, b), (b, c), (a, c))
         if not all(key in cochain for key in keys):
@@ -428,8 +407,11 @@ def build_prequantization(dirac: DiracStructure, patches: Sequence[str],
                 f"integrality obstruction on ({a},{b},{c}): "
                 f"w[{a},{b}]+w[{b},{c}]-w[{a},{c}] = {f_abc} "
                 "is not an integer", f_abc)
-    transitions = {}
-    for (j, k), w in cochain.items():
-        transitions[(j, k)] = transition_exp(w)
-    return BundleAtlas(dirac, tuple(patches), transitions, dict(sigma),
-                       hermitian=True, differentials=taus)
+    atlas = BundleAtlas(dirac, tuple(patches),
+                        {key: transition_exp(w) for key, w in cochain.items()},
+                        dict(sigma), hermitian=True)
+    if not prequant_condition(atlas).ok:
+        raise AtlasError(
+            "the connection 1-sections are not local primitives of the skew "
+            "pairing")
+    return atlas

@@ -102,6 +102,38 @@ def test_incompatible_transition_atlas_fails(tmp_path, capsys):
         assert prequant[0]["witness"].startswith(witness), atlas
 
 
+# cochain atlases the cocycle construction rejects after the integrality
+# test: sigma whose curvature 2 dq/\dp is not Lambda (the compatibility
+# d_D q = sigma_1 - sigma_2 holds), and sigma_1 - sigma_2 = 0 != d_D q
+BAD_COCHAINS = {
+    "not-primitives": ("pull(-2*p*dq)", "pull(-2*p*dq - dq)",
+                       "the connection 1-sections are not local primitives"),
+    "unmatched-cochain": ("pull(-p*dq)", "pull(-p*dq)",
+                          "connection 1-sections incompatible on overlap "
+                          "(U1,U2)"),
+}
+
+
+@pytest.mark.parametrize("atlas", BAD_COCHAINS)
+def test_invalid_cochain_atlas_fails(tmp_path, capsys, atlas):
+    sigma1, sigma2, witness = BAD_COCHAINS[atlas]
+    model = tmp_path / f"{atlas}.dq"
+    model.write_text("chart M dim 2 coords q p\n"
+                     "form omega = dq /\\ dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "complement H = auto\n"
+                     "patch U1\npatch U2\n"
+                     f"sigma U1 = {sigma1}\nsigma U2 = {sigma2}\n"
+                     "cochain U1 U2 = q\n")
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "all", "--seed", "7")
+    assert code == 1
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert records["prequant/atlas"]["status"] == "fail"
+    assert records["prequant/atlas"]["witness"].startswith(witness)
+    assert not any(c["status"] == "error" for c in records.values())
+
+
 # non-Dirac inputs on R^3, one per constructor: the graph of the non-closed
 # x1 dx2^dx3 as a frame and as a form, the graph of the bivector of
 # v = (x2, x3, x1) (v . curl v != 0), and span(d_x1, d_x2 + x1 d_x3)
@@ -286,6 +318,14 @@ def test_repeated_scalar_exit_code(tmp_path, capsys):
     assert main(["check", str(model)]) == 2
     err = capsys.readouterr().err
     assert "line 3:8:" in err and "'f' is already declared" in err
+
+
+def test_builtin_coordinate_name_exit_code(tmp_path, capsys):
+    model = tmp_path / "chartnames.dq"
+    model.write_text("chart M dim 2 coords q dq\nscalar f = q\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1:24:" in err and "'dq' is a built-in name" in err
 
 
 def test_half_density_operand_exit_code(tmp_path, capsys):

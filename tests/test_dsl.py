@@ -192,9 +192,16 @@ class TestParse:
      "the half-density 'v' is not an operand"),
     ("section s = (d_q, dp)\nform a = p*dq + s", "s",
      "the section 's' is not an operand"),
+    ("chart M dim 2 coords pi p", "pi", "'pi' is a built-in name"),
+    ("chart M dim 2 coords q dq", "dq", "'dq' is a built-in name"),
+    ("chart M dim 2 coords dq q", "dq", "'dq' is a built-in name"),
+    ("chart M dim 2 coords q p params d_p", "d_p", "'d_p' is a built-in name"),
+    ("chart M dim 1 coords x params i", "i", "'i' is a built-in name"),
+    ("chart M dim 2 coords sin cos", "sin", "'sin' is a built-in name"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
-    text = f"chart M dim 2 coords q p\n{decl}\n"
+    text = decl + "\n" if decl.startswith("chart ") \
+        else f"chart M dim 2 coords q p\n{decl}\n"
     with pytest.raises(DslError, match=message) as err:
         parse_model(text)
     line = text.splitlines()[err.value.line - 1]
