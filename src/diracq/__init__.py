@@ -1,8 +1,8 @@
 """diracq: exact symbolic calculus for Dirac structures on coordinate charts.
 
 Importing the package builds a long-lived heap: diracq's own modules and
-fields.  It does not import sympy or mpmath; the code that needs a sympy tree
-imports them on first use.  The cyclic garbage collector would walk that
+fields.  It does not import sympy or mpmath; a sympy tree, or evaluating
+``pi`` or an atom, imports them on first use.  The cyclic garbage collector would walk that
 heap again and again while it grows, and once more at interpreter exit, and
 it would never find garbage there.  So the import
 runs with the collector off and then moves everything alive at that point to

@@ -272,6 +272,12 @@ class Resolver:
     def polarization_report(self):
         return self.polarization().check()
 
+    def polarization_of_d(self) -> Polarization:
+        """The declared polarization, once polarize's rows on it pass."""
+        if not self.polarization_report().passed:
+            raise SkipSuite("not a polarization of D")
+        return self.polarization()
+
     @_once
     def sp_members(self) -> dict[str, Expr]:
         """The admissible declared scalars in S(P)."""
@@ -598,7 +604,7 @@ def _quadrature(r, ctx):
 
 
 _QUANTIZE = (
-    _needs("quantize", "atlas", "polarization", "halfdensity_sections",
+    _needs("quantize", "atlas", "polarization_of_d", "halfdensity_sections",
            "complement"),
     Row("quantize/prequantizable", _curvature_fails(_prequantizable),
         ends=True),

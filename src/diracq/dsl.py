@@ -1,10 +1,10 @@
 """Text DSL for chart models.
 
 One statement per line; ``#`` starts a comment.  Scalars use ``+ - * / ^``
-with integer exponents and the atoms ``exp sin cos``, plus the constants
-``pi`` and the imaginary unit ``i``.  For a coordinate ``q``, the 1-form is
-spelled ``dq`` and the coordinate vector field ``d_q``; the wedge is ``/\\``
-and binds looser than ``*``.
+with integer exponents (``q^-2`` or ``q^(-2)``) and the atoms ``exp sin
+cos``, plus the constants ``pi`` and the imaginary unit ``i``.  For a
+coordinate ``q``, the 1-form is spelled ``dq`` and the coordinate vector
+field ``d_q``; the wedge is ``/\\`` and binds looser than ``*``.
 
     chart M dim 2 coords q p [params k ...]
     scalar f = q^2 + p
@@ -303,16 +303,14 @@ class _ExpressionParser:
 
     def power(self):
         base = self.atom()
-        if self.stream.accept("^"):
-            negative = self.stream.accept("-")
-            token = self.stream.next()
-            if token.kind != "int":
-                raise self.err("exponents must be integer literals")
-            exponent = int(token.text)
-            if negative:
-                exponent = -exponent
-            return _Ops.power(base, exponent, self.err)
-        return base
+        if not self.stream.accept("^"):
+            return base
+        parenthesised = self.stream.accept("(")
+        sign = -1 if self.stream.accept("-") else 1
+        token = self.stream.next()
+        if token.kind != "int" or parenthesised and not self.stream.accept(")"):
+            raise self.err("exponents must be integer literals")
+        return _Ops.power(base, sign * int(token.text), self.err)
 
     def atom(self):
         token = self.stream.next()
@@ -508,6 +506,7 @@ def _parse_chart(stream: _Stream) -> Model:
         if token.text == "params":
             break
         coords.append(stream.expect_ident())
+    keyword = stream.index                      # "params", if it is there
     params = []
     if stream.accept("params"):
         while not stream.at_end():
@@ -515,9 +514,14 @@ def _parse_chart(stream: _Stream) -> Model:
     if len(coords) != dim:
         raise stream.error(
             f"dimension mismatch: dim {dim} but {len(coords)} coordinates")
-    for token in stream.tokens[start:]:  # "params" is no built-in name
-        if _is_builtin(token.text, coords):
-            raise DslError(f"{token.text!r} is a built-in name", stream.line,
+    names = coords + params
+    for i, token in enumerate(stream.tokens[start:keyword]
+                              + stream.tokens[keyword + 1:]):
+        problem = ("is a built-in name" if _is_builtin(token.text, coords) else
+                   "is already a coordinate or parameter"
+                   if names.index(token.text) < i else None)
+        if problem:
+            raise DslError(f"{token.text!r} {problem}", stream.line,
                            token.column)
     return Model(name=chart_name, chart=Chart(chart_name, tuple(coords),
                                               tuple(params)))

@@ -4,13 +4,12 @@ An :class:`Expr` is a reduced fraction of two sparse integer polynomials
 (:mod:`diracq.poly`) over exactly the generators the value involves:
 coordinate and parameter symbols, the constant ``pi``, and one generator per
 transcendental atom ``exp(u)``, ``sin(u)`` or ``cos(u)``.  Arithmetic,
-differentiation, equality, substitution of rational values (``Expr.subs``)
-and printing run on these polynomials.  sympy and mpmath are imported only
-where a tree is needed: ``Expr.node``, ``Expr(<sympy tree>)``, building an
-atom, printing a value with an atom or ``pi``, and evaluation at a point by
-the one evaluator of trees that :func:`evaluate` and the sampled fallback of
-:func:`equal` share.  A value of symbols alone prints exactly as sympy's
-``sstr`` prints its tree.
+differentiation, equality, substitution of rational values (``Expr.subs``),
+evaluation at a point and printing run on these polynomials.  sympy is
+imported only where a tree is needed: ``Expr.node``, ``Expr(<sympy tree>)``
+and building an atom; mpmath only to evaluate a value with ``pi`` or an
+atom.  A value prints each generator by its name, and a value of symbols
+alone prints exactly as sympy's ``sstr`` prints its tree.
 
 The fields and their generators:
 
@@ -39,8 +38,8 @@ The fields and their generators:
   ``exp((x*y + x)/(y + 1))`` is the generator ``exp(x)``.  Where sympy
   evaluates the atom (``sin(0) = 0``, ``sin(-x) = -sin(x)``,
   ``cos(2*pi/3) = -1/2``) the value is that evaluation; ``sp.E`` is the atom
-  ``exp(1)``.  Atoms are opaque: ``sin(x)**2 + cos(x)**2`` is *not* the
-  generator ``1``.
+  ``exp(1)``, and an atom prints as its head and argument.  Atoms are
+  opaque: ``sin(x)**2 + cos(x)**2`` is *not* the generator ``1``.
 
 The derivative is a derivation of the field: ``d/dx`` is the partial
 derivative in ``x`` plus, over the atom generators ``g``, ``dF/dg * dg/dx``
@@ -51,7 +50,7 @@ Equality takes three steps: equal field elements are equal; a difference
 that involves no atom generator is nonzero, which is exact because ``pi`` is
 transcendental over Q; anything else is decided probabilistically by
 exact-rational seeding of high-precision evaluation
-(:func:`_probabilistic_equal`).  A zero denominator is an
+(:func:`_probabilistic_equal`, :func:`evaluate`).  A zero denominator is an
 :class:`ExprError` when the value is built.
 
 A :class:`ComplexExpr` is ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
@@ -85,7 +84,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import poly
 
@@ -114,11 +113,10 @@ __all__ = [
     "equality_config",
 ]
 
-Scalar = Union["Expr", "ComplexExpr", int, Fraction]
-
-# Working precision for transcendental evaluation: ~100 bits, comfortably
-# above the required 64 fractional bits.
+# digits of a transcendental value, relative to max(1, |value|), and the
+# binary precisions of its interval evaluation: 128 bits, doubling to 2**16
 _EVAL_DIGITS = 30
+_PRECS = [128 << k for k in range(10)]
 
 _HEADS = ("exp", "sin", "cos")
 
@@ -135,13 +133,8 @@ def __getattr__(name: str):
     if name == "sp":
         return _sympy()
     if name == "_ATOM_HEADS":
-        return _atom_heads()
+        return tuple(getattr(_sympy(), head) for head in _HEADS)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _atom_heads() -> tuple:
-    sp = _sympy()
-    return (sp.exp, sp.sin, sp.cos)
 
 
 class ExprError(Exception):
@@ -229,15 +222,13 @@ def _require_symbol(sym) -> None:
 
 class _Field:
     """The fraction field over a sorted tuple of generators: ``one`` is its
-    polynomial ``1``; ``printable`` says every generator is a symbol, and
-    ``atomic`` that some generator is an atom."""
+    polynomial ``1``, and ``atomic`` says that some generator is an atom."""
 
-    __slots__ = ("gens", "ngens", "one", "printable", "atomic")
+    __slots__ = ("gens", "ngens", "one", "atomic")
 
     def __init__(self, gens: tuple):
         self.gens, self.ngens = gens, len(gens)
         self.one = {(0,) * len(gens): 1}
-        self.printable = all(not gen.key[0] for gen in gens)
         self.atomic = any(gen.head for gen in gens)
 
 
@@ -438,7 +429,7 @@ def _power(e: "Expr", n: int) -> "Expr":
 
 def _new_atom(head: str, arg: "Expr") -> "Expr":
     """The value of ``head(arg)`` where sympy evaluates the atom into the
-    field; otherwise a new atom generator."""
+    field; otherwise a new atom generator named ``head(arg)``."""
     sp = _sympy()
     func = getattr(sp, head)
     tree = func(arg.node)
@@ -448,7 +439,7 @@ def _new_atom(head: str, arg: "Expr") -> "Expr":
             return _convert(tree)          # sympy evaluated the atom
         except ExprError:                  # to a value outside the field
             tree = func(arg.node, evaluate=False)
-    text = str(tree)
+    text = f"{head}({arg})"
     return Generator(text, (2, text, sp.srepr(tree)), tree, head, arg).value
 
 
@@ -488,7 +479,7 @@ def _convert(node) -> "Expr":
         return _convert(node.base) ** int(node.exp)
     if node is sp.E:
         return atom("exp", ONE)
-    if isinstance(node, _atom_heads()):
+    if isinstance(node, (sp.exp, sp.sin, sp.cos)):
         return atom(node.func.__name__, _convert(node.args[0]))
     if node in (sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise _zero_division()
@@ -586,8 +577,8 @@ def _sum_text(names, p: dict, d: int = 1) -> str:
 
 
 def _text(field: _Field, num: dict, den: dict) -> str:
-    """The text ``sstr`` gives the tree of ``num / den`` over a field of
-    symbols."""
+    """The text of ``num / den``, generators by name; over a field of
+    symbols, the text ``sstr`` gives its tree."""
     names = [gen.name for gen in field.gens]
     if not field.ngens:
         p, q = num.get((), 0), den[()]
@@ -789,9 +780,7 @@ class Expr:
                                    for gen in self.field.gens))
 
     def __str__(self) -> str:
-        if self.field.printable:
-            return _text(self.field, self.num, self.den)
-        return _sympy().sstr(self.node)
+        return _text(self.field, self.num, self.den)
 
     def __repr__(self) -> str:
         return f"Expr({self})"
@@ -835,56 +824,58 @@ class Point:
     values: Mapping[str, Fraction]
 
 
-def _rational_value(tree, point: Mapping) -> Fraction:
-    """``tree``, a rational function, at ``point`` (symbol -> ``Fraction``).
-    A pole raises ``ZeroDivisionError``, and a tree that is not a rational
-    function :class:`ExprError`."""
-    if tree.is_Rational:
-        return Fraction(int(tree.p), int(tree.q))
-    if tree.is_Symbol:
-        return point[tree]
-    if tree.is_Add:
-        return sum(_rational_value(arg, point) for arg in tree.args)
-    if tree.is_Mul:
-        return math.prod(_rational_value(arg, point) for arg in tree.args)
-    if tree.is_Pow and tree.exp.is_Integer:
-        return _rational_value(tree.base, point) ** int(tree.exp)
-    raise ExprError(f"cannot evaluate {tree} exactly")
-
-
-def _tree_value(tree, point: Mapping):
-    """``tree`` at ``point`` (sympy symbol -> ``Fraction``): an exact
-    ``Fraction`` for a rational function, else an ``mpmath.mpf`` through
-    sympy's ``evalf``.  ``point`` gives every symbol of ``tree``; a pole
-    raises ``ZeroDivisionError``."""
-    try:
-        return _rational_value(tree, point)
-    except ExprError:
-        pass
-    import mpmath
-    sp = _sympy()
-    value = tree.subs({s: sp.Rational(v.numerator, v.denominator)
-                       for s, v in point.items()},
-                      simultaneous=True).evalf(_EVAL_DIGITS)
-    if value.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise ZeroDivisionError(f"{tree} has a pole at the point")
-    with mpmath.workdps(_EVAL_DIGITS):
-        return mpmath.mpf(sp.Float(value, _EVAL_DIGITS)._mpf_)
+def _enclosure(e: Expr, values: Mapping, iv, memo: dict):
+    """An ``iv`` interval that holds ``e`` at ``values``, or ``None`` where a
+    denominator's holds 0; ``memo`` keeps the generators' intervals."""
+    intervals = []
+    for gen in e.field.gens:
+        if gen not in memo:
+            if not gen.head:
+                memo[gen] = iv.pi if gen.key[0] else (
+                    iv.mpf(values[gen].numerator) / values[gen].denominator)
+            elif (arg := _enclosure(gen.arg, values, iv, memo)) is None:
+                return None
+            else:
+                memo[gen] = getattr(iv, gen.head)(arg)
+        intervals.append(memo[gen])
+    num, den = (sum((coeff * math.prod(map(pow, intervals, monom))
+                     for monom, coeff in p.items()), iv.mpf(0))
+                for p in (e.num, e.den))
+    return None if 0 in den else num / den
 
 
 def evaluate(e: Expr, point: Point):
-    """Exact :class:`Fraction` on the rational fragment, high-precision
-    ``mpmath.mpf`` otherwise.  Poles raise :class:`SingularPointError`."""
+    """``e`` at ``point``, exact in :class:`Fraction` over symbols alone;
+    with ``pi`` or an atom, the ``mpmath.mpf`` midpoint, to ``_EVAL_DIGITS``
+    digits, of an interval evaluation whose precision doubles until the
+    interval is narrower than ``10**-_EVAL_DIGITS * max(1, |midpoint|)``.  A
+    pole, or a denominator no precision tells from 0, is singular."""
     e = as_expr(e)
     values = {symbol(name): Fraction(v) for name, v in point.values.items()}
-    missing = e.free_symbols - values.keys()
-    if missing:
-        names = ", ".join(sorted(str(s) for s in missing))
-        raise UnknownSymbolError(names)
+    if missing := e.free_symbols - values.keys():
+        raise UnknownSymbolError(", ".join(sorted(map(str, missing))))
+    pole = f"singular at point {point.values}"
+    if not any(gen.key[0] for gen in e.field.gens):
+        try:
+            value = e.subs(values)
+        except ExprError:                      # a zero denominator
+            raise SingularPointError(pole) from None
+        return Fraction(value.num.get((), 0), value.den[()])
+    import mpmath
+    iv, old = mpmath.iv, mpmath.iv.prec
     try:
-        return _tree_value(e.node, {s.tree: v for s, v in values.items()})
-    except ZeroDivisionError as err:
-        raise SingularPointError(f"singular at point {point.values}") from err
+        for prec in _PRECS:
+            iv.prec = prec
+            value = _enclosure(e, values, iv, {})
+            if value is not None:
+                with mpmath.workdps(_EVAL_DIGITS):
+                    mid = mpmath.mpf(value.mid)
+                if prec == _PRECS[-1] or value.delta < 10 ** -_EVAL_DIGITS \
+                        * max(1, abs(mid)):
+                    return mid
+        raise SingularPointError(pole)
+    finally:
+        iv.prec = old
 
 
 # -- probabilistic equality --------------------------------------------------
@@ -921,32 +912,30 @@ def random_rational(rng: random.Random, bound: int | None = None) -> Fraction:
 
 def _probabilistic_equal(lhs, rhs, *, trials: int, seed: int,
                          tolerance: float) -> bool:
-    """Compare two scalars, the trees of ``Expr`` values, at ``trials``
+    """Compare two scalars, or the trees ``Expr`` takes, at ``trials``
     random rational points of the symbols of their difference.
 
     A difference that is a rational function is decided exactly, in
     ``Fraction``; otherwise the comparison is high-precision floating point
     with a tolerance relative to the larger side, where a side with a
     symbol the difference lost is left out.  Sample points on a pole are
-    resampled a bounded number of times.  In the rational case a pole of
-    either side is a pole of the difference: the terms the difference drops
-    are polynomial, or are the whole of both sides, which leaves no symbol
-    to sample.
+    resampled a bounded number of times.
     """
+    lhs, rhs = as_expr(lhs), as_expr(rhs)
     diff = lhs - rhs
-    symbols = sorted(diff.free_symbols, key=str)
+    symbols = sorted(map(str, diff.free_symbols))
     sides = [side for side in (lhs, rhs)
              if side.free_symbols <= diff.free_symbols]
     rng = random.Random(seed)
     for _ in range(trials):
         for _attempt in range(_RETRIES + 1):
-            point = {s: random_rational(rng) for s in symbols}
+            point = Point("sample", {s: random_rational(rng) for s in symbols})
             try:
-                value = _tree_value(diff, point)
+                value = evaluate(diff, point)
                 bound = 0 if isinstance(value, Fraction) else tolerance * max(
-                    [1.0, *(abs(float(_tree_value(side, point)))
+                    [1.0, *(abs(float(evaluate(side, point)))
                             for side in sides)])
-            except ZeroDivisionError:
+            except SingularPointError:
                 continue
             break
         else:
@@ -971,7 +960,7 @@ def equal(e1, e2) -> bool:
         return True
     if not (lhs.field.atomic or rhs.field.atomic) or not (lhs - rhs).field.atomic:
         return False
-    return _probabilistic_equal(lhs.node, rhs.node, trials=_TRIALS, seed=_seed,
+    return _probabilistic_equal(lhs, rhs, trials=_TRIALS, seed=_seed,
                                 tolerance=_TOLERANCE)
 
 

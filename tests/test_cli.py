@@ -287,6 +287,44 @@ def test_non_hermitian_atlas_skips_the_selfadjoint_integrand(tmp_path, capsys):
     assert not any(c["status"] == "error" for c in records.values())
 
 
+# a frame outside D_C (containment fails) and a non-isotropic frame
+@pytest.mark.parametrize("frame", ["(d_p, dq)", "(d_p, -dq), (d_q, dp)"],
+                         ids=["outside-D", "not-isotropic"])
+def test_quantize_skips_what_is_not_a_polarization_of_d(tmp_path, capsys,
+                                                        frame):
+    model = tmp_path / "notpolar.dq"
+    model.write_text("chart M dim 2 coords q p\n"
+                     "form omega = dq /\\ dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "complement H = auto\n"
+                     "scalar f = q*p\n"
+                     "patch U\n"
+                     "sigma U = pull(-p*dq)\n"
+                     "hermitian\n"
+                     f"polarization P = span({frame})\n"
+                     "halfdensity v = 1\n")
+    code, out = run_cli(capsys, "check", str(model), "--json", "--seed", "7",
+                        "--suite", "all")
+    assert code == 1
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (records["quantize"]["status"], records["quantize"]["witness"]) \
+        == ("skipped", "not a polarization of D")
+    assert not any(c["status"] == "error" for c in records.values())
+
+
+def test_lemma51_exercises_the_bracket_term(tmp_path, capsys):
+    """A half-density that is not flat along P, so the bracket term of
+    Lemma 5.1 is nonzero for f = q*p."""
+    model = tmp_path / "bracket.dq"
+    model.write_text((MODELS / "standard_r2.dq").read_text()
+                     + "halfdensity v3 = p\n")
+    code, out = run_cli(capsys, "check", str(model), "--json", "--seed", "7",
+                        "--suite", "quantize")
+    assert code == 0
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert records["quantize/lemma51"]["status"] == "pass"
+
+
 def test_undeclared_structure_name_exit_code(tmp_path, capsys):
     model = tmp_path / "typo.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"

@@ -198,6 +198,10 @@ class TestParse:
     ("chart M dim 2 coords q p params d_p", "d_p", "'d_p' is a built-in name"),
     ("chart M dim 1 coords x params i", "i", "'i' is a built-in name"),
     ("chart M dim 2 coords sin cos", "sin", "'sin' is a built-in name"),
+    ("chart M dim 2 coords q q", "q",
+     "'q' is already a coordinate or parameter"),
+    ("chart M dim 2 coords q p params q", "q",
+     "'q' is already a coordinate or parameter"),
 ])
 def test_structure_names_are_resolved_at_parse_time(decl, name, message):
     text = decl + "\n" if decl.startswith("chart ") \
@@ -243,6 +247,14 @@ class TestRoundTrip:
         reparsed = parse_model(printed)
         assert reparsed == model
         assert format_model(reparsed) == printed
+
+    @pytest.mark.parametrize("scalar, text", [("1/q^2", "q^(-2)"),
+                                              ("exp(1)", "exp(1)")])
+    def test_printed_scalar_reparses(self, scalar, text):
+        model = parse_model(f"chart M dim 2 coords q p\nscalar c = {scalar}\n")
+        printed = format_model(model)
+        assert printed.splitlines()[1] == f"scalar c = {text}"
+        assert parse_model(printed) == model
 
 
 @pytest.mark.parametrize("limit", [600, 2000])

@@ -25,6 +25,7 @@ from diracq.expr import (
     atom,
     differentiate,
     equal,
+    equality_config,
     evaluate,
     is_zero,
     normalize,
@@ -336,6 +337,18 @@ class TestInvariants:
                                                  seed=7, tolerance=1e-9)
             assert canonical == probabilistic
             checked += 1
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_sampled_zeros_cancel_in_enough_digits(seed):
+    """Zero functions whose sampled terms are far larger than their sum:
+    ``exp(2x)`` and ``exp(x)**2`` are different field elements, and so are
+    the two sides of the second identity, so both are sampled."""
+    X = Expr(gx)
+    with equality_config(seed=seed):
+        assert is_zero(atom("exp", 2 * X) - atom("exp", X) ** 2)
+        assert is_zero(atom("exp", PI * X + rational(1, 3))
+                       - atom("exp", PI * X / 3 + rational(1, 9)) ** 3)
 
 
 def test_rational_sampling_resamples_at_poles(monkeypatch):

@@ -1,6 +1,7 @@
 """The scalar kernel against sympy as an oracle: ``poly.cancel`` against
-``PolyElement.cancel``, the printer against ``sstr`` of the tree, and a
-check that the paths users take never import sympy or mpmath."""
+``PolyElement.cancel``, the printer against ``sstr`` of the tree, and
+checks that the paths users take never import sympy or mpmath, and that
+evaluation and printing never import sympy."""
 
 from __future__ import annotations
 
@@ -131,6 +132,27 @@ for model in {models!r}:
     {_LOADED}
 """
     assert _run(script).splitlines() == ["[]"] * 7
+
+
+def test_evaluation_and_printing_build_no_tree():
+    """A rational value evaluates without sympy or mpmath, and a value with
+    ``pi`` evaluates and prints without sympy."""
+    script = f"""
+import sys
+from fractions import Fraction
+from diracq.expr import PI, Expr, Point, evaluate, symbol
+x = Expr(symbol("x"))
+point = Point("M", {{"x": Fraction(1, 3)}})
+assert evaluate((x ** 2 + 1) / (x - 2), point) == Fraction(-2, 3)
+{_LOADED}
+value = 2 * PI * x + 1
+text, number = str(value), evaluate(value, point)
+print(sorted({{'sympy'}} & set(sys.modules)))
+import mpmath
+with mpmath.workdps(40):
+    print(text, abs(number - (2 * mpmath.pi / 3 + 1)) < mpmath.mpf(10) ** -25)
+"""
+    assert _run(script).splitlines() == ["[]", "[]", "2*x*pi + 1 True"]
 
 
 def test_generated_rounds_import_no_sympy():
