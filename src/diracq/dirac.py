@@ -428,19 +428,15 @@ def regular_distribution(fields: Sequence[VectorField]) -> DiracStructure:
 
 def omega_on_frame(dirac: DiracStructure) -> dict[tuple[int, int], Expr]:
     """The presymplectic 2-cocycle on the characteristic distribution,
-    tabulated on frame images: ``Omega(X_i, X_j) = xi_i(X_j)``.
-
-    Antisymmetry and the 2-cocycle identity on frame triples are checked.
+    tabulated on frame images: ``Omega(X_i, X_j) = xi_i(X_j)``, which is
+    antisymmetric by (D1).  The 2-cocycle identity on frame triples is
+    checked.
     """
     dirac.require_verified()
     frame = dirac.frame
     n = dirac.dim
     table = {(i, j): frame[i].xi.evaluate([frame[j].X])
              for i in range(n) for j in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if not is_zero(table[(i, j)] + table[(j, i)]):
-                raise VerificationError("Omega fails antisymmetry on the frame")
     for i, j, k in itertools.combinations(range(n), 3):
         xi, xj, xk = (frame[m].X for m in (i, j, k))
         residual = (xi.apply(table[(j, k)]) - xj.apply(table[(i, k)])

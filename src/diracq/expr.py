@@ -48,9 +48,10 @@ with ``exp(u)' = exp(u) u'``, ``sin(u)' = cos(u) u'`` and
 
 Equality takes three steps: equal field elements are equal; a difference
 that involves no atom generator is nonzero, which is exact because ``pi`` is
-transcendental over Q; anything else is decided probabilistically by
-exact-rational seeding of high-precision evaluation
-(:func:`_probabilistic_equal`, :func:`evaluate`).  A zero denominator is an
+transcendental over Q; anything else is sampled at random rational points
+(:func:`_probabilistic_equal`), where an interval of the difference that
+excludes 0 proves the sides differ.  So every False is a proof, and only a
+True that needed an atom rests on sampling.  A zero denominator is an
 :class:`ExprError` when the value is built.
 
 A :class:`ComplexExpr` is ``(re + i*im) * exp(-2*pi*i*phase)``: an exact
@@ -826,7 +827,8 @@ class Point:
 
 def _enclosure(e: Expr, values: Mapping, iv, memo: dict):
     """An ``iv`` interval that holds ``e`` at ``values``, or ``None`` where a
-    denominator's holds 0; ``memo`` keeps the generators' intervals."""
+    denominator's holds 0, which is a pole once it is narrower than
+    ``10**-_EVAL_DIGITS``; ``memo`` keeps the generators' intervals."""
     intervals = []
     for gen in e.field.gens:
         if gen not in memo:
@@ -841,16 +843,17 @@ def _enclosure(e: Expr, values: Mapping, iv, memo: dict):
     num, den = (sum((coeff * math.prod(map(pow, intervals, monom))
                      for monom, coeff in p.items()), iv.mpf(0))
                 for p in (e.num, e.den))
+    if 0 in den and den.delta < 10 ** -_EVAL_DIGITS:
+        raise SingularPointError("a denominator is 0 to 30 digits")
     return None if 0 in den else num / den
 
 
-def evaluate(e: Expr, point: Point):
-    """``e`` at ``point``, exact in :class:`Fraction` over symbols alone;
-    with ``pi`` or an atom, the ``mpmath.mpf`` midpoint, to ``_EVAL_DIGITS``
-    digits, of an interval evaluation whose precision doubles until the
-    interval is narrower than ``10**-_EVAL_DIGITS * max(1, |midpoint|)``.  A
-    pole, or a denominator no precision tells from 0, is singular."""
-    e = as_expr(e)
+def _refine(e: Expr, point: Point, width, *, sign: bool = False):
+    """``e`` at ``point``: over symbols alone the exact :class:`Fraction`;
+    with ``pi`` or an atom, an ``mpmath.iv`` interval that holds it.  Its
+    precision doubles from 128 bits until it is narrower than ``width *
+    max(1, |midpoint|)``, excludes 0 if ``sign``, or has 2**16 bits.  A
+    denominator whose interval still holds 0 there is a pole."""
     values = {symbol(name): Fraction(v) for name, v in point.values.items()}
     if missing := e.free_symbols - values.keys():
         raise UnknownSymbolError(", ".join(sorted(map(str, missing))))
@@ -866,23 +869,36 @@ def evaluate(e: Expr, point: Point):
     try:
         for prec in _PRECS:
             iv.prec = prec
-            value = _enclosure(e, values, iv, {})
-            if value is not None:
-                with mpmath.workdps(_EVAL_DIGITS):
-                    mid = mpmath.mpf(value.mid)
-                if prec == _PRECS[-1] or value.delta < 10 ** -_EVAL_DIGITS \
-                        * max(1, abs(mid)):
-                    return mid
+            try:
+                value = _enclosure(e, values, iv, {})
+            except SingularPointError:
+                break
+            if value is not None and (
+                    sign and 0 not in value or prec == _PRECS[-1]
+                    or value.delta < width * max(1, abs(value.mid))):
+                return value
         raise SingularPointError(pole)
     finally:
         iv.prec = old
 
 
+def evaluate(e: Expr, point: Point):
+    """``e`` at ``point`` (:func:`_refine`): the exact :class:`Fraction`, or
+    the ``mpmath.mpf`` midpoint of its interval to ``_EVAL_DIGITS`` digits."""
+    value = _refine(as_expr(e), point, 10 ** -_EVAL_DIGITS)
+    if isinstance(value, Fraction):
+        return value
+    import mpmath
+    # from the endpoints, since value.mid would round to iv's restored prec
+    with mpmath.workdps(_EVAL_DIGITS):
+        return (mpmath.mpf(value.a) + mpmath.mpf(value.b)) / 2
+
+
 # -- probabilistic equality --------------------------------------------------
 
-# sample points per sampled test, relative tolerance of a transcendental
-# comparison, bound on sampled numerators and denominators, and resamples
-# allowed at a pole
+# sample points per sampled test, the width, relative to max(1, |midpoint|),
+# below which an interval of a difference that holds 0 agrees, bound on
+# sampled numerators and denominators, and resamples allowed at a pole
 _TRIALS = 20
 _TOLERANCE = 1e-9
 _BOUND = 10**4
@@ -916,32 +932,27 @@ def _probabilistic_equal(lhs, rhs, *, trials: int, seed: int,
     random rational points of the symbols of their difference.
 
     A difference that is a rational function is decided exactly, in
-    ``Fraction``; otherwise the comparison is high-precision floating point
-    with a tolerance relative to the larger side, where a side with a
-    symbol the difference lost is left out.  Sample points on a pole are
+    ``Fraction``.  Otherwise its interval at a point (:func:`_refine`)
+    either excludes 0, a proof that the sides differ, or holds 0 once it is
+    narrower than ``tolerance * max(1, |midpoint|)``, and the point agrees;
+    so only a True rests on sampling.  Sample points on a pole are
     resampled a bounded number of times.
     """
-    lhs, rhs = as_expr(lhs), as_expr(rhs)
-    diff = lhs - rhs
+    diff = as_expr(lhs) - as_expr(rhs)
     symbols = sorted(map(str, diff.free_symbols))
-    sides = [side for side in (lhs, rhs)
-             if side.free_symbols <= diff.free_symbols]
     rng = random.Random(seed)
     for _ in range(trials):
         for _attempt in range(_RETRIES + 1):
             point = Point("sample", {s: random_rational(rng) for s in symbols})
             try:
-                value = evaluate(diff, point)
-                bound = 0 if isinstance(value, Fraction) else tolerance * max(
-                    [1.0, *(abs(float(evaluate(side, point)))
-                            for side in sides)])
+                value = _refine(diff, point, tolerance, sign=True)
             except SingularPointError:
                 continue
             break
         else:
             raise SingularPointError(
                 "could not find a pole-free sample point for equality testing")
-        if abs(value) > bound:
+        if value != 0 if isinstance(value, Fraction) else 0 not in value:
             return False
     return True
 
@@ -950,8 +961,8 @@ def equal(e1, e2) -> bool:
     """Semantic equality of real or complex scalars.  Complex values are
     aligned to one phase (:func:`_align`) and compared part by part.  Real
     values: equal field elements are equal; a difference free of atom
-    generators is nonzero; otherwise the probabilistic fallback (exact
-    rational sampling / high-precision evaluation) decides."""
+    generators is nonzero; otherwise the sampled test decides, whose False
+    is a proof (:func:`_probabilistic_equal`)."""
     if isinstance(e1, ComplexExpr) or isinstance(e2, ComplexExpr):
         z1, z2 = _align(ComplexExpr.of(e1), ComplexExpr.of(e2))
         return equal(z1.re, z2.re) and equal(z1.im, z2.im)

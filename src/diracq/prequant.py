@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .algebroid import AForm, aform_equal, d_A, dirac_presentation
 from .chart import imag_part
-from .dirac import DiracStructure, pairing_minus, omega_on_frame, VerificationError
+from .dirac import DiracStructure, pairing_minus, VerificationError
 from .expr import (
     ComplexExpr,
     Expr,
@@ -255,9 +255,9 @@ def dirac_chern_check(first: BundleAtlas, second: BundleAtlas) -> AForm:
 
 
 def lambda_Dform(dirac: DiracStructure) -> AForm:
-    """The skew pairing restricted to D as a D-2-form; closed under d_D and
-    equal to the pull-back of the presymplectic 2-cocycle on frame pairs.
-    Memoized on the structure once both checks pass."""
+    """The skew pairing restricted to D as a D-2-form, checked closed under
+    d_D; on frame pairs it is the presymplectic 2-cocycle, by (D1).
+    Memoized on the structure once the check passes."""
     if dirac.lambda_form is not None:
         return dirac.lambda_form
     pres = dirac_presentation(dirac)
@@ -266,11 +266,6 @@ def lambda_Dform(dirac: DiracStructure) -> AForm:
                           for i, j in itertools.combinations(range(n), 2)})
     if not d_A(lam).is_zero_form():
         raise VerificationError("the skew pairing is not d_D-closed")
-    omega = omega_on_frame(dirac)
-    for i, j in itertools.combinations(range(n), 2):
-        if not is_zero(lam.coeff((i, j)) - omega[(i, j)]):
-            raise VerificationError(
-                "skew pairing disagrees with the presymplectic 2-cocycle")
     dirac.lambda_form = lam
     return lam
 

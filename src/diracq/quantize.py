@@ -98,7 +98,6 @@ class PolarizationReport:
     involutive_witness: str | None
     containment_ok: bool
     containment_witness: str | None
-    q_rank: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -183,9 +182,8 @@ def polarization_check(pol: Polarization) -> PolarizationReport:
             cont_ok = False
             cont_witness = f"psi{i+1} leaves the complexified complement"
             break
-    q_rank = len(pol.q_bundle) if iso_ok and inv_ok else None
     return PolarizationReport(iso_ok, iso_witness, inv_ok, inv_witness,
-                              cont_ok, cont_witness, q_rank)
+                              cont_ok, cont_witness)
 
 
 def sp_membership(f, pol: Polarization) -> tuple[bool, str | None]:

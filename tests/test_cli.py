@@ -325,6 +325,30 @@ def test_lemma51_exercises_the_bracket_term(tmp_path, capsys):
     assert records["quantize/lemma51"]["status"] == "pass"
 
 
+# sigma is off by a factor 1 + 10^-12: tau - Lambda = exp(q)/10^12 dq/\dp,
+# a difference far below the sampled test's width that every seed must see
+ATOM_MODEL = ("chart M dim 2 coords q p\n"
+              "form omega = exp(q)*dq /\\ dp\n"
+              "dirac D = graph_presymplectic(omega)\n"
+              "complement H = auto\n"
+              "patch U\n"
+              "sigma U = pull(-(1 + 1/1000000000000)*exp(q)*p*dq)\n"
+              "hermitian\n"
+              "check prequant\n")
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_a_sigma_off_by_one_part_in_10_to_12_fails_on_every_seed(
+        tmp_path, capsys, seed):
+    model = tmp_path / "atom.dq"
+    model.write_text(ATOM_MODEL)
+    code, out = run_cli(capsys, "check", str(model), "--json",
+                        "--suite", "prequant", "--seed", str(seed))
+    assert code == 1
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert records["prequant/condition"]["status"] == "fail"
+
+
 def test_undeclared_structure_name_exit_code(tmp_path, capsys):
     model = tmp_path / "typo.dq"
     model.write_text("chart M dim 2 coords q p\nform omega = dq/\\dp\n"

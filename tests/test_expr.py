@@ -129,6 +129,16 @@ class TestEqual:
         assert not _probabilistic_equal(lhs, y + 2, trials=20, seed=7,
                                         tolerance=1e-9)
 
+    def test_a_difference_far_below_the_tolerance_is_told_apart(self):
+        # the interval of the difference, about 1.4e-12, excludes 0
+        third = sp.Rational(1, 3)
+        assert not _probabilistic_equal(
+            sp.exp(third) * (1 + sp.Rational(1, 10**12)), sp.exp(third),
+            trials=20, seed=7, tolerance=1e-9)
+        assert _probabilistic_equal(sp.sin(third) ** 2 + sp.cos(third) ** 2,
+                                    sp.Integer(1), trials=20, seed=7,
+                                    tolerance=1e-9)
+
 
 SAMPLED = "sampled"
 
@@ -250,6 +260,25 @@ class TestEvaluate:
     def test_missing_symbol(self):
         with pytest.raises(ExprError):
             evaluate(ex("x"), Point("M", {}))
+
+    def test_atom_denominator_zero_to_30_digits_is_a_pole_at_once(
+            self, monkeypatch):
+        precisions = []
+        enclosure = expr_module._enclosure
+
+        def recorded(e, values, iv, memo):
+            precisions.append(iv.prec)
+            return enclosure(e, values, iv, memo)
+
+        monkeypatch.setattr(expr_module, "_enclosure", recorded)
+        with pytest.raises(SingularPointError):
+            evaluate(1 / atom("sin", PI * Expr(gx)), Point("M", {"x": 1}))
+        assert set(precisions) == {128}
+
+    def test_tiny_nonzero_atom_denominator_evaluates(self):
+        value = evaluate(1 / atom("exp", -80 * Expr(gx)), Point("M", {"x": 1}))
+        with mpmath.workdps(40):
+            assert abs(value / mpmath.exp(80) - 1) < mpmath.mpf("1e-25")
 
 
 class TestSubs:

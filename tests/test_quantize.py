@@ -89,7 +89,7 @@ class TestPolarizationCheck:
     def test_standard_passes(self, horizontal_polarization):
         report = polarization_check(horizontal_polarization)
         assert report.passed
-        assert report.q_rank == 1
+        assert len(horizontal_polarization.q_bundle) == 1
 
     def test_full_frame_fails_isotropy(self, standard_dirac, std_complement):
         frame = standard_dirac.frame
@@ -101,7 +101,7 @@ class TestPolarizationCheck:
     def test_holomorphic_passes(self, holomorphic_polarization):
         report = polarization_check(holomorphic_polarization)
         assert report.isotropy_ok and report.involutive_ok
-        assert report.q_rank == 0
+        assert len(holomorphic_polarization.q_bundle) == 0
 
     def test_report_is_not_a_constructor_argument(self, horizontal_polarization):
         pol = horizontal_polarization
@@ -110,6 +110,7 @@ class TestPolarizationCheck:
                          _report=polarization_check(pol))
         report = pol.check()
         assert pol.check() is report
+        assert "q_bundle" not in vars(pol)      # the report builds no Q-bundle
         assert pol == Polarization(pol.dirac, pol.complement, pol.frame)
 
     def test_complex_lambda_bilinear(self, standard_dirac):
@@ -128,10 +129,10 @@ class TestStandardPolarizationR4:
         dirac = graph_presymplectic(omega)
         complement = default_complement(dirac)
         frame = (dirac.frame[0], dirac.frame[1])
-        report = polarization_check(
-            Polarization(dirac, complement, frame))
+        pol = Polarization(dirac, complement, frame)
+        report = polarization_check(pol)
         assert report.passed
-        assert report.q_rank == 2
+        assert len(pol.q_bundle) == 2
 
 
 class TestSPMembership:
