@@ -848,12 +848,12 @@ def _enclosure(e: Expr, values: Mapping, iv, memo: dict):
     return None if 0 in den else num / den
 
 
-def _refine(e: Expr, point: Point, width, *, sign: bool = False):
+def _refine(e: Expr, point: Point, width):
     """``e`` at ``point``: over symbols alone the exact :class:`Fraction`;
     with ``pi`` or an atom, an ``mpmath.iv`` interval that holds it.  Its
     precision doubles from 128 bits until it is narrower than ``width *
-    max(1, |midpoint|)``, excludes 0 if ``sign``, or has 2**16 bits.  A
-    denominator whose interval still holds 0 there is a pole."""
+    max(1, |midpoint|)`` or has 2**16 bits.  A denominator whose interval
+    still holds 0 there is a pole."""
     values = {symbol(name): Fraction(v) for name, v in point.values.items()}
     if missing := e.free_symbols - values.keys():
         raise UnknownSymbolError(", ".join(sorted(map(str, missing))))
@@ -869,12 +869,9 @@ def _refine(e: Expr, point: Point, width, *, sign: bool = False):
     try:
         for prec in _PRECS:
             iv.prec = prec
-            try:
-                value = _enclosure(e, values, iv, {})
-            except SingularPointError:
-                break
+            value = _enclosure(e, values, iv, {})
             if value is not None and (
-                    sign and 0 not in value or prec == _PRECS[-1]
+                    prec == _PRECS[-1]
                     or value.delta < width * max(1, abs(value.mid))):
                 return value
         raise SingularPointError(pole)
@@ -932,11 +929,11 @@ def _probabilistic_equal(lhs, rhs, *, trials: int, seed: int,
     random rational points of the symbols of their difference.
 
     A difference that is a rational function is decided exactly, in
-    ``Fraction``.  Otherwise its interval at a point (:func:`_refine`)
-    either excludes 0, a proof that the sides differ, or holds 0 once it is
-    narrower than ``tolerance * max(1, |midpoint|)``, and the point agrees;
-    so only a True rests on sampling.  Sample points on a pole are
-    resampled a bounded number of times.
+    ``Fraction``.  Otherwise its interval at a point is refined until it is
+    narrower than ``tolerance * max(1, |midpoint|)`` (:func:`_refine`); if
+    it then excludes 0, that is a proof that the sides differ, and if it
+    holds 0, the point agrees; so only a True rests on sampling.  Sample
+    points on a pole are resampled a bounded number of times.
     """
     diff = as_expr(lhs) - as_expr(rhs)
     symbols = sorted(map(str, diff.free_symbols))
@@ -945,7 +942,7 @@ def _probabilistic_equal(lhs, rhs, *, trials: int, seed: int,
         for _attempt in range(_RETRIES + 1):
             point = Point("sample", {s: random_rational(rng) for s in symbols})
             try:
-                value = _refine(diff, point, tolerance, sign=True)
+                value = _refine(diff, point, tolerance)
             except SingularPointError:
                 continue
             break
