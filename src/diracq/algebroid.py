@@ -20,7 +20,6 @@ from .chart import (
     KVector,
     VectorField,
     _Alternating,
-    _nonzero,
 )
 from .dirac import (
     DiracStructure,
@@ -28,12 +27,11 @@ from .dirac import (
     courant_bracket,
     courant_form,
 )
-from .expr import ComplexExpr, Expr, ExprError, ZERO, as_expr, is_zero, symbol
+from .expr import ComplexExpr, Expr, ExprError, ZERO, is_zero, symbol
 
 __all__ = [
     "AlgebroidPresentation",
     "AForm",
-    "AConnection",
     "AlgebroidError",
     "tangent_algebroid",
     "cotangent_algebroid",
@@ -41,7 +39,6 @@ __all__ = [
     "d_A",
     "wedge",
     "d_D_pair",
-    "curvature",
     "pullback_over_line",
     "homotopy_S",
     "pr_pullback",
@@ -301,90 +298,6 @@ def rho_pullback_form(sigma: KForm, dirac: DiracStructure) -> AForm:
     """Pull an ordinary form back through the tangent projection of D:
     evaluate it on the anchor images of frame tuples (the pair (sigma, 0))."""
     return _pair_as_aform(sigma, KVector(sigma.chart, sigma.degree, {}), dirac)
-
-
-# ---------------------------------------------------------------------------
-# connections
-
-
-@dataclass(frozen=True)
-class AConnection:
-    """Connection 1-section: an m x m matrix of A-1-forms."""
-
-    algebroid: AlgebroidPresentation
-    theta: tuple[tuple[AForm, ...], ...]
-
-    def __post_init__(self):
-        m = len(self.theta)
-        for row in self.theta:
-            if len(row) != m:
-                raise AlgebroidError("the connection 1-section must be square")
-            for entry in row:
-                if entry.degree != 1 or entry.algebroid is not self.algebroid:
-                    raise AlgebroidError("entries must be A-1-forms")
-
-    @property
-    def bundle_rank(self) -> int:
-        return len(self.theta)
-
-
-def curvature(conn: AConnection):
-    """Curvature 2-section ``d_A theta + theta ^ theta``, verified against
-    the covariant-derivative commutator on frame pairs applied to basis
-    sections."""
-    A = conn.algebroid
-    m = conn.bundle_rank
-    kappa = [[d_A(conn.theta[j][k]) for k in range(m)] for j in range(m)]
-    for j in range(m):
-        for k in range(m):
-            for l in range(m):
-                kappa[j][k] = kappa[j][k] + wedge(conn.theta[j][l],
-                                                  conn.theta[l][k])
-    for a in range(A.rank):
-        for b in range(a + 1, A.rank):
-            op = _operator_curvature(conn, a, b)
-            for j in range(m):
-                for k in range(m):
-                    expected = kappa[j][k].coeff_signed((a, b))
-                    if not is_zero(op[j][k] - expected):
-                        raise AlgebroidError(
-                            "curvature 2-section disagrees with the "
-                            f"operator definition on (e{a+1},e{b+1})")
-    return tuple(tuple(row) for row in kappa)
-
-
-def _covariant(conn: AConnection, index: int, comps: list) -> list:
-    """Covariant derivative along frame element ``index`` of a section given
-    by scalar components."""
-    A = conn.algebroid
-    m = conn.bundle_rank
-    out = []
-    for j in range(m):
-        value = A.anchors[index].apply(comps[j])
-        for k in range(m):
-            value = value + conn.theta[j][k].coeff((index,)) * comps[k]
-        out.append(value)
-    return out
-
-
-def _operator_curvature(conn: AConnection, a: int, b: int):
-    A = conn.algebroid
-    m = conn.bundle_rank
-    coeffs_ab = A.bracket_coefficients(a, b)
-    columns = []
-    for k in range(m):
-        basis = [ZERO] * m
-        basis[k] = as_expr(1)
-        first = _covariant(conn, a, _covariant(conn, b, basis))
-        second = _covariant(conn, b, _covariant(conn, a, basis))
-        third = [ZERO] * m
-        for mm in range(A.rank):
-            if not _nonzero(coeffs_ab[mm]):
-                continue
-            step = _covariant(conn, mm, basis)
-            third = [t + coeffs_ab[mm] * s for t, s in zip(third, step)]
-        columns.append([f - s - t for f, s, t in zip(first, second, third)])
-    return [[columns[k][j] for k in range(m)] for j in range(m)]
 
 
 # ---------------------------------------------------------------------------

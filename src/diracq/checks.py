@@ -32,13 +32,13 @@ from .dirac import (
     DiracStructure,
     graph_poisson,
     graph_presymplectic,
-    omega_on_frame,
     pi_sharp_morphism,
     regular_distribution,
 )
 from .dsl import SUITES, Model
 from .expr import ComplexExpr, Expr, ZERO, equality_config, is_zero, symbol
 from .hamiltonian import (
+    ComplementError,
     ComplementH,
     admissible_vector_field,
     bracket_omega,
@@ -189,14 +189,25 @@ class Resolver:
         return self.structure()
 
     @_once
-    def complement(self) -> ComplementH:
+    def complement_or_failure(self) -> ComplementH | str:
+        """The declared complement, or the witness of why it is none."""
         decl = self.model.complement_decl
         dirac = self.dirac()
         if decl is None or decl[1] == "auto":
             return default_complement(dirac)
-        return ComplementH(dirac, [
-            self.real(self.model.sections[a], "complement section")
-            for a in decl[2]])
+        sections = [self.real(self.model.sections[a], "complement section")
+                    for a in decl[2]]
+        try:
+            return ComplementH(dirac, sections)
+        except ComplementError as err:
+            return str(err)
+
+    def complement(self) -> ComplementH:
+        """The declared complement; an invalid one skips with why."""
+        complement = self.complement_or_failure()
+        if isinstance(complement, str):
+            raise SkipSuite(complement)
+        return complement
 
     @_once
     def admissible(self) -> dict[str, Expr]:
@@ -367,9 +378,11 @@ _DIRAC = (
         f"dim rho_T*M(D)={d.dim_admissible_covectors}, "
         f"dim D^TM={d.dim_tangent_kernel}")))),
     Row("dirac/annihilator-duality", _on_report(lambda d: d.annihilator_ok)),
-    # the cocycle and the morphism law are only defined on a Dirac structure
+    # the cocycle and the morphism law are only defined on a Dirac structure;
+    # the cocycle identity is d_D Lambda = 0, which prequant/lambda-closed
+    # reads off the same memo
     Row("dirac/omega-cocycle",
-        lambda r, ctx: omega_on_frame(r.dirac()) is not None),
+        lambda r, ctx: lambda_Dform(r.dirac()) is not None),
     Row("dirac/pi-sharp-morphism",
         lambda r, ctx: pi_sharp_morphism(r.dirac())),
 )
@@ -425,8 +438,14 @@ def _kernel_shift(r, ctx):
     return True
 
 
+def _complement_fails(r, ctx):
+    """The suite's one record when the declared complement is invalid."""
+    complement = r.complement_or_failure()
+    return (False, complement) if isinstance(complement, str) else None
+
+
 _POISSON = (
-    _needs("poisson", "complement"),
+    Row("poisson", _complement_fails, ends=True),
     Row("poisson/admissible-scalars", lambda r, ctx: _listing(
         "non-admissible: ", r.real_scalars(), r.admissible())),
     Row("poisson/laws", _three_functions, ends=True),  # skips all six laws

@@ -46,7 +46,6 @@ __all__ = [
     "regular_distribution",
     "verify_dirac",
     "membership",
-    "omega_on_frame",
     "pi_sharp",
     "pi_sharp_morphism",
 ]
@@ -423,31 +422,7 @@ def regular_distribution(fields: Sequence[VectorField]) -> DiracStructure:
 
 
 # ---------------------------------------------------------------------------
-# the induced 2-form and bivector pairings
-
-
-def omega_on_frame(dirac: DiracStructure) -> dict[tuple[int, int], Expr]:
-    """The presymplectic 2-cocycle on the characteristic distribution,
-    tabulated on frame images: ``Omega(X_i, X_j) = xi_i(X_j)``, which is
-    antisymmetric by (D1).  The 2-cocycle identity on frame triples is
-    checked.
-    """
-    dirac.require_verified()
-    frame = dirac.frame
-    n = dirac.dim
-    table = {(i, j): frame[i].xi.evaluate([frame[j].X])
-             for i in range(n) for j in range(n)}
-    for i, j, k in itertools.combinations(range(n), 3):
-        xi, xj, xk = (frame[m].X for m in (i, j, k))
-        residual = (xi.apply(table[(j, k)]) - xj.apply(table[(i, k)])
-                    + xk.apply(table[(i, j)])
-                    + frame[k].xi.evaluate([xi.lie_bracket(xj)])
-                    + frame[i].xi.evaluate([xj.lie_bracket(xk)])
-                    + frame[j].xi.evaluate([xk.lie_bracket(xi)]))
-        if not is_zero(residual):
-            raise VerificationError(
-                f"Omega fails the 2-cocycle identity on ({i+1},{j+1},{k+1})")
-    return table
+# the induced bivector map Pi#
 
 
 def pi_sharp(dirac: DiracStructure, eta: KForm) -> VectorField:

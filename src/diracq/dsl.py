@@ -32,8 +32,8 @@ name of a ``scalar``, ``form``, ``vector``, ``bivector``, ``section`` or
 parameter, and, like a coordinate or parameter, none of the built-in names
 ``i pi exp sin cos``, ``dq`` and ``d_q`` (for a coordinate ``q``).  A patch,
 and the ``sigma`` of a patch or the ``transition`` and ``cochain`` of an
-ordered pair, are declared once, and so are ``dirac``, ``complement`` and
-``polarization``.
+ordered pair of two distinct patches, are declared once, and so are
+``dirac``, ``complement`` and ``polarization``.
 """
 
 from __future__ import annotations
@@ -419,6 +419,23 @@ def _first_time(stream: _Stream, token, key, table, message: str) -> None:
         raise DslError(message, stream.line, token.column)
 
 
+def _overlap(stream: _Stream, model: Model, keyword: str,
+             table) -> tuple[str, str]:
+    """``j k =``: two distinct declared patches whose ordered pair has no
+    ``keyword`` statement in ``table`` yet."""
+    token = stream.peek()
+    j = _declared_name(stream, model.patches, "patch")
+    second = stream.peek()
+    k = _declared_name(stream, model.patches, "patch")
+    if j == k:
+        raise DslError(f"{keyword} {j} {k} needs two distinct patches",
+                       stream.line, second.column)
+    _first_time(stream, token, (j, k), table,
+                f"{keyword} {j} {k} is already declared")
+    stream.expect("=")
+    return j, k
+
+
 def _declared_names(stream: _Stream, model: Model, keyword: str,
                     single: bool = False, check=None) -> tuple[str, ...]:
     """``(a, b, ...)``: one or more names (exactly one when ``single``),
@@ -572,13 +589,8 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
                     f"{name!r} is already a declared patch")
         model.patches.append(name)
     elif keyword == "transition":
-        token = stream.peek()
-        j = _declared_name(stream, model.patches, "patch")
-        k = _declared_name(stream, model.patches, "patch")
-        _first_time(stream, token, (j, k), model.transitions,
-                    f"transition {j} {k} is already declared")
-        stream.expect("=")
-        model.transitions[(j, k)] = _require_scalar(parser.expression(), stream)
+        key = _overlap(stream, model, keyword, model.transitions)
+        model.transitions[key] = _require_scalar(parser.expression(), stream)
     elif keyword == "sigma":
         token = stream.peek()
         patch = _declared_name(stream, model.patches, "patch")
@@ -602,13 +614,8 @@ def _parse_statement(keyword: str, stream: _Stream, model: Model) -> None:
         else:
             raise stream.error("sigma must be pull(...) or dcoeffs(...)")
     elif keyword == "cochain":
-        token = stream.peek()
-        j = _declared_name(stream, model.patches, "patch")
-        k = _declared_name(stream, model.patches, "patch")
-        _first_time(stream, token, (j, k), model.cochain,
-                    f"cochain {j} {k} is already declared")
-        stream.expect("=")
-        model.cochain[(j, k)] = _require_real(
+        key = _overlap(stream, model, keyword, model.cochain)
+        model.cochain[key] = _require_real(
             _require_scalar(parser.expression(), stream), stream)
     elif keyword == "hermitian":
         model.hermitian = True

@@ -111,6 +111,8 @@ class BundleAtlas:
         for (j, k) in self.transitions:
             if j not in self.patches or k not in self.patches:
                 raise AtlasError(f"transition ({j},{k}) names unknown patches")
+            if j == k:
+                raise AtlasError(f"transition ({j},{k}) joins a patch to itself")
         self.validate()
 
     def transition(self, j: str, k: str) -> ComplexExpr:

@@ -6,12 +6,11 @@ import pytest
 import sympy as sp
 
 from diracq.algebroid import (
-    AConnection,
     AForm,
+    AlgebroidPresentation,
     AlgebroidError,
     aform_equal,
     cotangent_algebroid,
-    curvature,
     d_A,
     d_D_pair,
     dirac_presentation,
@@ -23,8 +22,8 @@ from diracq.algebroid import (
     tangent_algebroid,
     wedge,
 )
-from diracq.chart import Chart, KForm, KVector, exterior_derivative
-from diracq.expr import Expr, equal, is_zero, symbol
+from diracq.chart import Chart, KForm, KVector, VectorField, exterior_derivative
+from diracq.expr import Expr, as_expr, equal, is_zero, symbol
 from diracq.randgen import random_kform, random_kvector, random_polynomial, rng_for
 
 
@@ -97,6 +96,25 @@ class TestDiracPresentation:
         pres = dirac_presentation(g_poisson)
         pres.validate()
 
+    def test_a_non_poisson_bivector_breaks_the_anchor(self):
+        chart = Chart("R3", ("x", "y", "z"))
+        x, y, z = (Expr(s) for s in chart.coords)
+        pi = KVector(chart, 2, {(0, 1): x, (1, 2): y, (0, 2): -z})
+        with pytest.raises(AlgebroidError, match=r"anchor incompatible "
+                           r"with the bracket on \(dx,dy\)"):
+            cotangent_algebroid(chart, pi)
+
+    def test_constants_that_break_jacobi(self):
+        chart = Chart("R1", ("x",))
+        e = [tuple(as_expr(int(i == m)) for i in range(3)) for m in range(3)]
+        pres = AlgebroidPresentation(
+            chart, (VectorField(chart, (as_expr(0),)),) * 3,
+            {(0, 1): e[2], (0, 2): e[0], (1, 2): e[1]},
+            labels=("e1", "e2", "e3"))
+        with pytest.raises(AlgebroidError, match=r"Jacobi identity fails on "
+                           r"frame triple \(1,2,3\)"):
+            pres.validate()
+
 
 class TestDDPair:
     def test_function_gives_anchor_derivative(self, standard_dirac, r2):
@@ -126,29 +144,6 @@ class TestDDPair:
                 phi = random_kform(rng, chart, degree)
                 q = random_kvector(rng, chart, degree)
                 d_D_pair(phi, q, dirac)  # raises on mismatch
-
-
-class TestCurvature:
-    def test_zero_connection(self, r2):
-        pres = tangent_algebroid(r2)
-        conn = AConnection(pres, ((AForm(pres, 1, {}),),))
-        kappa = curvature(conn)
-        assert kappa[0][0].is_zero_form()
-
-    def test_rank_one_reduces_to_dA(self):
-        chart = Chart("XY", ("x", "y"))
-        pres = tangent_algebroid(chart)
-        theta = AForm(pres, 1, {(1,): Expr(chart.coords[0])})
-        kappa = curvature(AConnection(pres, ((theta,),)))
-        assert aform_equal(kappa[0][0], d_A(theta))
-        assert equal(kappa[0][0].coeff((0, 1)), 1)
-
-    def test_rank_two_matrix(self, r2):
-        pres = tangent_algebroid(r2)
-        rng = rng_for(21, "conn")
-        theta = tuple(tuple(random_aform(rng, pres, 1) for _ in range(2))
-                      for _ in range(2))
-        curvature(AConnection(pres, theta))  # operator cross-check inside
 
 
 class TestPullbackLine:

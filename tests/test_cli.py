@@ -288,10 +288,14 @@ def test_non_hermitian_atlas_skips_the_selfadjoint_integrand(tmp_path, capsys):
 
 
 # a frame outside D_C (containment fails) and a non-isotropic frame
-@pytest.mark.parametrize("frame", ["(d_p, dq)", "(d_p, -dq), (d_q, dp)"],
-                         ids=["outside-D", "not-isotropic"])
+@pytest.mark.parametrize("frame, row, witness", [
+    ("(d_p, dq)", "polarize/containment",
+     "psi1 leaves the complexified complement"),
+    ("(d_p, -dq), (d_q, dp)", "polarize/isotropy",
+     "Lambda(psi1,psi2) = (-1) + i*(0)"),
+], ids=["outside-D", "not-isotropic"])
 def test_quantize_skips_what_is_not_a_polarization_of_d(tmp_path, capsys,
-                                                        frame):
+                                                        frame, row, witness):
     model = tmp_path / "notpolar.dq"
     model.write_text("chart M dim 2 coords q p\n"
                      "form omega = dq /\\ dp\n"
@@ -307,9 +311,70 @@ def test_quantize_skips_what_is_not_a_polarization_of_d(tmp_path, capsys,
                         "--suite", "all")
     assert code == 1
     records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert [(c["name"], c["witness"]) for c in records.values()
+            if c["status"] == "fail"] == [(row, witness)]
     assert (records["quantize"]["status"], records["quantize"]["witness"]) \
         == ("skipped", "not a polarization of D")
     assert not any(c["status"] == "error" for c in records.values())
+
+
+POLARIZED_R4 = ("chart M dim 4 coords x1 x2 x3 x4\n"
+                "form omega = dx1 /\\ dx2 + dx3 /\\ dx4\n"
+                "dirac D = graph_presymplectic(omega)\n"
+                "complement H = auto\n"
+                "patch U\n"
+                "sigma U = pull(-x2*dx1 - x4*dx3)\n"
+                "hermitian\n"
+                "polarization P = span((d_x2, -dx1), "
+                "(d_x4 + x2*d_x3, -dx3 + x2*dx4))\n"
+                "halfdensity v = 1\n")
+
+
+@pytest.mark.parametrize("text, row, witness", [
+    ("chart M dim 2 coords q p\nsection s1 = (d_q, dq)\n"
+     "section s2 = (d_p, 0*dp)\ndirac D = frame(s1, s2)\n",
+     "dirac/D1-isotropy", "<e1,e1>+ = 1"),
+    (POLARIZED_R4, "polarize/involutivity", "[[psi1,psi2]] leaves the span: -1"),
+], ids=["D1", "involutivity"])
+def test_a_broken_input_property_fails_its_own_row(tmp_path, capsys, text,
+                                                   row, witness):
+    model = tmp_path / "broken.dq"
+    model.write_text(text)
+    code, out = run_cli(capsys, "check", str(model), "--json", "--seed", "7",
+                        "--suite", "all")
+    assert code == 1
+    records = json.loads(out)["checks"]
+    assert [(c["name"], c["witness"]) for c in records
+            if c["status"] == "fail"] == [(row, witness)]
+    assert not any(c["status"] == "error" for c in records)
+
+
+def test_an_invalid_complement_fails_poisson_and_skips_its_users(tmp_path,
+                                                                 capsys):
+    model = tmp_path / "badcomplement.dq"
+    model.write_text("chart M dim 2 coords q p\n"
+                     "form omega = dq /\\ dp\n"
+                     "dirac D = graph_presymplectic(omega)\n"
+                     "section s = (d_q, 0*dq)\n"
+                     "complement H = sections(s)\n"
+                     "scalar f = q*p\n"
+                     "patch U\n"
+                     "sigma U = pull(-p*dq)\n"
+                     "hermitian\n"
+                     "polarization P = span((d_p, -dq))\n"
+                     "halfdensity v = 1\n")
+    code, out = run_cli(capsys, "check", str(model), "--json", "--seed", "7",
+                        "--suite", "all")
+    assert code == 1
+    witness = "complement section ((1)*d_q, 0) does not lie in D: -1"
+    records = json.loads(out)["checks"]
+    assert [(c["name"], c["status"], c["witness"]) for c in records
+            if c["status"] != "pass"] == [
+        ("poisson", "fail", witness),
+        ("prequant/commutator", "skipped", witness),
+        ("prequant/hermitian-identity", "skipped", witness),
+        ("polarize", "skipped", witness),
+        ("quantize", "skipped", witness)]
 
 
 def test_lemma51_exercises_the_bracket_term(tmp_path, capsys):

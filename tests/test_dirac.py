@@ -18,7 +18,6 @@ from diracq.dirac import (
     graph_poisson,
     graph_presymplectic,
     membership,
-    omega_on_frame,
     pairing_minus,
     pairing_plus,
     pi_sharp,
@@ -27,6 +26,7 @@ from diracq.dirac import (
 )
 from diracq.dsl import SUITES, parse_model
 from diracq.expr import Expr, ZERO, as_expr, equal, is_zero
+from diracq.prequant import lambda_Dform
 from diracq.randgen import random_polynomial, rng_for
 
 
@@ -244,6 +244,8 @@ class TestVerify:
         records = {c.name: c for c in run_checks(model, ["dirac"], seed=7).checks}
         kernel = records["dirac/kernel-equations"]
         assert records["dirac/D1-isotropy"].status == "pass"
+        assert (records["dirac/D2-rank"].status,
+                records["dirac/D2-rank"].witness) == ("fail", "rank 1")
         assert kernel.status == "fail"
         assert "dim D^T*M=0" in kernel.witness
         assert "dim D^TM=1" in kernel.witness
@@ -322,14 +324,16 @@ class TestMembership:
 
 class TestOmegaAndPi:
     def test_omega_values(self, standard_dirac):
-        table = omega_on_frame(standard_dirac)
-        assert equal(table[(0, 1)], 1)
-        assert is_zero(table[(0, 0)])
+        frame = standard_dirac.frame
+        assert equal(lambda_Dform(standard_dirac).coeff((0, 1)), 1)
+        assert equal(frame[0].xi.evaluate([frame[1].X]), 1)
+        assert is_zero(frame[0].xi.evaluate([frame[0].X]))
 
     def test_omega_zero_distribution(self, r2):
         dirac = graph_poisson(KVector(r2, 2, {}))
-        table = omega_on_frame(dirac)
-        assert all(is_zero(v) for v in table.values())
+        frame = dirac.frame
+        assert all(is_zero(a.xi.evaluate([b.X])) for a in frame for b in frame)
+        assert lambda_Dform(dirac).is_zero_form()
 
     def test_pi_sharp_solves(self, standard_dirac, r2):
         out = pi_sharp(standard_dirac, r2.basis_covector(0))
@@ -347,12 +351,16 @@ class TestOmegaAndPi:
         for dirac in (standard_dirac, g_poisson, presymplectic_r4):
             assert pi_sharp_morphism(dirac)
 
-    def test_lambda_equals_omega_on_frames(self, standard_dirac):
-        table = omega_on_frame(standard_dirac)
-        frame = standard_dirac.frame
-        for i in range(2):
-            for j in range(2):
-                assert equal(pairing_minus(frame[i], frame[j]), table[(i, j)])
+    def test_lambda_equals_omega_on_frames(self, standard_dirac, g_poisson,
+                                           presymplectic_r4):
+        """On frame pairs the skew pairing is ``Omega(X_i, X_j) = xi_i(X_j)``,
+        by (D1)."""
+        for dirac in (standard_dirac, g_poisson, presymplectic_r4):
+            lam = lambda_Dform(dirac)
+            frame = dirac.frame
+            for i, j in itertools.combinations(range(dirac.dim), 2):
+                assert equal(lam.coeff((i, j)),
+                             frame[i].xi.evaluate([frame[j].X]))
 
 
 def test_constructed_structures_verify(standard_dirac, presymplectic_r4,

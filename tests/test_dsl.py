@@ -162,6 +162,9 @@ class TestParse:
      "U1 U2", "transition U1 U2 is already declared"),
     ("patch U1\npatch U2\ncochain U1 U2 = q\ncochain U1 U2 = 0",
      "U1 U2", "cochain U1 U2 is already declared"),
+    ("patch U\ntransition U U = -1", "U",
+     "transition U U needs two distinct patches"),
+    ("patch U\ncochain U U = 1/2", "U", "cochain U U needs two distinct patches"),
     ("scalar f = q\nscalar f = p", "f =", "'f' is already declared"),
     ("section s = (d_q, dp)\nsection s = (d_p, -dq)", "s =",
      "'s' is already declared"),

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import diracq.expr as expr_module
 import diracq.prequant as prequant_module
 from diracq.algebroid import AForm, aform_equal, d_A, dirac_presentation, rho_pullback_form
-from diracq.chart import Chart, KForm, VectorField, exterior_derivative
+from diracq.chart import Chart, KForm, KVector, VectorField, exterior_derivative
 from diracq.checks import run_checks
-from diracq.dirac import regular_distribution
+from diracq.dirac import graph_poisson, regular_distribution
 from diracq.dsl import SUITES, parse_model
 from diracq.expr import ComplexExpr, Expr, as_expr, equal, is_zero
 from diracq.hamiltonian import default_complement, hamiltonian_H
@@ -107,10 +107,11 @@ class TestLambda:
         # Lambda on the graph frame equals the bivector on the coframe
         assert equal(lam.coeff((0, 1)), x1 ** 2 + x2 ** 2)
 
-    def test_foliation_vanishes(self):
+    def test_foliation_vanishes(self, r2):
         chart = Chart("F", ("x1", "x2"))
-        dirac = regular_distribution([chart.basis_vector(0)])
-        assert lambda_Dform(dirac).is_zero_form()
+        for dirac in (regular_distribution([chart.basis_vector(0)]),
+                      graph_poisson(KVector(r2, 2, {}))):
+            assert lambda_Dform(dirac).is_zero_form()
 
     def test_closed_for_all_shipped(self, standard_dirac, presymplectic_r4,
                                     g_poisson):
@@ -431,6 +432,13 @@ class TestCechConstruction:
         with pytest.raises(AtlasError, match="not inverse"):
             BundleAtlas(standard_dirac, patches,
                         {**transitions, ("U2", "U1"): ComplexExpr.of(2)}, sigma)
+
+    def test_a_patch_has_no_transition_to_itself(self, std_atlas):
+        # g_UU = exp(-2 pi i / 2) = -1 passes the inverse and cocycle tests
+        with pytest.raises(AtlasError, match=r"\(U,U\) joins a patch to itself"):
+            BundleAtlas(std_atlas.dirac, ("U",),
+                        {("U", "U"): transition_exp(as_expr(1) / 2)},
+                        dict(std_atlas.sigma))
 
     def test_gluing_of_line_sections(self, standard_dirac, r2):
         pres, base, q = self._sigmas(standard_dirac, r2)
